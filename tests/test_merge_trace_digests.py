@@ -1,18 +1,23 @@
-"""Merge-trace digests: the greedy engine's decisions, pinned byte for byte.
+"""Merge-trace and tree digests: construction decisions, pinned byte for byte.
 
-Every configuration below routes r1 at scale 0.2 (53 sinks) through
-:class:`~repro.cts.dme.BottomUpMerger` and hashes the full
-``merge_trace`` together with the exact (``float.hex``) clock-tree
-switched capacitance and wirelength.  A refactor of the merger, its
-costs, cell policies or kernels must leave every digest unchanged;
-an intentional algorithm change updates the pins together with a
-DESIGN.md note.
+Every configuration below routes r1 at scale 0.2 (53 sinks).  The
+greedy configurations run :class:`~repro.cts.dme.BottomUpMerger` and
+hash the full ``merge_trace`` together with the exact (``float.hex``)
+clock-tree switched capacitance and wirelength.  The other
+construction paths -- sharded routing and its stitch, post-pass gate
+removal with re-embedding, the annealing refiner and the bisection
+topology -- are pinned by a *tree digest*: every node's fields in id
+order, floats as ``float.hex``.  A refactor of the merger, its costs,
+cell policies, kernels or the shared merge/placement steps must leave
+every digest unchanged; an intentional algorithm change updates the
+pins together with a DESIGN.md note.
 
 Run this module as a script to print the current digests::
 
     PYTHONPATH=src python tests/test_merge_trace_digests.py
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -21,6 +26,7 @@ from repro.activity.probability import ActivityOracle
 from repro.activity.tables import ActivityTables
 from repro.bench.cpu_model import CpuModel, CpuModelConfig
 from repro.bench.suite import load_benchmark
+from repro.core.flow import route_gated, route_sharded
 from repro.core.cost import (
     incremental_switched_capacitance_cost,
     switched_capacitance_cost,
@@ -28,12 +34,14 @@ from repro.core.cost import (
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.core.gate_sizing import GateSizingPolicy
 from repro.core.switched_cap import clock_tree_switched_cap
+from repro.cts.bisection import build_bisection_tree
 from repro.cts.dme import (
     BottomUpMerger,
     BufferEveryEdgePolicy,
     GateEveryEdgePolicy,
     nearest_neighbor_cost,
 )
+from repro.cts.refine import RefineConfig
 from repro.tech import date98_technology
 
 SCALE = 0.2
@@ -155,6 +163,98 @@ DIGESTS = {
 }
 
 
+def _field(value) -> str:
+    """Exact text of one node field (floats as ``float.hex``)."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (bool, int)):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "(%s)" % ",".join(_field(v) for v in value)
+    # GateModel, Trr and Point: their float fields in declaration order.
+    return "<%s>" % ",".join(
+        _field(float(getattr(value, f.name))) for f in dataclasses.fields(value)
+    )
+
+
+def tree_digest(tree) -> str:
+    """SHA-256 over every node's construction state, in id order."""
+    h = hashlib.sha256()
+    for node in tree.nodes():
+        fields = (
+            node.children,
+            node.parent,
+            node.edge_length,
+            node.edge_cell,
+            node.edge_maskable,
+            node.snaked,
+            node.module_mask,
+            node.enable_probability,
+            node.enable_transition_probability,
+            node.subtree_cap,
+            node.sink_delay,
+            node.sink_delay_min,
+            node.merging_segment,
+            node.location,
+        )
+        h.update(("%d:%s;" % (node.id, "|".join(_field(f) for f in fields))).encode())
+    return h.hexdigest()
+
+
+def _tree_configs():
+    """``name -> callable(case, tech) -> ClockTree`` for the non-greedy paths."""
+
+    def knob(tech):
+        return GateReductionPolicy.from_knob(0.5, tech)
+
+    def sharded(reduction=None, **kwargs):
+        return lambda case, tech: route_sharded(
+            case.sinks, tech, case.oracle, die=case.die, num_shards=4,
+            candidate_limit=16, reduction=reduction and reduction(tech), **kwargs
+        ).tree
+
+    def gated(reduction=None, **kwargs):
+        return lambda case, tech: route_gated(
+            case.sinks, tech, case.oracle, die=case.die, candidate_limit=16,
+            reduction=reduction and reduction(tech), **kwargs
+        ).tree
+
+    def bisection(policy):
+        return lambda case, tech: build_bisection_tree(
+            case.sinks, tech, cell_policy=policy(tech), oracle=case.oracle
+        )
+
+    return {
+        "sharded-k4-gate-every": sharded(),
+        "sharded-k4-demote": sharded(knob, reduction_mode="demote"),
+        "sharded-k4-skew-bound-50": sharded(skew_bound=50.0),
+        "gated-remove": gated(knob, reduction_mode="remove"),
+        "gated-refine-gate-every-seed3": gated(
+            refine=RefineConfig(moves=200, seed=3)
+        ),
+        "gated-refine-merge-reduced-seed1": gated(
+            knob, reduction_mode="merge", refine=RefineConfig(moves=200, seed=1)
+        ),
+        "bisection-gate-every": bisection(lambda tech: GateEveryEdgePolicy()),
+        "bisection-reduction": bisection(knob),
+    }
+
+
+#: Tree digests captured before the shared plan/commit/placement refactor.
+TREE_DIGESTS = {
+    'bisection-gate-every': 'a1967d5552707eed48dc9af07bb66ddb326d5bf2ff80512758c3338566974f12',
+    'bisection-reduction': 'ee5b69a6f122a0ace8b183863691086bfc8e951a59151ebdc7d96bf37b31ea3b',
+    'gated-refine-gate-every-seed3': '1e464a055015bfb9aca36b7f8a5de98ff4ad191501423d610bdad779ce2a5621',
+    'gated-refine-merge-reduced-seed1': '8b8fe9ab0c03e7272eaeca45e34cb9aeeded15b093ca1e0f94d8d149860b03d4',
+    'gated-remove': '49cc7ffe02cc8d12b1c47d1c699d3496fb6da99e4045eb142fce81d3b8565af8',
+    'sharded-k4-demote': '1b6cb3e6b690612b467279a2c7ef8ddde4ea68e178b0800beaa2022b83377a10',
+    'sharded-k4-gate-every': '8923b5a2beb701ccb8cd286c1d445946ffa49d75b34749090d35a95fb40891b7',
+    'sharded-k4-skew-bound-50': 'bd09da93b831cf58c48ae77f10786d5c8b843fae32cefe29a069fec1787d4629',
+}
+
+
 @pytest.fixture(scope="module")
 def case():
     return _case()
@@ -165,8 +265,17 @@ def test_merge_trace_digest(case, name):
     assert route_digest(case, date98_technology(), _configs()[name]) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(_tree_configs()))
+def test_tree_digest(case, name):
+    tree = _tree_configs()[name](case, date98_technology())
+    assert tree_digest(tree) == TREE_DIGESTS[name]
+
+
 if __name__ == "__main__":
     _tech = date98_technology()
     _c = _case()
     for _name in sorted(_configs()):
         print("    %r: %r," % (_name, route_digest(_c, _tech, _configs()[_name])))
+    print()
+    for _name in sorted(_tree_configs()):
+        print("    %r: %r," % (_name, tree_digest(_tree_configs()[_name](_c, _tech))))
