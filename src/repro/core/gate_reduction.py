@@ -39,7 +39,7 @@ regenerates Fig. 5 ("gate reduction % vs switched capacitance/area").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -264,8 +264,7 @@ def _apply_gate_reduction(
         while changed:
             changed = False
             exposed_below: Dict[int, float] = {}
-            for node_id in _postorder(tree):
-                node = tree.node(node_id)
+            for node in tree.postorder():
                 if node.is_sink:
                     below = node.sink.load_cap
                 else:
@@ -279,7 +278,7 @@ def _apply_gate_reduction(
                                 tech.wire_cap(child.edge_length)
                                 + exposed_below[child_id]
                             )
-                exposed_below[node_id] = below
+                exposed_below[node.id] = below
                 if node.id == tree.root_id or node.edge_cell is not None:
                     continue
                 if tech.wire_cap(node.edge_length) + below >= limit:
@@ -300,17 +299,6 @@ def _demoted(gate: GateModel, tech: Technology) -> GateModel:
     tied-high AND gate for an equivalent buffer.
     """
     return replace(gate, area=tech.buffer.area)
-
-
-def _postorder(tree: ClockTree) -> List[int]:
-    order: List[int] = []
-    stack = [tree.root_id]
-    while stack:
-        node = tree.node(stack.pop())
-        order.append(node.id)
-        stack.extend(node.children)
-    order.reverse()
-    return order
 
 
 def reduction_fraction(num_gates: int, num_sinks: int) -> float:

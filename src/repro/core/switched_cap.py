@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.cts.topology import ClockTree
-from repro.quantity import CapacitanceFF, NodeId, Probability, SwitchedCap
+from repro.quantity import Probability, SwitchedCap
 from repro.tech.parameters import Technology
 
 
@@ -56,27 +56,14 @@ def effective_enable_probabilities(tree: ClockTree) -> Dict[int, Probability]:
     return eff
 
 
-def _attached_cap(tree: ClockTree, node_id: NodeId) -> CapacitanceFF:
-    """Capacitance hanging directly at a node: sink load + child cell pins."""
-    node = tree.node(node_id)
-    if node.is_sink:
-        return node.sink.load_cap
-    total = 0.0
-    for child_id in node.children:
-        cell = tree.node(child_id).edge_cell
-        if cell is not None:
-            total += cell.input_cap
-    return total
-
-
 def clock_tree_switched_cap(tree: ClockTree, tech: Technology) -> SwitchedCap:
     """``W(T)`` of an embedded (possibly gated, possibly buffered) tree."""
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
     eff = effective_enable_probabilities(tree)
-    total = eff[tree.root_id] * _attached_cap(tree, tree.root_id) * a_clk
+    total = eff[tree.root_id] * tree.attached_cap(tree.root_id) * a_clk
     for node in tree.edges():
-        cap = c * node.edge_length + _attached_cap(tree, node.id)
+        cap = c * node.edge_length + tree.attached_cap(node.id)
         total += a_clk * eff[node.id] * cap
     return total
 
@@ -90,9 +77,9 @@ def ungated_clock_tree_switched_cap(tree: ClockTree, tech: Technology) -> float:
     """
     c = tech.unit_wire_capacitance
     a_clk = tech.clock_transitions_per_cycle
-    total = _attached_cap(tree, tree.root_id) * a_clk
+    total = tree.attached_cap(tree.root_id) * a_clk
     for node in tree.edges():
-        total += a_clk * (c * node.edge_length + _attached_cap(tree, node.id))
+        total += a_clk * (c * node.edge_length + tree.attached_cap(node.id))
     return total
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import ContractError
-from repro.cts.dme import CellPolicy, NoCellPolicy, decide_edge
+from repro.cts.dme import CellPolicy, NoCellPolicy, annotate_enable, decide_edge
 from repro.cts.reembed import reembed
 from repro.cts.topology import ClockTree, Sink
 
@@ -62,26 +62,17 @@ def build_bisection_tree(
     policy = cell_policy or NoCellPolicy()
     tree = ClockTree(tech)
     for sink in sinks:
-        node = tree.add_leaf(sink)
-        if oracle is not None:
-            stats = oracle.statistics(node.module_mask)
-            node.enable_probability = stats.signal_probability
-            node.enable_transition_probability = stats.transition_probability
+        annotate_enable(tree.add_leaf(sink), oracle)
     root_id = _build_recursive(tree, [n.id for n in tree.sinks()], vertical_cut=True)
     tree.set_root(root_id)
 
     # Bottom-up annotation of module masks and enable statistics.
-    order = [n.id for n in tree.preorder()]
-    for node_id in reversed(order):
-        node = tree.node(node_id)
+    for node in tree.postorder():
         if node.is_sink:
             continue
         left, right = (tree.node(c) for c in node.children)
         node.module_mask = left.module_mask | right.module_mask
-        if oracle is not None:
-            stats = oracle.statistics(node.module_mask)
-            node.enable_probability = stats.signal_probability
-            node.enable_transition_probability = stats.transition_probability
+        annotate_enable(node, oracle)
 
     # First embedding with plain wires gives real edge lengths and
     # subtree capacitances; cell decisions then see honest estimates,

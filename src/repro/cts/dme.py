@@ -225,6 +225,91 @@ class MergePlan:
     merged_probability: Optional[Probability]
 
 
+def annotate_enable(node: ClockNode, oracle: Optional[ActivityOracle]) -> None:
+    """Set ``P(EN)`` / ``P_tr(EN)`` of the node's module set (no-op
+    without an oracle: the node stays always-on)."""
+    if oracle is None:
+        return
+    stats = oracle.statistics(node.module_mask)
+    node.enable_probability = stats.signal_probability
+    node.enable_transition_probability = stats.transition_probability
+
+
+def plan_merge(
+    na: ClockNode,
+    nb: ClockNode,
+    policy: CellPolicy,
+    cells: Sequence[CellDecision],
+    oracle: Optional[ActivityOracle],
+    tech: Technology,
+    skew_bound: float,
+    distance: Optional[LengthUm] = None,
+) -> MergePlan:
+    """Plan the merge of two subtree roots: the cells of both new edges
+    (``cells`` is the policy's :meth:`~CellPolicy.cells`) and the
+    zero-skew -- or, with a positive ``skew_bound``, bounded-skew --
+    split of their merging distance."""
+    if distance is None:
+        distance = na.merging_segment.distance_to(nb.merging_segment)
+    merged_mask = na.module_mask | nb.module_mask
+    merged_probability = None
+    if oracle is not None:
+        merged_probability = oracle.signal_probability(merged_mask)
+    decision_a, decision_b = (
+        decide_edge(policy, cells, node, merged_probability, distance, tech)
+        for node in (na, nb)
+    )
+    tap_a = Tap(cap=na.subtree_cap, delay=na.sink_delay, cell=decision_a.cell)
+    tap_b = Tap(cap=nb.subtree_cap, delay=nb.sink_delay, cell=decision_b.cell)
+    if skew_bound > 0:
+        from repro.cts.bounded import bounded_skew_split
+
+        split = bounded_skew_split(
+            distance,
+            tap_a,
+            na.sink_delay_min,
+            tap_b,
+            nb.sink_delay_min,
+            skew_bound,
+            tech,
+        )
+    else:
+        split = zero_skew_split(distance, tap_a, tap_b, tech)
+    return MergePlan(
+        a_id=na.id,
+        b_id=nb.id,
+        distance=distance,
+        decision_a=decision_a,
+        decision_b=decision_b,
+        split=split,
+        merged_mask=merged_mask,
+        merged_probability=merged_probability,
+    )
+
+
+def commit_merge(
+    tree: ClockTree, plan: MergePlan, oracle: Optional[ActivityOracle]
+) -> ClockNode:
+    """Create the internal node of a planned merge in ``tree``."""
+    na, nb = tree.node(plan.a_id), tree.node(plan.b_id)
+    region = merge_regions(na.merging_segment, nb.merging_segment, plan.split)
+    merged = tree.add_internal(plan.a_id, plan.b_id, region)
+    na.edge_length = plan.split.length_a
+    na.edge_cell = plan.decision_a.cell
+    na.edge_maskable = plan.decision_a.maskable
+    na.snaked = plan.split.snaked == "a"
+    nb.edge_length = plan.split.length_b
+    nb.edge_cell = plan.decision_b.cell
+    nb.edge_maskable = plan.decision_b.maskable
+    nb.snaked = plan.split.snaked == "b"
+    merged.module_mask = plan.merged_mask
+    merged.subtree_cap = plan.split.merged_cap
+    merged.sink_delay = plan.split.delay
+    merged.sink_delay_min = plan.split.earliest_delay
+    annotate_enable(merged, oracle)
+    return merged
+
+
 _UNSET = object()
 
 
@@ -428,11 +513,7 @@ class BottomUpMerger:
         self._plan_partners: Dict[int, Set[int]] = {}
         self.tree = ClockTree(tech)
         for sink in sinks:
-            node = self.tree.add_leaf(sink)
-            if oracle is not None:
-                stats = oracle.statistics(node.module_mask)
-                node.enable_probability = stats.signal_probability
-                node.enable_transition_probability = stats.transition_probability
+            annotate_enable(self.tree.add_leaf(sink), oracle)
         if controller_point is None:
             xs = [s.location.x for s in sinks]
             ys = [s.location.y for s in sinks]
@@ -502,61 +583,34 @@ class BottomUpMerger:
         measurement taken in either pair orientation is exact.
         """
         self.stats.plans_computed += 1
-        na, nb = self.tree.node(a_id), self.tree.node(b_id)
-        if distance is None:
-            distance = na.merging_segment.distance_to(nb.merging_segment)
-        else:
+        if distance is not None:
             self.stats.distance_reuses += 1
-        merged_mask = na.module_mask | nb.module_mask
-        merged_probability = None
-        if self.oracle is not None:
-            merged_probability = self.oracle.signal_probability(merged_mask)
-        decision_a, decision_b = (
-            decide_edge(
-                self.cell_policy, self._cells, node, merged_probability, distance, self.tech
-            )
-            for node in (na, nb)
+        na, nb = self.tree.node(a_id), self.tree.node(b_id)
+        plan = plan_merge(
+            na,
+            nb,
+            self.cell_policy,
+            self._cells,
+            self.oracle,
+            self.tech,
+            self.skew_bound,
+            distance,
         )
-        tap_a = Tap(cap=na.subtree_cap, delay=na.sink_delay, cell=decision_a.cell)
-        tap_b = Tap(cap=nb.subtree_cap, delay=nb.sink_delay, cell=decision_b.cell)
-        if self.skew_bound > 0:
-            from repro.cts.bounded import bounded_skew_split
-
-            split = bounded_skew_split(
-                distance,
-                tap_a,
-                na.sink_delay_min,
-                tap_b,
-                nb.sink_delay_min,
-                self.skew_bound,
-                self.tech,
-            )
-        else:
-            split = zero_skew_split(distance, tap_a, tap_b, self.tech)
         # Sizing re-balances to exact zero skew, which is always within
         # any bound; it only engages when the split had to snake.
-        if self.cell_sizer is not None and split.snaked is not None:
-            decision_a, decision_b, split = self.cell_sizer.resolve(
-                distance,
+        if self.cell_sizer is not None and plan.split.snaked is not None:
+            plan.decision_a, plan.decision_b, plan.split = self.cell_sizer.resolve(
+                plan.distance,
                 na.subtree_cap,
                 na.sink_delay,
-                decision_a,
+                plan.decision_a,
                 nb.subtree_cap,
                 nb.sink_delay,
-                decision_b,
+                plan.decision_b,
                 self.tech,
-                split,
+                plan.split,
             )
-        return MergePlan(
-            a_id=a_id,
-            b_id=b_id,
-            distance=distance,
-            decision_a=decision_a,
-            decision_b=decision_b,
-            split=split,
-            merged_mask=merged_mask,
-            merged_probability=merged_probability,
-        )
+        return plan
 
     def _plan_pair(
         self, a_id: int, b_id: int, distance: Optional[float] = None
@@ -595,27 +649,7 @@ class BottomUpMerger:
 
     def execute(self, plan: MergePlan) -> ClockNode:
         """Commit a planned merge: create the internal node."""
-        na, nb = self.tree.node(plan.a_id), self.tree.node(plan.b_id)
-        region = merge_regions(na.merging_segment, nb.merging_segment, plan.split)
-        merged = self.tree.add_internal(plan.a_id, plan.b_id, region)
-
-        na.edge_length = plan.split.length_a
-        na.edge_cell = plan.decision_a.cell
-        na.edge_maskable = plan.decision_a.maskable
-        na.snaked = plan.split.snaked == "a"
-        nb.edge_length = plan.split.length_b
-        nb.edge_cell = plan.decision_b.cell
-        nb.edge_maskable = plan.decision_b.maskable
-        nb.snaked = plan.split.snaked == "b"
-
-        merged.module_mask = plan.merged_mask
-        merged.subtree_cap = plan.split.merged_cap
-        merged.sink_delay = plan.split.delay
-        merged.sink_delay_min = plan.split.earliest_delay
-        if self.oracle is not None:
-            stats = self.oracle.statistics(plan.merged_mask)
-            merged.enable_probability = stats.signal_probability
-            merged.enable_transition_probability = stats.transition_probability
+        merged = commit_merge(self.tree, plan, self.oracle)
         self._set_row(merged)
         self.merge_trace.append((plan.a_id, plan.b_id, merged.id))
         return merged
@@ -877,7 +911,7 @@ class BottomUpMerger:
                 (only,) = self._active
                 self.tree.set_root(only)
                 with tracer.span("dme.embed"):
-                    self._place()
+                    self.tree.place()
                 return self.tree
             with tracer.span("dme.init_best", n=num_sinks):
                 self._initialize_best()
@@ -906,7 +940,7 @@ class BottomUpMerger:
             (root,) = self._active
             self.tree.set_root(root)
             with tracer.span("dme.embed"):
-                self._place()
+                self.tree.place()
             publish_merger_stats(self.stats)
             publish_index_stats(self._index)
         if logger.isEnabledFor(logging.DEBUG):
@@ -918,13 +952,3 @@ class BottomUpMerger:
                 self.tree.root.sink_delay,
             )
         return self.tree
-
-    def _place(self) -> None:
-        """Top-down embedding of merging segments into points."""
-        root = self.tree.root
-        root.location = root.merging_segment.center()
-        for node in self.tree.preorder():
-            for child_id in node.children:
-                child = self.tree.node(child_id)
-                child.location = child.merging_segment.nearest_point_to(node.location)
-        self.tree.validate_embedding()

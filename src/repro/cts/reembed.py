@@ -15,60 +15,41 @@ floating-point noise -- a property the test suite checks.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.cts.merge import Tap, merge_regions, zero_skew_split
-from repro.cts.topology import ClockTree
+from repro.cts.topology import ClockNode, ClockTree
 from repro.geometry.trr import Trr
 
 
-def _postorder_ids(tree: ClockTree) -> List[int]:
-    order: List[int] = []
-    stack = [tree.root_id]
-    while stack:
-        node = tree.node(stack.pop())
-        order.append(node.id)
-        stack.extend(node.children)
-    order.reverse()
-    return order
+def rebalance(tree: ClockTree, node: ClockNode) -> None:
+    """Recompute one node's merging segment, presented capacitance and
+    delays -- and its children's edge lengths -- from its children's
+    current state and cells (the bottom-up step of DME).
 
-
-def reembed(tree: ClockTree) -> None:
-    """Recompute the embedding in place for the tree's current cells.
-
-    Internal nodes are normally binary, but edits (gate-reduction
-    demote/remove, refinement moves) can leave *unary* pass-through
-    nodes; those propagate their single child's presented capacitance
-    and delay through a zero-length edge instead of crashing the
-    two-child unpack.
+    A sink resets to its pin.  Internal nodes are normally binary, but
+    edits (gate-reduction demote/remove, refinement moves) can leave
+    *unary* pass-through nodes; those propagate their single child's
+    presented capacitance and delay through a zero-length edge.
     """
     tech = tree.tech
-    for node_id in _postorder_ids(tree):
-        node = tree.node(node_id)
-        if node.is_sink:
-            node.merging_segment = Trr.from_point(node.sink.location)
-            node.subtree_cap = node.sink.load_cap
-            node.sink_delay = 0.0
-            node.sink_delay_min = 0.0
-            continue
-        if len(node.children) == 1:
-            # Unary pass-through: no split to balance.  The child
-            # attaches with a zero-length edge, so the node presents
-            # the child's own presented capacitance (its cell's input
-            # pin when the edge carries one) and its unloaded delay.
-            (child,) = (tree.node(c) for c in node.children)
-            tap = Tap(
-                cap=child.subtree_cap,
-                delay=child.sink_delay,
-                cell=child.edge_cell,
-            )
-            child.edge_length = 0.0
-            child.snaked = False
-            node.merging_segment = child.merging_segment
-            node.subtree_cap = tap.presented_cap(0.0, tech)
-            node.sink_delay = tap.edge_delay(0.0, tech)
-            node.sink_delay_min = node.sink_delay
-            continue
+    if node.is_sink:
+        node.merging_segment = Trr.from_point(node.sink.location)
+        node.subtree_cap = node.sink.load_cap
+        node.sink_delay = 0.0
+        node.sink_delay_min = 0.0
+        return
+    if len(node.children) == 1:
+        # Unary pass-through: no split to balance.  The child
+        # attaches with a zero-length edge, so the node presents
+        # the child's own presented capacitance (its cell's input
+        # pin when the edge carries one) and its unloaded delay.
+        child = tree.node(node.children[0])
+        tap = Tap(cap=child.subtree_cap, delay=child.sink_delay, cell=child.edge_cell)
+        child.edge_length = 0.0
+        child.snaked = False
+        node.merging_segment = child.merging_segment
+        node.subtree_cap = tap.presented_cap(0.0, tech)
+        node.sink_delay = tap.edge_delay(0.0, tech)
+    else:
         left, right = (tree.node(c) for c in node.children)
         distance = left.merging_segment.distance_to(right.merging_segment)
         split = zero_skew_split(
@@ -86,15 +67,15 @@ def reembed(tree: ClockTree) -> None:
         )
         node.subtree_cap = split.merged_cap
         node.sink_delay = split.delay
-        # The split is exactly zero-skew, so the delay interval
-        # collapses to a point; leaving a stale bounded-skew lower
-        # bound behind would trip the auditor's interval check.
-        node.sink_delay_min = split.delay
+    # The step is exactly zero-skew, so the delay interval collapses to
+    # a point; leaving a stale bounded-skew lower bound behind would
+    # trip the auditor's interval check.
+    node.sink_delay_min = node.sink_delay
 
-    root = tree.root
-    root.location = root.merging_segment.center()
-    for node in tree.preorder():
-        for child_id in node.children:
-            child = tree.node(child_id)
-            child.location = child.merging_segment.nearest_point_to(node.location)
-    tree.validate_embedding()
+
+def reembed(tree: ClockTree) -> None:
+    """Recompute the embedding in place for the tree's current cells:
+    :func:`rebalance` every node bottom-up, then place top-down."""
+    for node in tree.postorder():
+        rebalance(tree, node)
+    tree.place()

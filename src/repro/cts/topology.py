@@ -142,6 +142,24 @@ class ClockTree:
             raise ContractError("root must not have a parent")
         self._root = node_id
 
+    def graft(self, other: "ClockTree") -> NodeId:
+        """Append a copy of ``other`` (in id order); returns its new root id.
+
+        Ids are assigned in construction order (children before
+        parents), so copying in id order keeps the *relative* id order
+        -- and with it every id-ordered summation -- and every field
+        verbatim.  The grafted root is left parentless for a merge.
+        """
+        offset = len(self._nodes)
+        for node in other._nodes:
+            copied = copy.copy(node)
+            copied.id += offset
+            copied.children = tuple(c + offset for c in node.children)
+            if node.parent is not None:
+                copied.parent = node.parent + offset
+            self._nodes.append(copied)
+        return other.root_id + offset
+
     def clone(self) -> "ClockTree":
         """Deep-enough copy: independent nodes, shared immutable leaves.
 
@@ -204,6 +222,12 @@ class ClockTree:
             yield node
             stack.extend(node.children)
 
+    def postorder(self) -> List[ClockNode]:
+        """Children-first traversal: :meth:`preorder`, reversed."""
+        order = list(self.preorder())
+        order.reverse()
+        return order
+
     def parent_chain(self, node_id: int) -> Iterator[ClockNode]:
         """Ancestors of a node, nearest first (excluding the node)."""
         parent = self._nodes[node_id].parent
@@ -218,6 +242,18 @@ class ClockTree:
     # ------------------------------------------------------------------
     # aggregate metrics
     # ------------------------------------------------------------------
+    def attached_cap(self, node_id: NodeId) -> CapacitanceFF:
+        """Capacitance hanging directly at a node: sink load + child cell pins."""
+        node = self._nodes[node_id]
+        if node.is_sink:
+            return node.sink.load_cap
+        total = 0.0
+        for child_id in node.children:
+            cell = self._nodes[child_id].edge_cell
+            if cell is not None:
+                total += cell.input_cap
+        return total
+
     def total_wirelength(self) -> LengthUm:
         """Electrical wirelength of the clock tree (snaking included)."""
         root = self.root_id
@@ -268,6 +304,20 @@ class ClockTree:
     def phase_delay(self) -> DelayPs:
         """Recomputed root-to-sink Elmore delay."""
         return self.elmore_evaluator().max_delay()
+
+    def place(self) -> None:
+        """Top-down embedding of the merging segments, then validate.
+
+        The root sits at the center of its segment, every other node at
+        the point of its own segment nearest its parent's placement.
+        """
+        root = self.root
+        root.location = root.merging_segment.center()
+        for node in self.preorder():
+            for child_id in node.children:
+                child = self._nodes[child_id]
+                child.location = child.merging_segment.nearest_point_to(node.location)
+        self.validate_embedding()
 
     def validate_embedding(self, tol: float = 1e-6) -> None:
         """Check placement consistency.
