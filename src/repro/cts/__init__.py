@@ -12,12 +12,13 @@ router needs -- and on top of which the paper's gated router
 * :mod:`repro.cts.bounded` -- the bounded-skew generalization (delay
   intervals, partial snaking) with zero skew as the ``bound=0`` case;
 * :mod:`repro.cts.reembed` -- fixed-topology re-embedding after tree
-  edits (e.g. physical gate removal);
+  edits (e.g. physical gate removal), one ``rebalance`` node step at
+  a time;
 * :mod:`repro.cts.dme` -- the deferred-merge embedding engine: a
   generic greedy bottom-up merger with a pluggable pair cost and cell
-  policy, followed by top-down placement of merging segments; plans
-  are memoized per active pair and candidate probes are pruned by
-  cost lower bounds without changing any greedy decision;
+  policy, followed by top-down placement of merging segments; one
+  exact screen prices every candidate batch, and the merge step
+  (``plan_merge`` / ``commit_merge``) is shared with the shard stitch;
 * :mod:`repro.cts.candidate_index` -- the uniform-grid spatial index
   answering the merger's k-nearest-candidate queries;
 * :mod:`repro.cts.nearest_neighbor` -- the nearest-neighbour pair cost
