@@ -1,8 +1,8 @@
-"""Result auditing and paper-style reporting.
+"""Paper-style reporting and result analysis.
 
-* :mod:`repro.analysis.audit` -- independent consistency checks over a
-  routed tree (skew, capacitance bookkeeping, embedding validity,
-  enable hierarchy);
+(Independent consistency checks over a routed network live in
+:mod:`repro.check.auditor`.)
+
 * :mod:`repro.analysis.report` -- the text tables the benchmark
   harness prints: Table 4, the Fig. 3 comparison, the Fig. 4/5 sweeps
   and the Fig. 6 distributed-controller study;
@@ -14,7 +14,6 @@
 * :mod:`repro.analysis.ascii` -- terminal bar/line charts.
 """
 
-from repro.analysis.audit import AuditReport, audit_tree
 from repro.analysis.ascii import bar_chart, line_chart
 from repro.analysis.gates import GateEfficacy, efficacy_summary, gate_efficacy
 from repro.analysis.report import (
@@ -30,8 +29,6 @@ from repro.analysis.wirelength import (
 )
 
 __all__ = [
-    "AuditReport",
-    "audit_tree",
     "bar_chart",
     "line_chart",
     "GateEfficacy",

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.flow import ClockRoutingResult
-from repro.cts.dme import MergerStats
 from repro.obs import PhaseProfile
 
 
@@ -113,49 +112,6 @@ def format_comparison(rows: Sequence[ComparisonRow], title: str) -> str:
         ]
         for r in rows
     ]
-    return format_table(headers, data, title=title)
-
-
-def format_merger_stats(
-    stats_by_config: Dict[str, MergerStats],
-    title: str = "Merger work counters",
-) -> str:
-    """One row of :class:`~repro.cts.dme.MergerStats` per configuration.
-
-    Shows where the plan evaluations of each engine configuration went
-    (computed vs served from the plan cache) next to the batched
-    screen's lanes and scalar fallbacks.
-    """
-    headers = [
-        "config",
-        "plans",
-        "cache hits",
-        "probes",
-        "heap pops",
-        "stale",
-        "index queries",
-        "batches",
-        "batched cands",
-        "lane fallbacks",
-        "dist reuses",
-    ]
-    #: snapshot() keys backing each column, in header order.
-    columns = [
-        "plans_computed",
-        "plan_cache_hits",
-        "cost_probes",
-        "heap_pops",
-        "stale_entries",
-        "index_queries",
-        "kernel_batches",
-        "kernel_candidates",
-        "kernel_scalar_fallbacks",
-        "distance_reuses",
-    ]
-    data = []
-    for name, stats in stats_by_config.items():
-        snapshot = stats.snapshot()
-        data.append([name] + [snapshot[key] for key in columns])
     return format_table(headers, data, title=title)
 
 

@@ -1,10 +1,12 @@
 """Full-network invariant auditor.
 
-Generalizes :mod:`repro.analysis.audit` from per-tree numeric rechecks
-to the whole routed network: clock tree, embedding geometry, enable
-hierarchy, and the controller star.  Every violation is reported as a
-structured :class:`AuditFinding` naming the offending node, and the
-report can re-raise the findings as the typed audit errors of
+Independent rechecks of the whole routed network: clock tree,
+embedding geometry, enable hierarchy, and the controller star.  The
+routers maintain capacitance and delay bookkeeping incrementally; the
+auditor recomputes it from scratch, so a bookkeeping regression cannot
+hide behind a matching incremental value.  Every violation is reported
+as a structured :class:`AuditFinding` naming the offending node, and
+the report can re-raise the findings as the typed audit errors of
 :mod:`repro.check.errors`.
 
 Invariants checked (all recomputed from scratch -- never trusting the
@@ -99,7 +101,7 @@ class NetworkAuditReport:
 
     @property
     def problems(self) -> List[str]:
-        """The findings as plain strings (legacy ``AuditReport`` shape)."""
+        """The findings as plain strings."""
         return [f.message for f in self.findings]
 
     def findings_of(self, kind: str) -> List[AuditFinding]:

@@ -59,17 +59,15 @@ Observability (all routing subcommands)
 ``--trace OUT.json`` records a hierarchical span trace of the run and
 writes it as Chrome ``trace_event`` JSON (load in ``chrome://tracing``
 or Perfetto); a per-phase wall-clock table is printed as well.
-``--trace-jsonl OUT.jsonl`` writes the raw span log as JSON lines,
-``--metrics-out OUT.json`` dumps the metrics registry (merger plan
-counters, oracle cache hits, star-edge histograms, ...), and
-``--log-level debug`` surfaces the library's guarded debug logging.
-``--profile-memory`` attaches the tracemalloc sampler so every span
-(and the printed phase table) carries peak-heap / allocated-block
-columns.  ``--ledger [DIR]`` persists a content-addressed RunRecord
-(config digest, environment fingerprint, phase tree, metrics, result
-pins) into the run ledger (``.repro-runs/`` by default) for ``obs
-diff/trend/check``.  ``--progress-jsonl OUT.jsonl`` streams live
-phase-start/finish/percent events as JSON lines.
+``--ledger [DIR]`` persists a content-addressed RunRecord (config
+digest, environment fingerprint, phase tree, raw span rows, metrics
+registry snapshot -- merger plan counters, oracle cache hits,
+star-edge histograms, ... -- and result pins) into the run ledger
+(``.repro-runs/`` by default) for ``obs diff/trend/check``; it is the
+run's one artefact.  ``--profile-memory`` attaches the tracemalloc
+sampler so every span (and the printed phase table) carries peak-heap
+/ allocated-block columns, and ``--log-level debug`` surfaces the
+library's guarded debug logging.
 """
 
 from __future__ import annotations
@@ -100,12 +98,9 @@ from repro.obs import (
     configure_logging,
     disable_tracing,
     enable_tracing,
-    get_registry,
     phase_profile,
     set_registry,
     write_chrome_trace,
-    write_metrics_json,
-    write_spans_jsonl,
 )
 from repro.tech.presets import date98_technology
 
@@ -118,18 +113,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="OUT.json",
         help="write a Chrome trace_event span trace of the run",
-    )
-    group.add_argument(
-        "--trace-jsonl",
-        default=None,
-        metavar="OUT.jsonl",
-        help="write the raw span log as JSON lines",
-    )
-    group.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="OUT.json",
-        help="write the metrics registry snapshot as JSON",
     )
     group.add_argument(
         "--log-level",
@@ -151,12 +134,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="persist a content-addressed RunRecord of this invocation "
         "into the run ledger (default directory %s)" % DEFAULT_LEDGER_DIR,
-    )
-    group.add_argument(
-        "--progress-jsonl",
-        default=None,
-        metavar="OUT.jsonl",
-        help="stream live phase/percent progress events as JSON lines",
     )
 
 
@@ -875,11 +852,8 @@ def _ledger_config(args: argparse.Namespace) -> dict:
         "func",
         "run_pins",
         "trace",
-        "trace_jsonl",
-        "metrics_out",
         "log_level",
         "ledger",
-        "progress_jsonl",
         "out",
         "svg",
     }
@@ -929,13 +903,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_logging(args.log_level)
     profile_memory = getattr(args, "profile_memory", False)
     ledger_dir = getattr(args, "ledger", None)
-    progress_path = getattr(args, "progress_jsonl", None)
     tracing = (
         getattr(args, "trace", None) is not None
-        or getattr(args, "trace_jsonl", None) is not None
         or profile_memory
         or ledger_dir is not None
-        or progress_path is not None
     )
     tracer = enable_tracing(profile_memory=profile_memory) if tracing else None
     registry = None
@@ -944,15 +915,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # A fresh registry per traced invocation keeps RunRecords
         # comparable: counters cover exactly this run, not whatever
         # accumulated in the process before it (in-process callers,
-        # tests, future job-server workers).
+        # tests).
         registry = MetricsRegistry()
         previous_registry = set_registry(registry)
-    progress_stream = None
-    if progress_path is not None:
-        from repro.obs import ProgressEmitter
-
-        progress_stream = open(progress_path, "w", encoding="utf-8")
-        tracer.set_listener(ProgressEmitter(stream=progress_stream))
     try:
         code = args.func(args)
     except (ReproError, OSError) as exc:
@@ -967,17 +932,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             disable_tracing()  # also stops an attached memory sampler
             if previous_registry is not None:
                 set_registry(previous_registry)
-        if progress_stream is not None:
-            progress_stream.close()
     if tracer is not None:
         if getattr(args, "trace", None):
             write_chrome_trace(tracer.spans, args.trace)
             print("span trace written to %s" % args.trace)
-        if getattr(args, "trace_jsonl", None):
-            write_spans_jsonl(tracer.spans, args.trace_jsonl)
-            print("span log written to %s" % args.trace_jsonl)
-        if progress_path is not None:
-            print("progress events written to %s" % progress_path)
         if ledger_dir is not None:
             # Assembled after the root span closed and tracing was
             # torn down, so the ledger's own work never pollutes the
@@ -988,9 +946,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 phase_profile(tracer.spans, detail_names=DME_DETAIL_SPANS)
             )
         )
-    if getattr(args, "metrics_out", None):
-        write_metrics_json(registry or get_registry(), args.metrics_out)
-        print("metrics written to %s" % args.metrics_out)
     return code
 
 

@@ -211,9 +211,8 @@ def apply_gate_reduction(
     """
     if mode not in ("demote", "remove"):
         raise ContractError("mode must be 'demote' or 'remove'")
-    with get_tracer().span("gating.reduce", mode=mode) as span:
+    with get_tracer().span("gating.reduce", mode=mode):
         removed = _apply_gate_reduction(tree, policy, mode)
-        span.set(pruned=removed)
     get_registry().counter("gating.gates_pruned").inc(max(removed, 0))
     return removed
 

@@ -25,7 +25,7 @@ from repro.check.errors import ContractError
 from repro.cts.dme import BottomUpMerger, CellPolicy, GateEveryEdgePolicy
 from repro.cts.topology import ClockTree, Sink
 from repro.geometry.point import Point
-from repro.obs import phase_span
+from repro.obs import get_tracer
 from repro.tech.parameters import Technology
 
 
@@ -83,7 +83,7 @@ def build_gated_tree(
         cost = switched_capacitance_cost
     else:
         raise ContractError("objective must be 'incremental' or 'eq3'")
-    with phase_span("topology.gated", n=len(sinks)):
+    with get_tracer().span("topology.gated", n=len(sinks)):
         merger = BottomUpMerger(
             sinks=sinks,
             tech=tech,

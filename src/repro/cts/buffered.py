@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from repro.activity.probability import ActivityOracle
 from repro.cts.dme import BottomUpMerger, BufferEveryEdgePolicy, nearest_neighbor_cost
 from repro.cts.topology import ClockTree, Sink
-from repro.obs import phase_span
+from repro.obs import get_tracer
 from repro.tech.parameters import Technology
 
 
@@ -30,7 +30,7 @@ def build_buffered_tree(
     statistics (handy for side-by-side reporting); it does not affect
     the construction, since buffers ignore activity.
     """
-    with phase_span("topology.buffered", n=len(sinks)):
+    with get_tracer().span("topology.buffered", n=len(sinks)):
         merger = BottomUpMerger(
             sinks=sinks,
             tech=tech,

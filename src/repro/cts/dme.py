@@ -422,9 +422,9 @@ class MergerStats:
     def snapshot(self) -> Dict[str, int]:
         """Stable-key dict of every counter (plus derived totals).
 
-        The keys are a public contract: the metrics exporters
-        (``repro.obs``), :func:`repro.analysis.report.format_merger_stats`
-        and the benches all read this instead of the attributes.
+        The keys are a public contract: the metrics registry
+        (:func:`repro.obs.publish_merger_stats`, hence the RunRecord)
+        and the benches read this instead of the attributes.
         """
         return {
             "plans_computed": self.plans_computed,
@@ -917,12 +917,6 @@ class BottomUpMerger:
                 self._initialize_best()
             get_registry().counter("dme.init_best.runs").inc()
             with tracer.span("dme.merge_loop"):
-                # The loop knows its exact extent (N-1 merges), which is
-                # what makes the progress stream's percent estimate
-                # monotonic instead of guessed; tracer.progress is one
-                # attribute test when no listener is attached.
-                total_merges = len(self._active) - 1
-                merges_done = 0
                 while len(self._active) > 1:
                     a_id, b_id, distance = self._pop_valid_pair()
                     plan = self._plan_pair(a_id, b_id, distance)
@@ -935,8 +929,6 @@ class BottomUpMerger:
                             if current is None or current[1] not in self._active:
                                 self.stats.orphan_recomputes += 1
                                 self._recompute_best(orphan)
-                    merges_done += 1
-                    tracer.progress(merges_done, total_merges)
             (root,) = self._active
             self.tree.set_root(root)
             with tracer.span("dme.embed"):

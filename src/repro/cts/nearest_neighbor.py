@@ -19,7 +19,7 @@ from repro.cts.dme import (
     nearest_neighbor_cost,
 )
 from repro.cts.topology import ClockTree, Sink
-from repro.obs import phase_span
+from repro.obs import get_tracer
 from repro.tech.parameters import Technology
 
 
@@ -39,7 +39,7 @@ def build_nearest_neighbor_tree(
     for a gated tree whose *topology* ignores activity (useful in
     ablations).
     """
-    with phase_span("topology.nearest_neighbor", n=len(sinks)):
+    with get_tracer().span("topology.nearest_neighbor", n=len(sinks)):
         merger = BottomUpMerger(
             sinks=sinks,
             tech=tech,

@@ -486,7 +486,6 @@ class AnnealingRefiner:
             )
             return self._original, None, result
 
-        tracer = get_tracer()
         registry = get_registry()
         weights = np.asarray(config.weights, dtype=float)
         thresholds = np.cumsum(weights / weights.sum())
@@ -495,9 +494,9 @@ class AnnealingRefiner:
             self._propose_gate_toggle,
             self._propose_reassign,
         )
-        with tracer.span(
+        with get_tracer().span(
             "refine.anneal", n=len(self.tree), moves=config.moves, seed=config.seed
-        ) as span:
+        ):
             current = self._exact_cost()
             result.initial_cost = current
             best = current
@@ -508,13 +507,11 @@ class AnnealingRefiner:
                 proposal = proposer()
                 if proposal is None:
                     result.moves_infeasible += 1
-                    tracer.progress(k + 1, config.moves)
                     continue
                 delta, snapshot, assignment_undo, kind = proposal
                 if not self._accept(delta, self._temperature(k, result.initial_cost)):
                     self._undo(snapshot, assignment_undo)
                     result.moves_rejected += 1
-                    tracer.progress(k + 1, config.moves)
                     continue
                 result.moves_accepted += 1
                 if kind == "nni":
@@ -535,18 +532,11 @@ class AnnealingRefiner:
                     best = current
                     self._best_tree = self.tree.clone()
                     self._best_assignment = dict(self.assignment)
-                tracer.progress(k + 1, config.moves)
             result.final_cost = current
             result.best_cost = best if self._best_tree is not None else result.initial_cost
-            span.set(
-                accepted=result.moves_accepted,
-                rejected=result.moves_rejected,
-                infeasible=result.moves_infeasible,
-                reembeds=result.reembeds,
-                improvement=result.improvement,
-            )
         registry.counter("refine.moves_proposed").inc(result.moves_proposed)
         registry.counter("refine.moves_accepted").inc(result.moves_accepted)
+        registry.counter("refine.moves_rejected").inc(result.moves_rejected)
         registry.counter("refine.moves_infeasible").inc(result.moves_infeasible)
         registry.counter("refine.reembeds").inc(result.reembeds)
         registry.gauge("refine.improvement").set(result.improvement)

@@ -183,10 +183,10 @@ def _worker_initializer() -> None:
     Workers inherit the parent's process-global tracer (possibly with
     an attached tracemalloc sampler whose feeder state belongs to the
     parent), its metrics registry, and -- under ``fork`` -- a running
-    ``tracemalloc``.  Spans, samplers, progress listeners and the
-    RunRecord ledger are strictly parent-side concerns: install a
-    disabled tracer and a private registry, and stop any inherited
-    allocation tracing before the shard does real work.
+    ``tracemalloc``.  Spans, samplers and the RunRecord ledger are
+    strictly parent-side concerns: install a disabled tracer and a
+    private registry, and stop any inherited allocation tracing before
+    the shard does real work.
     """
     import tracemalloc
 

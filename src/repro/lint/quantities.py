@@ -153,8 +153,6 @@ UNSAFE_WORKER_CALLS: Dict[str, str] = {
     "repro.obs.tracer.get_tracer": "the process-global span tracer",
     "repro.obs.enable_tracing": "the process-global span tracer",
     "repro.obs.tracer.enable_tracing": "the process-global span tracer",
-    "repro.obs.phase_span": "the process-global span tracer",
-    "repro.obs.tracer.phase_span": "the process-global span tracer",
     "repro.obs.get_registry": "the process-global metrics registry",
     "repro.obs.metrics.get_registry": "the process-global metrics registry",
     "repro.obs.ledger.RunLedger": "the parent-side run ledger",

@@ -8,8 +8,8 @@ ledger & regression sentinel"):
   -global default that is a true no-op until enabled);
 * :mod:`repro.obs.metrics` -- named counters / gauges / histograms the
   subsystem stat structs publish into;
-* :mod:`repro.obs.export` -- JSONL span log, Chrome ``trace_event``
-  JSON, per-phase wall-clock (and memory) profiles;
+* :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON, per-phase
+  wall-clock (and memory) profiles;
 * :mod:`repro.obs.logconfig` -- one-shot ``repro`` logger setup for
   the CLI's ``--log-level``;
 * :mod:`repro.obs.memory` -- opt-in per-span tracemalloc/RSS sampling;
@@ -18,9 +18,11 @@ ledger & regression sentinel"):
 * :mod:`repro.obs.ledger` -- content-addressed :class:`RunRecord`
   store under ``.repro-runs/``;
 * :mod:`repro.obs.sentinel` -- noise-aware RunRecord diffing behind
-  ``gated-cts obs diff/trend/check``;
-* :mod:`repro.obs.progress` -- phase start/finish + percent-complete
-  event stream for live consumers.
+  ``gated-cts obs diff/trend/check``.
+
+A run's one artefact is its :class:`RunRecord` (span rows, metrics
+snapshot, phase profile, pins); the Chrome trace is the one viewer
+format beside it.
 """
 
 from repro.obs.export import (
@@ -29,10 +31,7 @@ from repro.obs.export import (
     PhaseRow,
     chrome_trace,
     phase_profile,
-    spans_to_jsonl,
     write_chrome_trace,
-    write_metrics_json,
-    write_spans_jsonl,
 )
 from repro.obs.instrument import (
     publish_index_stats,
@@ -65,11 +64,6 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.progress import (
-    DEFAULT_PHASE_WEIGHTS,
-    ProgressEmitter,
-    ProgressEvent,
-)
 from repro.obs.sentinel import (
     RunDiff,
     Thresholds,
@@ -85,14 +79,12 @@ from repro.obs.tracer import (
     disable_tracing,
     enable_tracing,
     get_tracer,
-    phase_span,
     set_tracer,
 )
 
 __all__ = [
     "Counter",
     "DEFAULT_LEDGER_DIR",
-    "DEFAULT_PHASE_WEIGHTS",
     "DME_DETAIL_SPANS",
     "Gauge",
     "Histogram",
@@ -102,8 +94,6 @@ __all__ = [
     "NULL_SPAN",
     "PhaseProfile",
     "PhaseRow",
-    "ProgressEmitter",
-    "ProgressEvent",
     "RunDiff",
     "RunLedger",
     "RunRecord",
@@ -127,7 +117,6 @@ __all__ = [
     "load_json",
     "peak_rss_bytes",
     "phase_profile",
-    "phase_span",
     "publish_index_stats",
     "publish_merger_stats",
     "publish_oracle_cache",
@@ -136,10 +125,7 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "span_memory_attrs",
-    "spans_to_jsonl",
     "write_bench_json",
     "write_chrome_trace",
     "write_json",
-    "write_metrics_json",
-    "write_spans_jsonl",
 ]

@@ -1,9 +1,10 @@
-"""Span and metrics exporters.
+"""Span exporters.
 
-Three targets, all fed from the flat :class:`~repro.obs.tracer.SpanRecord`
-list a :class:`~repro.obs.tracer.Tracer` collects:
+Two targets, both fed from the flat :class:`~repro.obs.tracer.SpanRecord`
+list a :class:`~repro.obs.tracer.Tracer` collects (the raw span rows
+and the metrics snapshot themselves live in the
+:class:`~repro.obs.ledger.RunRecord`):
 
-* **JSONL** -- one span per line, stable keys, trivially greppable;
 * **Chrome ``trace_event`` JSON** -- complete ("X") events loadable in
   ``chrome://tracing`` or Perfetto, span attributes in ``args``;
 * **phase profile** -- per-phase wall-clock totals aggregated from the
@@ -18,22 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanRecord
-
-
-# ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-def spans_to_jsonl(spans: Sequence[SpanRecord]) -> str:
-    """One JSON object per line, in completion order."""
-    return "\n".join(json.dumps(s.as_dict(), sort_keys=True) for s in spans)
-
-
-def write_spans_jsonl(spans: Sequence[SpanRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        text = spans_to_jsonl(spans)
-        fh.write(text + "\n" if text else "")
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +255,3 @@ def phase_profile(
         root_mem_peak_bytes=max(root_peaks) if root_peaks else None,
     )
 
-
-# ----------------------------------------------------------------------
-# metrics
-# ----------------------------------------------------------------------
-def write_metrics_json(registry: MetricsRegistry, path) -> None:
-    """Serialize a registry's ``as_dict`` snapshot as pretty JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(registry.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

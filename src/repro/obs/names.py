@@ -67,7 +67,6 @@ METRIC_NAMES = frozenset(
         "dme.init_best.runs",
         "gating.gates_pruned",
         "ledger.runs_recorded",
-        "progress.events_emitted",
         "sentinel.comparisons",
         "sentinel.regressions_found",
         "shard.count",
@@ -87,18 +86,6 @@ METRIC_NAMES = frozenset(
 #: annealer's move/escalation counters.
 METRIC_PREFIXES = ("dme.", "oracle.", "refine.")
 
-#: Every progress-event name the tracer listener layer emits (see
-#: :mod:`repro.obs.progress`).  Events follow the same dotted
-#: convention as spans/metrics; the ``progress.`` family is closed --
-#: a new event kind must be added here and to the emitter.
-EVENT_NAMES = frozenset(
-    {
-        "progress.phase_start",
-        "progress.phase_finish",
-        "progress.update",
-    }
-)
-
 
 def is_valid_name(name: str) -> bool:
     """Does ``name`` follow the ``phase.subphase`` convention?"""
@@ -114,7 +101,3 @@ def metric_name_known(name: str) -> bool:
     """Is a concrete metric name covered by the catalog?"""
     return name in METRIC_NAMES or name.startswith(METRIC_PREFIXES)
 
-
-def event_name_known(name: str) -> bool:
-    """Is a progress-event name covered by the catalog?"""
-    return name in EVENT_NAMES

@@ -24,8 +24,9 @@ Typical use::
 
 Finished spans are plain :class:`SpanRecord` rows (id, parent id,
 name, start/duration in ns, attribute dict); the exporters in
-:mod:`repro.obs.export` turn them into JSONL, Chrome ``trace_event``
-JSON, or a phase-time table.
+:mod:`repro.obs.export` turn them into Chrome ``trace_event`` JSON
+or a phase-time table, and :mod:`repro.obs.ledger` stores them in a
+:class:`~repro.obs.ledger.RunRecord`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SpanRecord:
         return self.start_ns + self.duration_ns
 
     def as_dict(self) -> Dict[str, Any]:
-        """Stable-key dict for the JSONL exporter."""
+        """Stable-key dict for the RunRecord span rows."""
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -117,9 +118,6 @@ class Span:
         stack.append(self)
         if tracer._sampler is not None:
             self._mem = tracer._sampler.push()
-        listener = tracer._listener
-        if listener is not None:
-            listener.on_span_start(self)
         self._start_ns = tracer._clock()
         return self
 
@@ -149,9 +147,6 @@ class Span:
             attrs=self.attrs,
         )
         self._tracer.spans.append(record)
-        listener = self._tracer._listener
-        if listener is not None:
-            listener.on_span_end(record)
         return False
 
 
@@ -175,7 +170,6 @@ class Tracer:
         self._clock = clock
         self._next_id = 0
         self._sampler = None
-        self._listener = None
 
     def span(self, name: str, **attrs):
         """Open a span named ``name`` with initial attributes."""
@@ -192,40 +186,9 @@ class Tracer:
         """
         self._sampler = sampler
 
-    def set_listener(self, listener) -> None:
-        """Attach a progress listener (or None).
-
-        The listener's ``on_span_start(span)`` / ``on_span_end(record)``
-        / ``on_progress(name, done, total)`` hooks fire synchronously;
-        see :class:`repro.obs.progress.ProgressEmitter`.
-        """
-        self._listener = listener
-
-    def progress(self, done: int, total: int) -> None:
-        """Report within-phase completion (e.g. merge ``done`` of ``total``).
-
-        A no-op unless a listener is attached, so hot loops can call it
-        unconditionally (one attribute test when off).
-        """
-        listener = self._listener
-        if listener is not None:
-            listener.on_progress(self.current_span_name(), done, total)
-
-    def current_span_name(self) -> Optional[str]:
-        """Name of the innermost open span (``None`` outside any span)."""
-        return self._stack[-1].name if self._stack else None
-
     def reset(self) -> None:
         """Drop all finished spans (open spans keep recording)."""
         self.spans.clear()
-
-    def roots(self) -> List[SpanRecord]:
-        """Finished spans with no parent, in completion order."""
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children_of(self, span_id: Optional[int]) -> List[SpanRecord]:
-        """Finished direct children of a span, in completion order."""
-        return [s for s in self.spans if s.parent_id == span_id]
 
 
 #: The process-global tracer: disabled until someone opts in.
@@ -275,19 +238,3 @@ def disable_tracing() -> Tracer:
         previous.set_sampler(None)
     return previous
 
-
-def phase_span(name: str, **attrs):
-    """A top-level phase span that dedupes against an identical wrapper.
-
-    The topology builders own their ``topology.*`` spans so library
-    callers get traced without going through the flow; a caller that
-    has *already* opened a span of the same name (an older flow, an
-    external harness) must not get a nested duplicate that would
-    double-count the phase in ``phase_profile``.  Returns the global
-    tracer's span unless the innermost open span already carries
-    ``name``, in which case the shared no-op span is returned.
-    """
-    tracer = get_tracer()
-    if not tracer.enabled or tracer.current_span_name() == name:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)

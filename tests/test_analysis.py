@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.audit import audit_tree
 from repro.analysis.report import (
     ComparisonRow,
     format_characteristics,
@@ -11,6 +10,7 @@ from repro.analysis.report import (
     method_comparison_rows,
 )
 from repro.bench.suite import load_benchmark
+from repro.check.auditor import audit_network
 from repro.core.flow import route_buffered, route_gated
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.tech import date98_technology
@@ -37,7 +37,7 @@ class TestAudit:
     def test_routed_trees_pass(self, results):
         _, routed = results
         for result in routed:
-            report = audit_tree(result.tree)
+            report = audit_network(result.tree)
             assert report.ok, report.problems
 
     def test_detects_broken_bookkeeping(self, results):
@@ -46,7 +46,7 @@ class TestAudit:
         node = tree.sinks()[0]
         original = node.subtree_cap
         node.subtree_cap = original + 5.0
-        report = audit_tree(tree)
+        report = audit_network(tree)
         assert not report.ok
         assert any("cap drift" in p for p in report.problems)
         node.subtree_cap = original
@@ -57,7 +57,7 @@ class TestAudit:
         node = tree.sinks()[0]
         original = node.edge_length
         node.edge_length = original + 1000.0
-        report = audit_tree(tree)
+        report = audit_network(tree)
         assert not report.ok
         node.edge_length = original
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.audit import audit_tree
 from repro.bench.suite import load_benchmark
+from repro.check.auditor import audit_network
 from repro.core.flow import route_gated
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.core.gate_sizing import GateSizingPolicy
@@ -30,7 +30,7 @@ class TestBoundedAudit:
         tree = BottomUpMerger(
             rng_sinks(20, seed=1), unit_technology(), skew_bound=50.0
         ).run()
-        report = audit_tree(tree, skew_bound=50.0)
+        report = audit_network(tree, skew_bound=50.0)
         assert report.ok, report.problems
 
     def test_bounded_tree_fails_zero_bound_audit(self):
@@ -38,7 +38,7 @@ class TestBoundedAudit:
             rng_sinks(20, seed=1), unit_technology(), skew_bound=50.0
         ).run()
         if tree.skew() > 1e-6:  # budget actually used
-            report = audit_tree(tree)  # default: exact zero skew
+            report = audit_network(tree)  # default: exact zero skew
             assert not report.ok
 
     def test_interval_brackets_survive_serialization(self):
@@ -47,14 +47,14 @@ class TestBoundedAudit:
         ).run()
         clone = tree_from_dict(tree_to_dict(tree))
         assert clone.root.sink_delay_min == pytest.approx(tree.root.sink_delay_min)
-        assert audit_tree(clone, skew_bound=30.0).ok
+        assert audit_network(clone, skew_bound=30.0).ok
 
     def test_interval_violation_detected(self):
         tree = BottomUpMerger(
             rng_sinks(15, seed=3), unit_technology(), skew_bound=30.0
         ).run()
         tree.root.sink_delay_min = tree.root.sink_delay + 1.0  # nonsense interval
-        report = audit_tree(tree, skew_bound=30.0)
+        report = audit_network(tree, skew_bound=30.0)
         assert not report.ok
         assert any("interval" in p for p in report.problems)
 
@@ -79,4 +79,4 @@ class TestSizedTreeSerialization:
                 assert a.edge_cell.drive_resistance == pytest.approx(
                     b.edge_cell.drive_resistance
                 )
-        assert audit_tree(clone).ok
+        assert audit_network(clone).ok

@@ -114,7 +114,7 @@ class TestEndToEnd:
         assert sized.skew <= 1e-6 * max(sized.phase_delay, 1.0)
 
     def test_sized_tree_audits_clean(self):
-        from repro.analysis.audit import audit_tree
+        from repro.check.auditor import audit_network
 
         tech = date98_technology()
         case = load_benchmark("r1", scale=0.1)
@@ -126,7 +126,7 @@ class TestEndToEnd:
             reduction=GateReductionPolicy.from_knob(0.6, tech),
             gate_sizing=GateSizingPolicy(),
         )
-        report = audit_tree(result.tree)
+        report = audit_network(result.tree)
         assert report.ok, report.problems
 
     def test_sizing_creates_non_unit_cells_when_useful(self):

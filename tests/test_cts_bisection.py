@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.audit import audit_tree
 from repro.bench.suite import load_benchmark
+from repro.check.auditor import audit_network
 from repro.cts.bisection import build_bisection_tree
 from repro.cts.dme import BufferEveryEdgePolicy, GateEveryEdgePolicy
 from repro.cts.topology import Sink
@@ -78,7 +78,7 @@ class TestWithCellsAndActivity:
             rng_sinks(18, seed=4), unit_technology(), cell_policy=BufferEveryEdgePolicy()
         )
         assert tree.cell_count() == 2 * 18 - 2
-        assert audit_tree(tree).ok
+        assert audit_network(tree).ok
 
     def test_gated_bisection_with_oracle(self):
         case = load_benchmark("r1", scale=0.1)
@@ -87,7 +87,7 @@ class TestWithCellsAndActivity:
             case.sinks, tech, cell_policy=GateEveryEdgePolicy(), oracle=case.oracle
         )
         assert tree.gate_count() == 2 * case.num_sinks - 2
-        assert audit_tree(tree).ok
+        assert audit_network(tree).ok
         # Root enable covers every module.
         assert tree.root.module_mask == (1 << case.num_sinks) - 1
 
@@ -101,7 +101,7 @@ class TestWithCellsAndActivity:
             oracle=case.oracle,
         )
         assert 0 < tree.gate_count() < 2 * case.num_sinks - 2
-        assert audit_tree(tree).ok
+        assert audit_network(tree).ok
 
     def test_wirelength_competitive_with_greedy(self):
         # Bisection is balanced, not wire-optimal; it should land

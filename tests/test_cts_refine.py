@@ -198,6 +198,36 @@ class TestResultAccounting:
         assert result.improvement >= 0.0
         assert "refine:" in result.summary()
 
+    def test_counters_published_once(self, case, tech):
+        from repro.core.controller import ControllerLayout, Die
+        from repro.obs import MetricsRegistry, Tracer, set_registry, set_tracer
+
+        greedy = route_gated(case.sinks, tech, case.oracle, die=case.die)
+        layout = ControllerLayout.centralized(
+            case.die or Die.bounding([s.location for s in case.sinks])
+        )
+        registry, tracer = MetricsRegistry(), Tracer(enabled=True)
+        previous_registry, previous_tracer = set_registry(registry), set_tracer(tracer)
+        try:
+            _, _, result = refine_tree(
+                greedy.tree.clone(),
+                tech,
+                case.oracle,
+                layout,
+                RefineConfig(moves=80, seed=2),
+            )
+        finally:
+            set_registry(previous_registry)
+            set_tracer(previous_tracer)
+        for name in ("proposed", "accepted", "rejected", "infeasible"):
+            assert registry.counter("refine.moves_" + name).value == getattr(
+                result, "moves_" + name
+            )
+        assert registry.counter("refine.reembeds").value == result.reembeds
+        assert registry.gauge("refine.improvement").value == result.improvement
+        (span,) = [s for s in tracer.spans if s.name == "refine.anneal"]
+        assert set(span.attrs) == {"n", "moves", "seed"}
+
 
 class TestGuards:
     def test_bounded_skew_is_rejected(self, case, tech):

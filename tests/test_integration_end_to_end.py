@@ -8,8 +8,8 @@ independent recomputation.
 
 import pytest
 
-from repro.analysis.audit import audit_tree
 from repro.bench.suite import load_benchmark
+from repro.check.auditor import audit_network
 from repro.core.controller import ControllerLayout, route_enables
 from repro.core.flow import route_buffered, route_gated
 from repro.core.gate_reduction import GateReductionPolicy
@@ -46,7 +46,7 @@ def all_results(case, tech):
 class TestCrossChecks:
     def test_all_trees_audit_clean(self, all_results):
         for name, result in all_results.items():
-            report = audit_tree(result.tree)
+            report = audit_network(result.tree)
             assert report.ok, (name, report.problems)
 
     def test_every_sink_present_once(self, case, all_results):
@@ -141,7 +141,7 @@ class TestScaling:
             die=bench.die,
             reduction=GateReductionPolicy.from_knob(0.5, tech),
         )
-        assert audit_tree(result.tree).ok
+        assert audit_network(result.tree).ok
 
     def test_exact_greedy_matches_limited_on_tiny_case(self, tech):
         bench = load_benchmark("r1", scale=0.03)

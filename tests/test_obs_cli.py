@@ -1,7 +1,5 @@
 """CLI observability surface: --ledger, --profile-memory, obs subcommands."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -51,11 +49,6 @@ class TestLedgerFlag:
         assert code == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_progress_jsonl_written(self, tmp_path):
-        out = tmp_path / "progress.jsonl"
-        assert main(ROUTE + ["--progress-jsonl", str(out)]) == 0
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert rows[-1]["percent"] == 1.0
 
 
 @pytest.fixture()

@@ -1,16 +1,12 @@
-"""Exporters: JSONL span log, Chrome trace_event JSON, phase profiles."""
+"""Exporters: Chrome trace_event JSON, phase profiles."""
 
 import json
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     chrome_trace,
     phase_profile,
-    spans_to_jsonl,
     write_chrome_trace,
-    write_metrics_json,
-    write_spans_jsonl,
 )
 
 #: Chrome trace_event "complete event" schema (JSON-schema style,
@@ -66,35 +62,6 @@ def _sample_tracer():
         with tracer.span("flow.measure"):
             pass
     return tracer
-
-
-class TestJsonl:
-    def test_one_json_object_per_line(self):
-        tracer = _sample_tracer()
-        lines = spans_to_jsonl(tracer.spans).splitlines()
-        assert len(lines) == len(tracer.spans)
-        for line in lines:
-            record = json.loads(line)
-            assert set(record) == {
-                "span_id",
-                "parent_id",
-                "name",
-                "start_ns",
-                "duration_ns",
-                "attrs",
-            }
-
-    def test_write_and_reload(self, tmp_path):
-        tracer = _sample_tracer()
-        path = tmp_path / "spans.jsonl"
-        write_spans_jsonl(tracer.spans, path)
-        reloaded = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["name"] for r in reloaded] == [s.name for s in tracer.spans]
-
-    def test_empty_trace_writes_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        write_spans_jsonl([], path)
-        assert path.read_text() == ""
 
 
 class TestChromeTrace:
@@ -230,14 +197,3 @@ class TestPhaseProfile:
         assert profile.detail_rows == []
         assert "detail" not in profile.as_dict()
 
-
-class TestMetricsExport:
-    def test_write_metrics_json(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("dme.plans_computed").inc(5)
-        reg.gauge("oracle.hits").set(2)
-        path = tmp_path / "metrics.json"
-        write_metrics_json(reg, path)
-        decoded = json.loads(path.read_text())
-        assert decoded["dme.plans_computed"] == {"type": "counter", "value": 5}
-        assert decoded["oracle.hits"] == {"type": "gauge", "value": 2}

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.analysis.report import format_merger_stats, format_phase_times
+from repro.analysis.report import format_phase_times
 from repro.bench.cpu_model import CpuModel, CpuModelConfig
 from repro.bench.sinks import SinkGenerator
 from repro.cli import main
@@ -14,6 +14,7 @@ from repro.cts import BottomUpMerger
 from repro.cts.dme import MergerStats
 from repro.obs import (
     MetricsRegistry,
+    RunLedger,
     Tracer,
     get_tracer,
     phase_profile,
@@ -86,7 +87,7 @@ class TestTracedFlow:
         assert by_name["dme.embed"].parent_id == merge.span_id
         assert merge.attrs["n"] == len(sinks)
 
-    def test_reduction_post_pass_span(self, case, tech, tracer):
+    def test_reduction_post_pass_span(self, case, tech, tracer, registry):
         from repro.core.gate_reduction import GateReductionPolicy
 
         sinks, oracle, die = case
@@ -100,7 +101,9 @@ class TestTracedFlow:
         )
         by_name = {s.name: s for s in tracer.spans}
         assert by_name["gating.reduce"].attrs["mode"] == "demote"
-        assert "pruned" in by_name["gating.reduce"].attrs
+        # The pruned count is published once, as a counter.
+        assert "pruned" not in by_name["gating.reduce"].attrs
+        assert registry.counter("gating.gates_pruned").value > 0
 
     def test_phase_table_renders(self, case, tech, tracer):
         sinks, oracle, die = case
@@ -185,12 +188,6 @@ class TestPublishedMetrics:
         assert exported["dme.plan_cache_hits"]["value"] == 2
         assert exported["dme.cost_probes"]["value"] == 6
 
-    def test_snapshot_feeds_report(self):
-        stats = MergerStats(plans_computed=10, plan_cache_hits=5)
-        assert stats.snapshot()["cost_probes"] == 15
-        table = format_merger_stats({"cfg": stats})
-        assert "cfg" in table and "10" in table
-
     def test_merger_stats_survive_direct_runs(self, case, tech, registry):
         sinks, oracle, die = case
         merger = BottomUpMerger(sinks, tech, oracle=oracle)
@@ -201,10 +198,9 @@ class TestPublishedMetrics:
 
 
 class TestCliObservability:
-    def test_route_trace_and_metrics_flags(self, tmp_path, capsys):
+    def test_route_trace_and_ledger_flags(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        jsonl_path = tmp_path / "spans.jsonl"
-        metrics_path = tmp_path / "metrics.json"
+        ledger_dir = tmp_path / "runs"
         code = main(
             [
                 "route",
@@ -214,10 +210,8 @@ class TestCliObservability:
                 "0.05",
                 "--trace",
                 str(trace_path),
-                "--trace-jsonl",
-                str(jsonl_path),
-                "--metrics-out",
-                str(metrics_path),
+                "--ledger",
+                str(ledger_dir),
             ]
         )
         assert code == 0
@@ -226,9 +220,10 @@ class TestCliObservability:
         trace = json.loads(trace_path.read_text())
         names = {e["name"] for e in trace["traceEvents"]}
         assert "flow.route_gated" in names and "dme.merge" in names
-        assert jsonl_path.read_text().count("\n") == len(trace["traceEvents"])
-        metrics = json.loads(metrics_path.read_text())
-        assert "dme.plans_computed" in metrics
+        # The RunRecord holds the span rows and the registry snapshot.
+        (record,) = RunLedger(ledger_dir).records()
+        assert len(record.spans) == len(trace["traceEvents"])
+        assert "dme.plans_computed" in record.metrics
         # The CLI turned the global tracer back off.
         assert not get_tracer().enabled
 

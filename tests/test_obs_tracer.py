@@ -54,18 +54,8 @@ class TestSpanNesting:
             pass
         with tracer.span("b"):
             pass
-        assert [r.name for r in tracer.roots()] == ["a", "b"]
-        assert all(r.parent_id is None for r in tracer.roots())
-
-    def test_children_of(self):
-        tracer = Tracer(clock=_fake_clock())
-        with tracer.span("root") as root:
-            with tracer.span("x"):
-                pass
-            with tracer.span("y"):
-                pass
-        names = [c.name for c in tracer.children_of(root.span_id)]
-        assert names == ["x", "y"]
+        assert [s.name for s in tracer.spans] == ["a", "b"]
+        assert all(s.parent_id is None for s in tracer.spans)
 
     def test_durations_from_injected_clock(self):
         tracer = Tracer(clock=_fake_clock(start=100, step=10))
@@ -212,55 +202,3 @@ class TestGlobalTracer:
         tracer.reset()
         assert tracer.spans == []
 
-
-class TestPhaseSpan:
-    """``phase_span``: builder-owned spans that dedupe under flows."""
-
-    def test_disabled_tracer_returns_null_span(self):
-        from repro.obs import phase_span
-
-        previous = set_tracer(Tracer(enabled=False))
-        try:
-            assert phase_span("topology.gated") is NULL_SPAN
-        finally:
-            set_tracer(previous)
-
-    def test_opens_span_when_name_not_already_open(self):
-        from repro.obs import phase_span
-
-        tracer = Tracer(enabled=True, clock=_fake_clock())
-        previous = set_tracer(tracer)
-        try:
-            with phase_span("topology.gated", n=4):
-                pass
-        finally:
-            set_tracer(previous)
-        (span,) = tracer.spans
-        assert span.name == "topology.gated" and span.attrs["n"] == 4
-
-    def test_dedupes_when_innermost_open_span_has_same_name(self):
-        from repro.obs import phase_span
-
-        tracer = Tracer(enabled=True, clock=_fake_clock())
-        previous = set_tracer(tracer)
-        try:
-            with tracer.span("topology.gated"):
-                assert phase_span("topology.gated") is NULL_SPAN
-                # A different innermost name re-arms the helper.
-                with tracer.span("dme.merge_loop"):
-                    with phase_span("topology.gated"):
-                        pass
-        finally:
-            set_tracer(previous)
-        names = [s.name for s in tracer.spans]
-        assert names.count("topology.gated") == 2  # outer + nested re-open
-
-    def test_current_span_name_tracks_stack(self):
-        tracer = Tracer(enabled=True, clock=_fake_clock())
-        assert tracer.current_span_name() is None
-        with tracer.span("a"):
-            assert tracer.current_span_name() == "a"
-            with tracer.span("b"):
-                assert tracer.current_span_name() == "b"
-            assert tracer.current_span_name() == "a"
-        assert tracer.current_span_name() is None
