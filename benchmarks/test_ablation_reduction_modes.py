@@ -3,12 +3,9 @@
 ``merge``  -- decide gates during bottom-up merging (topology
              co-optimizes with the gate count; library default);
 ``demote`` -- build fully gated, tie off pruned gates (embedding and
-             phase delay untouched);
-``remove`` -- build fully gated, physically delete pruned gates and
-             re-embed (wire snaking re-balances the skew).
+             phase delay untouched).
 
-The readout shows why ``merge`` is the default and what the re-embed
-path costs in snaking wirelength.
+The readout shows why ``merge`` is the default.
 """
 
 import pytest
@@ -19,7 +16,7 @@ from repro.bench.suite import load_benchmark
 from repro.core.flow import route_gated
 from repro.core.gate_reduction import GateReductionPolicy
 
-MODES = ("merge", "demote", "remove")
+MODES = ("merge", "demote")
 
 
 @pytest.mark.benchmark(group="ablation-reduction")
@@ -64,9 +61,6 @@ def test_ablation_reduction_modes(run_once, scale, tech, record):
 
     for mode, result in results.items():
         assert result.skew <= 1e-6 * max(result.phase_delay, 1.0), mode
-    # Physical removal pays snaking wire relative to tie-off demotion
-    # on the identical topology.
-    assert results["remove"].wirelength >= results["demote"].wirelength - 1e-6
     # The co-optimized merge mode wins (or ties) on total W here.
     best = min(r.switched_cap.total for r in results.values())
     assert results["merge"].switched_cap.total <= 1.05 * best

@@ -34,7 +34,6 @@ class MethodSpec:
     name: str
     kind: str = "reduced"
     knob: float = 0.5
-    reduction_mode: str = "merge"
     num_controllers: int = 1
     candidate_limit: Optional[int] = 16
     skew_bound: float = 0.0
@@ -65,7 +64,6 @@ class MethodSpec:
             case.oracle,
             die=case.die,
             reduction=reduction,
-            reduction_mode=self.reduction_mode,
             num_controllers=self.num_controllers,
             candidate_limit=self.candidate_limit,
             gate_sizing=GateSizingPolicy() if self.gate_sizing else None,
@@ -130,7 +128,6 @@ class StudySpec:
                     "name": m.name,
                     "kind": m.kind,
                     "knob": m.knob,
-                    "reduction_mode": m.reduction_mode,
                     "num_controllers": m.num_controllers,
                     "candidate_limit": m.candidate_limit,
                     "skew_bound": m.skew_bound,

@@ -668,10 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="partition into K spatial shards, route each shard's gated "
         "subtree independently and stitch with the exact zero-skew "
-        "top-tree merge (gated/reduced methods only; for gated, K=1 "
-        "reproduces the unsharded tree byte-for-byte; for reduced, the "
-        "reduction is applied post-stitch in demote mode rather than "
-        "inside the merge objective)",
+        "top-tree merge (gated/reduced methods only; K=1 reproduces the "
+        "unsharded tree byte-for-byte; for reduced, the shard routers and "
+        "the stitch apply the reduction as they merge)",
     )
     p_route.add_argument(
         "--workers",

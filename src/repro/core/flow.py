@@ -29,7 +29,6 @@ from repro.core.switched_cap import (
     masking_efficiency,
 )
 from repro.cts.buffered import build_buffered_tree
-from repro.cts.dme import CellPolicy
 from repro.cts.refine import RefineConfig, refine_tree
 from repro.cts.topology import ClockTree, Sink
 from repro.obs import get_registry, get_tracer, publish_oracle_cache
@@ -236,6 +235,58 @@ def route_buffered(
         return _maybe_audit(result, audit, skew_bound)
 
 
+def _finish_gated(
+    method: str,
+    tree: ClockTree,
+    tech: Technology,
+    oracle: ActivityOracle,
+    die: Die,
+    demote: Optional[GateReductionPolicy],
+    num_controllers: int,
+    refine: Optional[RefineConfig],
+    skew_bound: float,
+    audit: bool,
+) -> ClockRoutingResult:
+    """Everything both gated flows do once their tree is built.
+
+    The demote-mode policy (see :func:`_reduction_rule`) prunes the
+    finished tree; then come the optional refine pass, the enable
+    star, the measurement and the optional audit.
+    """
+    layout = (
+        ControllerLayout.centralized(die)
+        if num_controllers == 1
+        else ControllerLayout.distributed(die, num_controllers)
+    )
+    if demote is not None:
+        # apply_gate_reduction opens its own "gating.reduce" span.
+        apply_gate_reduction(tree, demote)
+    # refine_tree opens its own "refine.anneal" span.
+    tree, assignment = _maybe_refine(tree, tech, oracle, layout, refine, skew_bound)
+    # route_enables opens its own "controller.star" span.
+    routing = route_enables(tree, layout, tech, assignment=assignment)
+    result = _measure(method, tree, tech, routing=routing)
+    publish_oracle_cache(oracle)
+    return _maybe_audit(result, audit, skew_bound)
+
+
+def _reduction_rule(
+    reduction: Optional[GateReductionPolicy], reduction_mode: str
+) -> Tuple[Optional[GateReductionPolicy], Optional[GateReductionPolicy]]:
+    """Where both gated flows apply ``reduction``: ``(merge, demote)``.
+
+    Merge mode hands the policy to the tree builder as its cell
+    policy; demote mode prunes the built tree with it.
+    """
+    if reduction_mode not in ("merge", "demote"):
+        raise InputError(
+            "reduction_mode must be 'merge' or 'demote'", field="reduction_mode"
+        )
+    if reduction_mode == "merge":
+        return reduction, None
+    return None, reduction
+
+
 def route_gated(
     sinks: Sequence[Sink],
     tech: Technology,
@@ -243,7 +294,6 @@ def route_gated(
     die: Optional[Die] = None,
     reduction: Optional[GateReductionPolicy] = None,
     reduction_mode: str = "merge",
-    cell_policy: Optional[CellPolicy] = None,
     num_controllers: int = 1,
     candidate_limit: Optional[int] = None,
     gate_sizing=None,
@@ -255,31 +305,18 @@ def route_gated(
 
     ``reduction`` selects the section-4.3 policy (``None`` = gate on
     every edge).  ``reduction_mode`` picks how it is applied:
-    ``"merge"`` (default) decides gates during bottom-up merging, so
-    the topology co-optimizes with the gate count; ``"demote"`` and
-    ``"remove"`` build the fully gated tree first and prune it
-    afterwards -- see :mod:`repro.core.gate_reduction` for the
-    trade-offs.  ``num_controllers`` > 1 activates the distributed
-    controllers of section 6.  ``cell_policy`` overrides ``reduction``
-    when both are given.  ``refine`` runs the annealing post-pass
+    ``"merge"`` (default, the paper's best flow) decides gates during
+    bottom-up merging, so the topology co-optimizes with the gate
+    count; ``"demote"`` builds the fully gated tree first and prunes
+    it afterwards -- see :mod:`repro.core.gate_reduction`.
+    ``num_controllers`` > 1 activates the distributed controllers of
+    section 6.  ``refine`` runs the annealing post-pass
     (:mod:`repro.cts.refine`) over the finished tree; the measured
     result is never worse than the greedy tree's.
     """
-    if reduction_mode not in ("demote", "remove", "merge"):
-        raise InputError(
-            "reduction_mode must be 'demote', 'remove' or 'merge'",
-            field="reduction_mode",
-        )
+    policy, demote = _reduction_rule(reduction, reduction_mode)
     _validate_inputs(sinks, tech, num_modules=oracle.isa.num_modules)
     die = _die_for(sinks, die)
-    layout = (
-        ControllerLayout.centralized(die)
-        if num_controllers == 1
-        else ControllerLayout.distributed(die, num_controllers)
-    )
-    policy = cell_policy
-    if policy is None and reduction is not None and reduction_mode == "merge":
-        policy = reduction
     tracer = get_tracer()
     with tracer.span(
         "flow.route_gated",
@@ -287,7 +324,6 @@ def route_gated(
         reduction_mode=reduction_mode,
         controllers=num_controllers,
     ):
-        # "demote"/"remove" build fully gated, then prune below.
         # build_gated_tree opens its own "topology.gated" span.
         tree = build_gated_tree(
             sinks,
@@ -299,19 +335,11 @@ def route_gated(
             gate_sizing=gate_sizing,
             skew_bound=skew_bound,
         )
-        if reduction is not None and policy is None:
-            # apply_gate_reduction opens its own "gating.reduce" span.
-            apply_gate_reduction(tree, reduction, mode=reduction_mode)
-        # refine_tree opens its own "refine.anneal" span.
-        tree, assignment = _maybe_refine(
-            tree, tech, oracle, layout, refine, skew_bound
+        method = "gated" if reduction is None else "gate-red"
+        return _finish_gated(
+            method, tree, tech, oracle, die, demote, num_controllers,
+            refine, skew_bound, audit,
         )
-        # route_enables opens its own "controller.star" span.
-        routing = route_enables(tree, layout, tech, assignment=assignment)
-        method = "gated" if reduction is None and cell_policy is None else "gate-red"
-        result = _measure(method, tree, tech, routing=routing)
-        publish_oracle_cache(oracle)
-        return _maybe_audit(result, audit, skew_bound)
 
 
 def route_sharded(
@@ -322,8 +350,7 @@ def route_sharded(
     num_shards: int = 4,
     num_workers: int = 1,
     reduction: Optional[GateReductionPolicy] = None,
-    reduction_mode: str = "demote",
-    cell_policy: Optional[CellPolicy] = None,
+    reduction_mode: str = "merge",
     num_controllers: int = 1,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
@@ -345,20 +372,15 @@ def route_sharded(
     :func:`repro.cts.sharded.partition_sinks` still get the strict
     ``InputError``.
 
-    Gate reduction is applied to the stitched tree (``"demote"`` or
-    ``"remove"``); ``"merge"``-mode reduction couples gating decisions
-    to the global merge order and is rejected -- it cannot be
-    replicated shard-locally.  ``refine`` anneals the stitched
-    (post-reduction) tree, exactly as in :func:`route_gated`.
+    ``reduction`` and ``reduction_mode`` follow :func:`route_gated`:
+    in ``"merge"`` mode (default) the shard routers and the stitch
+    decide gates as they merge; ``"demote"`` prunes the stitched tree.
+    ``refine`` anneals the stitched (post-reduction) tree, exactly as
+    in :func:`route_gated`.
     """
     from repro.cts.sharded import partition_sinks, route_shards, stitch_shards
 
-    if reduction is not None and reduction_mode not in ("demote", "remove"):
-        raise InputError(
-            "sharded routing applies reduction post-stitch; "
-            "reduction_mode must be 'demote' or 'remove'",
-            field="reduction_mode",
-        )
+    policy, demote = _reduction_rule(reduction, reduction_mode)
     _validate_inputs(sinks, tech, num_modules=oracle.isa.num_modules)
     if num_shards > len(sinks):
         logger.warning(
@@ -368,11 +390,6 @@ def route_sharded(
         )
         num_shards = len(sinks)
     die = _die_for(sinks, die)
-    layout = (
-        ControllerLayout.centralized(die)
-        if num_controllers == 1
-        else ControllerLayout.distributed(die, num_controllers)
-    )
     tracer = get_tracer()
     registry = get_registry()
     with tracer.span(
@@ -395,7 +412,7 @@ def route_sharded(
                 oracle,
                 controller_point=die.center,
                 num_workers=num_workers,
-                cell_policy=cell_policy,
+                cell_policy=policy,
                 candidate_limit=candidate_limit,
                 skew_bound=skew_bound,
             )
@@ -407,21 +424,13 @@ def route_sharded(
                 plan,
                 tech,
                 oracle,
-                cell_policy=cell_policy,
+                cell_policy=policy,
                 skew_bound=skew_bound,
             )
-        if reduction is not None:
-            # apply_gate_reduction opens its own "gating.reduce" span.
-            apply_gate_reduction(tree, reduction, mode=reduction_mode)
-        # refine_tree opens its own "refine.anneal" span.
-        tree, assignment = _maybe_refine(
-            tree, tech, oracle, layout, refine, skew_bound
+        return _finish_gated(
+            "sharded", tree, tech, oracle, die, demote, num_controllers,
+            refine, skew_bound, audit,
         )
-        # route_enables opens its own "controller.star" span.
-        routing = route_enables(tree, layout, tech, assignment=assignment)
-        result = _measure("sharded", tree, tech, routing=routing)
-        publish_oracle_cache(oracle)
-        return _maybe_audit(result, audit, skew_bound)
 
 
 def gated_vs_ungated_floor(result: ClockRoutingResult, tech: Technology) -> float:

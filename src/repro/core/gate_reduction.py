@@ -16,21 +16,19 @@ up the phase delay, so a fourth rule *forces* a gate whenever the
 capacitance the edge would otherwise expose reaches a multiple of the
 gate input capacitance.
 
-Three application modes are provided:
+Two application modes are provided:
 
-* :func:`apply_gate_reduction` with ``mode="demote"`` -- the
-  recommended **post-pass**: build the fully gated tree, then walk it
-  top-down pruning gates, with rule 3 evaluated against the *nearest
-  kept gate above* (so pruning a parent's gate automatically protects
-  the children's).  A pruned gate becomes an electrically identical
-  always-on buffer, so zero skew is untouched.
-* ``mode="remove"`` -- physical deletion with forced re-insertion and
-  re-embedding (wire snaking re-balances the skew); ablation.
 * :class:`GateReductionPolicy` as a merge-time
-  :class:`~repro.cts.dme.CellPolicy` -- decisions taken during
-  bottom-up merging, using the merged node's activity as the parent
-  estimate.  Cheaper (single pass) but rule 3 can cascade and strip
-  whole gate chains (e.g. every gate of an activity cluster); ablation.
+  :class:`~repro.cts.dme.CellPolicy` -- the default ``"merge"`` mode
+  of both gated flows and the paper's best flow: gates are decided
+  during bottom-up merging, using the merged node's activity as the
+  parent estimate, so the topology co-optimizes with the gate count.
+* :func:`apply_gate_reduction` -- the ``"demote"`` **post-pass**:
+  build the fully gated tree, then walk it top-down pruning gates,
+  with rule 3 evaluated against the *nearest kept gate above* (so
+  pruning a parent's gate automatically protects the children's).  A
+  pruned gate becomes an electrically identical always-on buffer, so
+  zero skew is untouched.
 
 A scalar *knob* in [0, 1] scales all thresholds at once; sweeping it
 regenerates Fig. 5 ("gate reduction % vs switched capacitance/area").
@@ -47,7 +45,6 @@ from repro.check.errors import ContractError
 from repro.tech.parameters import GateModel
 
 from repro.cts.dme import CellDecision, CellPolicy
-from repro.cts.reembed import reembed
 from repro.cts.topology import ClockTree
 from repro.obs import get_registry, get_tracer
 from repro.tech.parameters import Technology
@@ -160,7 +157,7 @@ class GateReductionPolicy(CellPolicy):
         return forced | np.logical_not(dropped)
 
     # ------------------------------------------------------------------
-    # CellPolicy interface (merge-time mode, kept as an ablation)
+    # CellPolicy interface (merge-time mode)
     # ------------------------------------------------------------------
     def cells(self, tech: Technology) -> Tuple[CellDecision, ...]:
         return (CellDecision(cell=None), CellDecision(cell=tech.masking_gate, maskable=True))
@@ -191,39 +188,27 @@ def apply_gate_reduction(
     automatically protects its descendants' gates from rule 3, which a
     merge-time decision cannot guarantee.
 
-    Modes
-    -----
-    ``"demote"`` (default)
-        A pruned gate is swapped for an *electrically identical*
-        always-on buffer (its enable tied high): same input cap, drive
-        and delay, half the cell area.  The tree's embedding -- hence
-        its exact zero skew -- is untouched; only the enable star edge
-        and the masking disappear.  The forced-insertion rule is moot
-        (nothing gets exposed) so the sweep reaches 100% reduction.
-    ``"remove"``
-        The gate is physically deleted.  Subtree capacitances are
-        exposed upstream, so the force rule re-inserts gates bottom-up
-        and the tree is re-embedded (with wire snaking re-balancing
-        the now-asymmetric siblings).  Kept for the ablation bench;
-        snaking makes it markedly worse on large benchmarks.
+    ``mode`` must be ``"demote"``: a pruned gate is swapped for an
+    *electrically identical* always-on buffer (its enable tied high):
+    same input cap, drive and delay, half the cell area.  The tree's
+    embedding -- hence its exact zero skew -- is untouched; only the
+    enable star edge and the masking disappear.  The forced-insertion
+    rule is moot (nothing gets exposed) so the sweep reaches 100%
+    reduction.
 
-    Returns the number of gates pruned (net of forced re-insertions).
+    Returns the number of gates pruned.
     """
-    if mode not in ("demote", "remove"):
-        raise ContractError("mode must be 'demote' or 'remove'")
+    if mode != "demote":
+        raise ContractError("mode must be 'demote'")
     with get_tracer().span("gating.reduce", mode=mode):
-        removed = _apply_gate_reduction(tree, policy, mode)
-    get_registry().counter("gating.gates_pruned").inc(max(removed, 0))
+        removed = _demote_gates(tree, policy)
+    get_registry().counter("gating.gates_pruned").inc(removed)
     return removed
 
 
-def _apply_gate_reduction(
-    tree: ClockTree, policy: GateReductionPolicy, mode: str
-) -> int:
+def _demote_gates(tree: ClockTree, policy: GateReductionPolicy) -> int:
     tech = tree.tech
     removed = 0
-
-    # -- top-down pruning against the nearest kept gate -----------------
     mask_prob: Dict[int, float] = {tree.root_id: 1.0}
     for node in tree.preorder():
         if node.id == tree.root_id:
@@ -232,61 +217,16 @@ def _apply_gate_reduction(
         if node.has_gate:
             exposed = tech.wire_cap(node.edge_length) + node.subtree_cap
             # Demoting never exposes capacitance upstream, so the
-            # forced-insertion override only applies to removal.
-            keep = policy.should_keep(
-                node.enable_probability,
-                above,
-                exposed,
-                tech,
-                honor_force=(mode == "remove"),
-            )
-            if keep:
+            # forced-insertion override does not apply.
+            if policy.should_keep(
+                node.enable_probability, above, exposed, tech, honor_force=False
+            ):
                 mask_prob[node.id] = node.enable_probability
-            else:
-                if mode == "demote":
-                    node.edge_cell = _demoted(node.edge_cell, tech)
-                else:
-                    node.edge_cell = None
-                node.edge_maskable = False
-                removed += 1
-                mask_prob[node.id] = above
-        else:
-            mask_prob[node.id] = above
-
-    if mode == "demote":
-        return removed
-
-    # -- bottom-up repair: honor the forced-insertion rule -------------
-    if policy.force_cap_ratio is not None:
-        limit = policy.force_cap_ratio * tech.masking_gate.input_cap
-        changed = True
-        while changed:
-            changed = False
-            exposed_below: Dict[int, float] = {}
-            for node in tree.postorder():
-                if node.is_sink:
-                    below = node.sink.load_cap
-                else:
-                    below = 0.0
-                    for child_id in node.children:
-                        child = tree.node(child_id)
-                        if child.edge_cell is not None:
-                            below += child.edge_cell.input_cap
-                        else:
-                            below += (
-                                tech.wire_cap(child.edge_length)
-                                + exposed_below[child_id]
-                            )
-                exposed_below[node.id] = below
-                if node.id == tree.root_id or node.edge_cell is not None:
-                    continue
-                if tech.wire_cap(node.edge_length) + below >= limit:
-                    node.edge_cell = tech.masking_gate
-                    node.edge_maskable = True
-                    removed -= 1
-                    changed = True
-
-    reembed(tree)
+                continue
+            node.edge_cell = _demoted(node.edge_cell, tech)
+            node.edge_maskable = False
+            removed += 1
+        mask_prob[node.id] = above
     return removed
 
 

@@ -26,9 +26,9 @@ def rebalance(tree: ClockTree, node: ClockNode) -> None:
     current state and cells (the bottom-up step of DME).
 
     A sink resets to its pin.  Internal nodes are normally binary, but
-    edits (gate-reduction demote/remove, refinement moves) can leave
-    *unary* pass-through nodes; those propagate their single child's
-    presented capacitance and delay through a zero-length edge.
+    edited or hand-built trees can hold *unary* pass-through nodes;
+    those propagate their single child's presented capacitance and
+    delay through a zero-length edge.
     """
     tech = tree.tech
     if node.is_sink:

@@ -182,41 +182,12 @@ class TestApplyDemote:
 
 
 class TestApplyRemove:
-    def test_remove_restores_zero_skew(self):
-        tree, _ = gated_tree(n=16, seed=5)
-        apply_gate_reduction(
-            tree,
-            GateReductionPolicy.from_knob(0.5, unit_technology()),
-            mode="remove",
-        )
-        assert tree.skew() <= 1e-9 * max(tree.phase_delay(), 1.0)
-        tree.validate_embedding()
-
-    def test_remove_honors_force_rule(self):
-        tree, _ = gated_tree(n=16, seed=6)
-        limit = 10.0 * unit_technology().masking_gate.input_cap
-        apply_gate_reduction(
-            tree,
-            GateReductionPolicy(
-                activity_threshold=0.0,  # try to remove everything
-                force_cap_ratio=10.0,
-            ),
-            mode="remove",
-        )
-        tech = tree.tech
-        # No ungated edge may expose more than the forced limit.
-        ev = tree.elmore_evaluator()
-        for node in tree.edges():
-            if node.edge_cell is None:
-                exposed = tech.wire_cap(node.edge_length) + ev.subtree_cap(node.id)
-                assert exposed < limit + 1e-6
-
     def test_invalid_mode_rejected(self):
-        tree, _ = gated_tree(n=8, seed=7)
-        with pytest.raises(ValueError):
-            apply_gate_reduction(
-                tree, GateReductionPolicy(), mode="bogus"
-            )
+        # Physical gate removal is gone; demote is the only post-pass.
+        for mode in ("bogus", "remove"):
+            tree, _ = gated_tree(n=8, seed=7)
+            with pytest.raises(ValueError):
+                apply_gate_reduction(tree, GateReductionPolicy(), mode=mode)
 
 
 class TestReductionFraction:

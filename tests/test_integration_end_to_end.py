@@ -102,7 +102,7 @@ class TestReductionModesAgree:
     def test_modes_reach_similar_gate_counts(self, case, tech):
         policy = GateReductionPolicy.from_knob(0.5, tech)
         counts = {}
-        for mode in ("merge", "demote", "remove"):
+        for mode in ("merge", "demote"):
             result = route_gated(
                 case.sinks,
                 tech,

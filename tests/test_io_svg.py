@@ -67,9 +67,8 @@ class TestRendering:
             render_svg(ClockTree(unit_technology()))
 
     def test_snaked_edges_drawn_dashed_with_detours(self):
-        # Physically removing gates unbalances siblings; the re-embed
-        # snakes wires to restore zero skew (same recipe as the route
-        # geometry tests).
+        # Widely spread sink loads force snaked zero-skew splits (same
+        # recipe as the route geometry tests).
         from tests.test_cts_routes import snaky_tree
 
         tree = snaky_tree()

@@ -4,9 +4,9 @@ Every configuration below routes r1 at scale 0.2 (53 sinks).  The
 greedy configurations run :class:`~repro.cts.dme.BottomUpMerger` and
 hash the full ``merge_trace`` together with the exact (``float.hex``)
 clock-tree switched capacitance and wirelength.  The other
-construction paths -- sharded routing and its stitch, post-pass gate
-removal with re-embedding, the annealing refiner and the bisection
-topology -- are pinned by a *tree digest*: every node's fields in id
+construction paths -- sharded routing and its stitch (gate-every,
+merge-time and post-stitch demote reduction), the annealing refiner
+and the bisection topology -- are pinned by a *tree digest*: every node's fields in id
 order, floats as ``float.hex``.  A refactor of the merger, its costs,
 cell policies, kernels or the shared merge/placement steps must leave
 every digest unchanged; an intentional algorithm change updates the
@@ -229,8 +229,8 @@ def _tree_configs():
     return {
         "sharded-k4-gate-every": sharded(),
         "sharded-k4-demote": sharded(knob, reduction_mode="demote"),
+        "sharded-k4-merge-reduced": sharded(knob),
         "sharded-k4-skew-bound-50": sharded(skew_bound=50.0),
-        "gated-remove": gated(knob, reduction_mode="remove"),
         "gated-refine-gate-every-seed3": gated(
             refine=RefineConfig(moves=200, seed=3)
         ),
@@ -242,15 +242,17 @@ def _tree_configs():
     }
 
 
-#: Tree digests captured before the shared plan/commit/placement refactor.
+#: Tree digests captured before the shared plan/commit/placement refactor;
+#: ``sharded-k4-merge-reduced`` was captured through the flow's former
+#: ``cell_policy`` argument, before ``route_sharded`` took merge mode.
 TREE_DIGESTS = {
     'bisection-gate-every': 'a1967d5552707eed48dc9af07bb66ddb326d5bf2ff80512758c3338566974f12',
     'bisection-reduction': 'ee5b69a6f122a0ace8b183863691086bfc8e951a59151ebdc7d96bf37b31ea3b',
     'gated-refine-gate-every-seed3': '1e464a055015bfb9aca36b7f8a5de98ff4ad191501423d610bdad779ce2a5621',
     'gated-refine-merge-reduced-seed1': '8b8fe9ab0c03e7272eaeca45e34cb9aeeded15b093ca1e0f94d8d149860b03d4',
-    'gated-remove': '49cc7ffe02cc8d12b1c47d1c699d3496fb6da99e4045eb142fce81d3b8565af8',
     'sharded-k4-demote': '1b6cb3e6b690612b467279a2c7ef8ddde4ea68e178b0800beaa2022b83377a10',
     'sharded-k4-gate-every': '8923b5a2beb701ccb8cd286c1d445946ffa49d75b34749090d35a95fb40891b7',
+    'sharded-k4-merge-reduced': 'e23e1b17a76be2d73120cc4e55fe24172a527a3940437fc76db5dfbb503d90a3',
     'sharded-k4-skew-bound-50': 'bd09da93b831cf58c48ae77f10786d5c8b843fae32cefe29a069fec1787d4629',
 }
 
