@@ -20,7 +20,7 @@ over candidate lanes:
 ``incremental_switched_capacitance_cost``
     A count-once re-attribution of the same total (see its docstring);
     it avoids a greedy pathology of the literal form and is the
-    default objective of :func:`repro.core.gated_routing.build_gated_tree`.
+    objective of :func:`repro.core.gated_routing.build_gated_tree`.
     The cost-term ablation bench compares the two.
 
 Extensions beyond the literal Eq. 3, used only when the corresponding
@@ -84,7 +84,7 @@ class SwitchedCapacitanceCost(PairCost):
 
 
 class IncrementalSwitchedCapacitanceCost(PairCost):
-    """Count-once variant of Eq. 3 (the default router objective).
+    """Count-once variant of Eq. 3 (the router objective).
 
     Summed over a whole construction this equals the final
     ``W(T) + W(S)`` up to per-sink constants -- exactly like Eq. 3 --

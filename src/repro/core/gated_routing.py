@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.activity.probability import ActivityOracle
-from repro.check.errors import ContractError
+from repro.core.cost import incremental_switched_capacitance_cost
 from repro.cts.dme import BottomUpMerger, CellPolicy, GateEveryEdgePolicy
 from repro.cts.topology import ClockTree, Sink
 from repro.geometry.point import Point
@@ -36,7 +36,6 @@ def build_gated_tree(
     controller_point: Optional[Point] = None,
     cell_policy: Optional[CellPolicy] = None,
     candidate_limit: Optional[int] = None,
-    objective: str = "incremental",
     gate_sizing=None,
     skew_bound: float = 0.0,
 ) -> ClockTree:
@@ -63,31 +62,15 @@ def build_gated_tree(
     candidate_limit:
         Optional k-nearest-neighbour restriction of the greedy
         candidate pairs (exact greedy when ``None``).
-    objective:
-        ``"incremental"`` (default) uses the count-once switched-
-        capacitance cost; ``"eq3"`` uses the paper's literal Eq. 3.
-        See :mod:`repro.core.cost` for why they differ and the
-        cost-term ablation bench for measurements.
     gate_sizing:
         Optional :class:`repro.core.gate_sizing.GateSizingPolicy`;
         resizes cells instead of snaking wire on unbalanced merges.
     """
-    from repro.core.cost import (
-        incremental_switched_capacitance_cost,
-        switched_capacitance_cost,
-    )
-
-    if objective == "incremental":
-        cost = incremental_switched_capacitance_cost
-    elif objective == "eq3":
-        cost = switched_capacitance_cost
-    else:
-        raise ContractError("objective must be 'incremental' or 'eq3'")
     with get_tracer().span("topology.gated", n=len(sinks)):
         merger = BottomUpMerger(
             sinks=sinks,
             tech=tech,
-            cost=cost,
+            cost=incremental_switched_capacitance_cost,
             cell_policy=cell_policy or GateEveryEdgePolicy(),
             oracle=oracle,
             controller_point=controller_point,

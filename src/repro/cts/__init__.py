@@ -11,9 +11,9 @@ router needs -- and on top of which the paper's gated router
   gates), including wire snaking;
 * :mod:`repro.cts.bounded` -- the bounded-skew generalization (delay
   intervals, partial snaking) with zero skew as the ``bound=0`` case;
-* :mod:`repro.cts.reembed` -- fixed-topology re-embedding after tree
-  edits (e.g. physical gate removal), one ``rebalance`` node step at
-  a time;
+* :mod:`repro.cts.reembed` -- fixed-topology re-embedding of a given
+  topology (bisection) and the ``rebalance`` node step it loops over
+  (refine's root-path repair);
 * :mod:`repro.cts.dme` -- the deferred-merge embedding engine: a
   generic greedy bottom-up merger with a pluggable pair cost and cell
   policy, followed by top-down placement of merging segments; one

@@ -1,13 +1,14 @@
-"""Re-embedding a clock tree after edits (fixed topology DME).
+"""Fixed-topology DME: embedding a tree whose topology is already set.
 
-Gate reduction removes cells from a finished tree; that changes every
-subtree's presented capacitance and delay, so the original edge
-lengths no longer balance.  ``reembed`` reruns the deferred-merge
-embedding along the *existing* topology with the *current* cell
-assignment: a bottom-up pass recomputes merging segments and zero-skew
-splits (with wire snaking where cells made siblings unbalanced), and a
-top-down pass re-places every node.  The result is again an exactly
-zero-skew tree.
+``reembed`` runs the deferred-merge embedding along the *existing*
+topology with the *current* cell assignment: a bottom-up pass
+recomputes merging segments and zero-skew splits (with wire snaking
+where cells make siblings unbalanced), and a top-down pass re-places
+every node.  The result is an exactly zero-skew tree.  Bisection
+(:mod:`repro.cts.bisection`) builds its topology first and embeds it
+with ``reembed``; the refinement pass (:mod:`repro.cts.refine`) edits
+a finished tree and repairs only the edited node's root path, one
+:func:`rebalance` step per node.
 
 Running ``reembed`` on an untouched tree is a no-op up to
 floating-point noise -- a property the test suite checks.

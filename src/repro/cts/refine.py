@@ -17,7 +17,7 @@ classes and keeps what lowers the total switched capacitance
   with its own ``P(EN)`` or falls back to inheriting the net above.
 * **Controller reassignment** -- move one gate's enable route to a
   different controller.  Pure star-cost arithmetic; mainly repairs
-  partition-ownership drift after reembedding moves gate pins.
+  partition-ownership drift after re-placement moves gate pins.
 
 Scoring is two-tier, cheapest first (the escalation pattern of the
 routing surveys): a *screen* recomputes Eq. 3 terms only over the
@@ -25,11 +25,13 @@ affected node set -- the root path whose zero-skew splits the move
 invalidates (repaired in place by :func:`~repro.cts.reembed.rebalance`,
 the node step :func:`~repro.cts.reembed.reembed` loops over), plus the
 unmasked regions whose effective enable probability the move flips.
-Only *accepted* moves pay for the full fixed-topology
-:func:`~repro.cts.reembed.reembed` pass and an exact whole-network
-re-measurement.  A keep-best snapshot (``ClockTree.clone``) makes the
-pass monotone from the caller's perspective: the returned tree is the
-best exactly-measured state ever visited, never worse than the input.
+The repair already leaves every node's bottom-up state exact, so an
+*accepted* tree move only re-places the tree top-down
+(:meth:`~repro.cts.topology.ClockTree.place`) and pays for an exact
+whole-network re-measurement.  A keep-best snapshot
+(``ClockTree.clone``) makes the pass monotone from the caller's
+perspective: the returned tree is the best exactly-measured state ever
+visited, never worse than the input.
 
 Determinism: all randomness flows from one ``numpy`` generator seeded
 by :attr:`RefineConfig.seed`; the cooling schedule is geometric in the
@@ -48,7 +50,7 @@ import numpy as np
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, ReproError
 from repro.cts.dme import annotate_enable
-from repro.cts.reembed import rebalance, reembed
+from repro.cts.reembed import rebalance
 from repro.cts.topology import ClockNode, ClockTree
 from repro.obs import get_registry, get_tracer
 from repro.tech.parameters import Technology
@@ -70,7 +72,8 @@ def _core():
 __all__ = ["RefineConfig", "RefineResult", "AnnealingRefiner", "refine_tree"]
 
 #: Node fields a move (or its root-path repair) may touch; the
-#: snapshot/restore cycle copies exactly these.
+#: snapshot/restore cycle copies exactly these.  No proposal moves a
+#: placement: only an accepted move re-places the tree.
 _SNAPSHOT_FIELDS = (
     "children",
     "parent",
@@ -85,12 +88,20 @@ _SNAPSHOT_FIELDS = (
     "subtree_cap",
     "sink_delay",
     "sink_delay_min",
-    "location",
 )
 
 #: Sentinel distinguishing "gate had no explicit assignment" from
 #: "assigned to controller 0" in the per-move undo records.
 _NO_ASSIGNMENT = -1
+
+#: Starting temperature as a fraction of the input tree's cost.
+_INITIAL_TEMPERATURE = 0.02
+
+#: Final over initial temperature of the geometric schedule.
+_COOLING_RATIO = 1e-3
+
+#: Proposal mix (NNI swap, gate toggle, controller reassignment).
+_WEIGHTS = (0.45, 0.35, 0.20)
 
 
 @dataclass(frozen=True)
@@ -103,35 +114,9 @@ class RefineConfig:
     seed: int = 0
     """Seed of the ``numpy`` generator driving every random choice."""
 
-    initial_temperature: float = 0.02
-    """Starting temperature as a fraction of the input tree's cost."""
-
-    cooling_ratio: float = 1e-3
-    """Final over initial temperature of the geometric schedule."""
-
-    weights: Tuple[float, float, float] = (0.45, 0.35, 0.20)
-    """Proposal mix (NNI swap, gate toggle, controller reassignment)."""
-
     def __post_init__(self):
         if self.moves < 0:
             raise InputError("move budget must be non-negative", field="moves")
-        if not math.isfinite(self.initial_temperature) or self.initial_temperature < 0:
-            raise InputError(
-                "initial_temperature must be finite and non-negative",
-                field="initial_temperature",
-            )
-        if not 0.0 < self.cooling_ratio <= 1.0:
-            raise InputError(
-                "cooling_ratio must be in (0, 1]", field="cooling_ratio"
-            )
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
-            raise InputError(
-                "weights must be three non-negative numbers", field="weights"
-            )
-        if sum(self.weights) <= 0:
-            raise InputError(
-                "at least one move class needs positive weight", field="weights"
-            )
 
 
 @dataclass
@@ -146,6 +131,7 @@ class RefineResult:
     gate_accepted: int = 0
     reassign_accepted: int = 0
     reembeds: int = 0
+    """Accepted tree moves, each re-placed and re-measured exactly."""
     initial_cost: float = 0.0
     final_cost: float = 0.0
     best_cost: float = 0.0
@@ -281,8 +267,8 @@ class AnnealingRefiner:
         :func:`repro.core.switched_cap.clock_tree_switched_cap` plus the
         star terms of gated members; deltas of two evaluations over one
         id set are exact whenever the set covers everything the move
-        changed -- placements excepted, which the post-accept reembed
-        and exact re-measurement settle.
+        changed -- placements excepted, which the post-accept
+        re-placement and exact re-measurement settle.
         """
         c = self.tech.unit_wire_capacitance
         a_clk = self.tech.clock_transitions_per_cycle
@@ -323,9 +309,11 @@ class AnnealingRefiner:
         :func:`~repro.cts.reembed.reembed` -- along one root path: every
         node on it re-merges its children's *current* merging segments
         and presented caps, so the path's edge lengths, segments and
-        delays are exact for the mutated topology.  Placements are left
-        stale -- the screen does not need them, and an accepted move
-        reembeds the whole tree.
+        delays are exact for the mutated topology -- every node's
+        bottom-up state then equals a whole-tree
+        :func:`~repro.cts.reembed.reembed`'s.  Placements are left stale:
+        the screen does not need them, and an accepted move re-places
+        the tree top-down.
         """
         for nid in self._path_ids(start):
             rebalance(self.tree, self.tree.node(nid))
@@ -421,7 +409,7 @@ class AnnealingRefiner:
         """Move one gate's enable route to a different controller.
 
         Exact by construction (no tree state changes), so acceptance
-        skips the reembed/re-measure escalation entirely.
+        skips the re-place/re-measure escalation entirely.
         """
         if self.layout.count < 2:
             return None
@@ -458,11 +446,11 @@ class AnnealingRefiner:
                 self.assignment[nid] = old
 
     def _temperature(self, move_index: int, initial_cost: float) -> float:
-        t0 = self.config.initial_temperature * max(initial_cost, 0.0)
+        t0 = _INITIAL_TEMPERATURE * max(initial_cost, 0.0)
         if t0 <= 0 or self.config.moves <= 1:
             return t0
         exponent = move_index / (self.config.moves - 1)
-        return t0 * self.config.cooling_ratio**exponent
+        return t0 * _COOLING_RATIO**exponent
 
     def _accept(self, delta: float, temperature: float) -> bool:
         if delta <= 0.0:
@@ -487,7 +475,7 @@ class AnnealingRefiner:
             return self._original, None, result
 
         registry = get_registry()
-        weights = np.asarray(config.weights, dtype=float)
+        weights = np.asarray(_WEIGHTS, dtype=float)
         thresholds = np.cumsum(weights / weights.sum())
         proposers = (
             self._propose_nni,
@@ -521,9 +509,10 @@ class AnnealingRefiner:
                 else:
                     result.reassign_accepted += 1
                 if snapshot is not None:
-                    # Tree moves escalate: full fixed-topology reembed,
-                    # then an exact whole-network re-measurement.
-                    reembed(self.tree)
+                    # Tree moves escalate: the repair left the bottom-up
+                    # state exact, so re-place the tree top-down, then
+                    # re-measure the whole network exactly.
+                    self.tree.place()
                     result.reembeds += 1
                     current = self._exact_cost()
                 else:
@@ -538,6 +527,7 @@ class AnnealingRefiner:
         registry.counter("refine.moves_accepted").inc(result.moves_accepted)
         registry.counter("refine.moves_rejected").inc(result.moves_rejected)
         registry.counter("refine.moves_infeasible").inc(result.moves_infeasible)
+        # Accepted tree moves, each re-placed and re-measured.
         registry.counter("refine.reembeds").inc(result.reembeds)
         registry.gauge("refine.improvement").set(result.improvement)
         if self._best_tree is None:

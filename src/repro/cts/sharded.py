@@ -156,7 +156,6 @@ def _route_one_shard(
     cell_policy: Optional[CellPolicy],
     candidate_limit: Optional[int],
     skew_bound: float,
-    objective: str,
 ) -> ShardRoute:
     """Route one shard's gated subtree with the existing merger."""
     import time
@@ -171,7 +170,6 @@ def _route_one_shard(
         controller_point=controller_point,
         cell_policy=cell_policy,
         candidate_limit=candidate_limit,
-        objective=objective,
         skew_bound=skew_bound,
     )
     return ShardRoute(index=index, tree=tree, seconds=time.perf_counter() - start)
@@ -216,7 +214,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
         cell_policy,
         candidate_limit,
         skew_bound,
-        objective,
     ) = payload
     registry = MetricsRegistry()
     previous = set_registry(registry)
@@ -230,7 +227,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
             cell_policy,
             candidate_limit,
             skew_bound,
-            objective,
         )
     finally:
         set_registry(previous)
@@ -248,7 +244,6 @@ def route_shards(
     cell_policy: Optional[CellPolicy] = None,
     candidate_limit: Optional[int] = None,
     skew_bound: float = 0.0,
-    objective: str = "incremental",
 ) -> List[ShardRoute]:
     """Route every shard of ``plan``; returns shards in index order.
 
@@ -281,7 +276,6 @@ def route_shards(
                             cell_policy,
                             candidate_limit,
                             skew_bound,
-                            objective,
                         )
                     )
                 finally:
@@ -302,7 +296,6 @@ def route_shards(
             cell_policy,
             candidate_limit,
             skew_bound,
-            objective,
         )
         for index, members in enumerate(plan.shards)
     ]

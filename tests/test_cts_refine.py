@@ -49,22 +49,6 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             RefineConfig(moves=-1)
 
-    def test_bad_cooling_ratio(self):
-        with pytest.raises(InputError):
-            RefineConfig(cooling_ratio=0.0)
-        with pytest.raises(InputError):
-            RefineConfig(cooling_ratio=1.5)
-
-    def test_bad_weights(self):
-        with pytest.raises(InputError):
-            RefineConfig(weights=(1.0, -0.5, 0.2))
-        with pytest.raises(InputError):
-            RefineConfig(weights=(0.0, 0.0, 0.0))
-
-    def test_bad_temperature(self):
-        with pytest.raises(InputError):
-            RefineConfig(initial_temperature=-0.1)
-
 
 class TestZeroMoveNoOp:
     def test_zero_budget_returns_the_input_object(self, greedy, case, tech):

@@ -237,6 +237,12 @@ def _tree_configs():
         "gated-refine-merge-reduced-seed1": gated(
             knob, reduction_mode="merge", refine=RefineConfig(moves=200, seed=1)
         ),
+        "gated-refine-merge-reduced-4ctrl-seed1": gated(
+            knob,
+            reduction_mode="merge",
+            num_controllers=4,
+            refine=RefineConfig(moves=200, seed=1),
+        ),
         "bisection-gate-every": bisection(lambda tech: GateEveryEdgePolicy()),
         "bisection-reduction": bisection(knob),
     }
@@ -250,6 +256,7 @@ TREE_DIGESTS = {
     'bisection-reduction': 'ee5b69a6f122a0ace8b183863691086bfc8e951a59151ebdc7d96bf37b31ea3b',
     'gated-refine-gate-every-seed3': '1e464a055015bfb9aca36b7f8a5de98ff4ad191501423d610bdad779ce2a5621',
     'gated-refine-merge-reduced-seed1': '8b8fe9ab0c03e7272eaeca45e34cb9aeeded15b093ca1e0f94d8d149860b03d4',
+    'gated-refine-merge-reduced-4ctrl-seed1': 'b2eb13c01e53fefd60791e1af54e4293f048d095917d57f034a3f61a928d31d5',
     'sharded-k4-demote': '1b6cb3e6b690612b467279a2c7ef8ddde4ea68e178b0800beaa2022b83377a10',
     'sharded-k4-gate-every': '8923b5a2beb701ccb8cd286c1d445946ffa49d75b34749090d35a95fb40891b7',
     'sharded-k4-merge-reduced': 'e23e1b17a76be2d73120cc4e55fe24172a527a3940437fc76db5dfbb503d90a3',

@@ -6,8 +6,11 @@ zero-skew repair) must equal ``_exact_cost()`` after the move minus
 before it, on the same not-yet-re-placed tree.  The root-path repair
 must leave every node's bottom-up state exactly as a full bottom-up
 pass would, and ``_undo`` must then restore the exact cost bit for
-bit.  Trees evolve between checks: every
-fourth feasible move is kept and re-embedded, as an accepted move is.
+bit.  Trees evolve between checks: every fourth feasible move is kept
+through the accept path, ``ClockTree.place()``, and every node's
+bottom-up state and placement must then equal those of a whole-tree
+``reembed`` of a copy, so placing the repaired tree is all an
+accepted move needs.
 """
 
 import pytest
@@ -40,11 +43,16 @@ def _bottom_up_state(tree):
     ]
 
 
-def _full_pass_state(tree):
-    """The bottom-up state after a whole-tree re-embed, on a copy."""
+def _embedded_state(tree):
+    """The bottom-up state plus every node's placement."""
+    return list(zip(_bottom_up_state(tree), (n.location for n in tree.nodes())))
+
+
+def _reembedded(tree):
+    """A copy of ``tree`` after a whole-tree re-embed."""
     copy = tree.clone()
     reembed(copy)
-    return _bottom_up_state(copy)
+    return copy
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +105,12 @@ def test_screen_delta_equals_exact_cost_change(trees, case, tech, kind, controll
         delta, snapshot, assignment_undo, _kind = proposal
         exact = refiner._exact_cost() - before
         assert relatively_close(delta, exact), (k, delta, exact)
-        assert _bottom_up_state(refiner.tree) == _full_pass_state(refiner.tree), k
+        full_pass = _reembedded(refiner.tree)
+        assert _bottom_up_state(refiner.tree) == _bottom_up_state(full_pass), k
         checked += 1
         if k % 4 == 3:
-            reembed(refiner.tree)
+            refiner.tree.place()
+            assert _embedded_state(refiner.tree) == _embedded_state(full_pass), k
             continue
         refiner._undo(snapshot, assignment_undo)
         assert refiner._exact_cost() == before, k
