@@ -25,7 +25,7 @@ Subcommands
     Run the project-invariant static analyzer (:mod:`repro.lint`,
     rules REP001..REP007) over ``src/repro``.  Exit code 1 when
     findings are reported; ``--format json`` for machine-readable
-    output, ``--update-baseline`` to grandfather current findings.
+    output, ``--check-noqa`` to fail on stale suppressions.
 ``obs``
     The run ledger and regression sentinel: ``obs list`` / ``obs
     trend`` browse recorded runs, ``obs diff A B`` compares two

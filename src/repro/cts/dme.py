@@ -522,7 +522,8 @@ class BottomUpMerger:
             )
         self.controller_point = controller_point
         self._active: Set[int] = set(range(len(sinks)))
-        self._best: Dict[int, Tuple[float, int, int]] = {}
+        # nid -> (cost, partner, generation, distance) of its best pair.
+        self._best: Dict[int, Tuple[float, int, int, float]] = {}
         self._reverse: Dict[int, Set[int]] = {}
         self._heap: List[Tuple[float, int, int]] = []
         self._generation = 0

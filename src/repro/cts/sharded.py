@@ -307,7 +307,7 @@ def route_shards(
         # spans, but _worker_initializer installs a disabled tracer and
         # a fresh registry per worker first, and the shard registries
         # are merged parent-side after the join.
-        shards = list(pool.map(_pool_route_shard, payloads))  # repro: noqa[REP011]
+        shards = list(pool.map(_pool_route_shard, payloads))
     shards.sort(key=lambda s: s.index)
     for shard in shards:
         if shard.registry is not None:

@@ -5,45 +5,27 @@ as conventions: toleranced float comparison on physical quantities
 (REP001), the typed ``repro.check.errors`` taxonomy (REP002),
 determinism (REP003), the observability name catalog (REP004), the
 kernel/scalar parity contract (REP005), and two generic Python/NumPy
-hazards (REP006 mutable defaults, REP007 array truthiness).
-
-On top of the per-module rules sits an *interprocedural* layer built
-over :mod:`repro.lint.project`: the quantity-kind dataflow analysis
-(REP008 incompatible add/sub/compare, REP009 wrong-kind call
-arguments, REP010 return-kind drift -- see :mod:`repro.lint.kinds` for
-the algebra and :mod:`repro.quantity` for the declaration aliases),
-and the fork-safety analysis of process-pool usage (REP011 global
-observability state reachable from workers, REP012 unpicklable
-payloads).
+hazards (REP006 mutable defaults, REP007 array truthiness).  Every
+rule inspects one module at a time; ``# repro: noqa[...]`` comments
+are the one escape hatch.
 
 See ``DESIGN.md`` section "Static analysis & code invariants" for the
 full rule table and ``repro.lint.cli`` for the command-line gate.
 """
 
-from repro.lint.baseline import BASELINE_FILENAME, Baseline
 from repro.lint.engine import LintResult, StaleNoqa, run_lint
-from repro.lint.kinds import DIMENSIONLESS, Kind, named
-from repro.lint.model import Finding, ModuleSource, ProjectRule, Rule
-from repro.lint.project import ProjectContext, ProjectIndex
+from repro.lint.model import Finding, ModuleSource, Rule
 from repro.lint.report import render_json, render_text, report_dict
 from repro.lint.rules import DEFAULT_RULES, default_rules, rule_catalog
 
 __all__ = [
-    "BASELINE_FILENAME",
-    "Baseline",
     "DEFAULT_RULES",
-    "DIMENSIONLESS",
     "Finding",
-    "Kind",
     "LintResult",
     "ModuleSource",
-    "ProjectContext",
-    "ProjectIndex",
-    "ProjectRule",
     "Rule",
     "StaleNoqa",
     "default_rules",
-    "named",
     "render_json",
     "render_text",
     "report_dict",

@@ -1,20 +1,18 @@
 """The ``gated-cts lint`` subcommand (also ``python -m repro.lint``).
 
 Exit codes follow the auditor's convention: 0 clean, 1 findings,
-2 error (unreadable path, syntax error, malformed baseline -- every
+2 error (unreadable path, syntax error, unknown rule code -- every
 error is a typed :class:`~repro.check.errors.ReproError`, so the
 top-level CLI renders it as a one-line diagnostic).
 
 Usage::
 
-    gated-cts lint                       # lint src/repro with the
-                                         # committed baseline
+    gated-cts lint                       # lint src/repro
     gated-cts lint --format json         # machine-readable report
-    gated-cts lint --update-baseline     # grandfather current findings
     gated-cts lint src/repro/cts         # restrict the scan
-    gated-cts lint --select REP003,REP011 benchmarks
+    gated-cts lint --select REP003 src/repro/bench benchmarks
                                          # only some rules, other roots
-    gated-cts lint --explain REP008      # what a rule means and why
+    gated-cts lint --explain REP005      # what a rule means and why
     gated-cts lint --check-noqa          # fail on stale suppressions
 """
 
@@ -27,7 +25,6 @@ import sys
 from typing import List, Optional
 
 from repro.check.errors import InputError
-from repro.lint.baseline import BASELINE_FILENAME, Baseline
 from repro.lint.engine import run_lint
 from repro.lint.report import render_json, render_text
 from repro.lint.rules import default_rules, rule_catalog
@@ -48,18 +45,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["text", "json"],
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file (default: %s at the project root, when "
-        "present)" % BASELINE_FILENAME,
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--root",
@@ -145,16 +130,7 @@ def run_lint_cli(args: argparse.Namespace) -> int:
     rules = None
     if args.select:
         rules = _selected_rules(args.select, root)
-    baseline_path = args.baseline or os.path.join(root, BASELINE_FILENAME)
-    baseline: Optional[Baseline] = None
-    if not args.update_baseline and os.path.exists(baseline_path):
-        baseline = Baseline.load(baseline_path)
-    result = run_lint(paths, project_root=root, rules=rules, baseline=baseline)
-    if args.update_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print("baseline written to %s (%d entr(y/ies))" % (
-            baseline_path, len(result.findings)))
-        return 0
+    result = run_lint(paths, project_root=root, rules=rules)
     if args.format == "json":
         sys.stdout.write(render_json(result))
     else:

@@ -1,15 +1,11 @@
 """File discovery, suppression handling and the lint run itself.
 
-The engine walks the requested paths, parses every ``.py`` file once,
-runs the per-module rule catalog over each file, then hands the whole
-parsed set to the project rules (the interprocedural quantity and
-fork-safety analyses) through a shared
-:class:`~repro.lint.project.ProjectContext`.  Findings suppressed by
+The engine walks the requested paths, parses every ``.py`` file once
+and runs the rule catalog over each file.  Findings suppressed by
 ``# repro: noqa[...]`` comments are dropped -- and the engine tracks
 which suppression comments actually matched something, so the CLI's
-``--check-noqa`` mode can flag stale ones.  A committed baseline is
-(optionally) subtracted last.  Nothing under analysis is imported; a
-file that does not parse raises
+``--check-noqa`` mode can flag stale ones.  Nothing under analysis is
+imported; a file that does not parse raises
 :class:`repro.check.errors.InputError` carrying the offending path and
 line, which the CLI maps to exit code 2.
 """
@@ -26,9 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.check.errors import InputError
-from repro.lint.baseline import Baseline
-from repro.lint.model import Finding, ModuleSource, ProjectRule, Rule
-from repro.lint.project import ProjectContext
+from repro.lint.model import Finding, ModuleSource, Rule
 from repro.lint.rules import default_rules
 
 #: Matches a ``repro``-style noqa comment: bare (all rules) or with a
@@ -135,14 +129,11 @@ class StaleNoqa:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run (post suppression and baseline)."""
+    """Outcome of one lint run (post suppression)."""
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
-    #: baseline entries that matched nothing (stale; prune them)
-    stale_baseline: int = 0
     #: suppression comments that matched nothing (see ``--check-noqa``)
     stale_noqa: List[StaleNoqa] = field(default_factory=list)
 
@@ -160,83 +151,41 @@ def run_lint(
     paths: Sequence[str],
     project_root: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
-    """Lint ``paths`` and return the surviving findings.
+    """Lint ``paths`` and return the unsuppressed findings.
 
     ``project_root`` anchors relative paths (and the REP005 parity
-    test lookup); it defaults to the current directory.  Per-module
-    rules run file by file; :class:`~repro.lint.model.ProjectRule`
-    instances run once over the whole parsed set, sharing a
-    :class:`~repro.lint.project.ProjectContext`.  ``baseline``
-    findings are subtracted with multiplicity: two identical findings
-    with one baseline entry report one new finding.
+    test lookup); it defaults to the current directory.
     """
     root = os.path.abspath(project_root or os.getcwd())
     active_rules = list(rules) if rules is not None else default_rules(root)
-    module_rules = [r for r in active_rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active_rules if isinstance(r, ProjectRule)]
     result = LintResult()
-
-    modules: List[ModuleSource] = []
     seen_paths: Set[str] = set()
     for path in iter_python_files(paths):
         module = parse_module(path, root)
         if module.path in seen_paths:
             continue
         seen_paths.add(module.path)
-        modules.append(module)
-    result.files_scanned = len(modules)
-
-    tables: Dict[str, Dict[int, Optional[Set[str]]]] = {}
-    by_path: Dict[str, ModuleSource] = {}
-    for module in modules:
-        tables[module.path] = suppressions_for(module)
-        by_path[module.path] = module
-
-    raw: List[Finding] = []
-    used_suppressions: Set[Tuple[str, int]] = set()
-
-    def consider(finding: Finding) -> None:
-        table = tables.get(finding.path)
-        if table is not None and is_suppressed(finding, table):
-            used_suppressions.add((finding.path, finding.line))
-            result.suppressed += 1
-        else:
-            raw.append(finding)
-
-    for module in modules:
-        for rule in module_rules:
+        result.files_scanned += 1
+        table = suppressions_for(module)
+        used_lines: Set[int] = set()
+        for rule in active_rules:
             for finding in rule.check(module):
-                consider(finding)
-    if project_rules and modules:
-        context = ProjectContext(modules)
-        for rule in project_rules:
-            for finding in rule.check_project(context):
-                consider(finding)
-
-    raw.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
-
-    for path in sorted(tables):
-        module = by_path[path]
-        for lineno in sorted(tables[path]):
-            if (path, lineno) in used_suppressions:
-                continue
-            codes = tables[path][lineno]
-            result.stale_noqa.append(
-                StaleNoqa(
-                    path=path,
-                    line=lineno,
-                    codes=tuple(sorted(codes)) if codes is not None else None,
-                    snippet=module.line_at(lineno),
-                )
+                if is_suppressed(finding, table):
+                    used_lines.add(finding.line)
+                    result.suppressed += 1
+                else:
+                    result.findings.append(finding)
+        result.stale_noqa.extend(
+            StaleNoqa(
+                path=module.path,
+                line=lineno,
+                codes=tuple(sorted(codes)) if codes is not None else None,
+                snippet=module.line_at(lineno),
             )
-
-    if baseline is None:
-        result.findings = raw
-        return result
-    fresh, matched, stale = baseline.partition(raw)
-    result.findings = fresh
-    result.baselined = matched
-    result.stale_baseline = stale
+            for lineno, codes in sorted(table.items())
+            if lineno not in used_lines
+        )
+    result.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
+    result.stale_noqa.sort(key=lambda entry: (entry.path, entry.line))
     return result

@@ -5,11 +5,11 @@ line and rendered in the same one-line ``source: line N: message``
 style as :meth:`repro.check.errors.ReproError.diagnostic`, so lint
 output and runtime diagnostics read alike.  A :class:`Rule` inspects
 one parsed module at a time and yields findings; the engine owns file
-discovery, suppression comments and the baseline.
+discovery and suppression comments.
 
 Findings carry a *fingerprint* -- a hash of rule code, relative path
-and the stripped source line -- so a committed baseline keeps matching
-entries when unrelated edits shift line numbers.
+and the stripped source line -- so report consumers can match a
+finding across runs when unrelated edits shift line numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline."""
+        """Line-number-independent identity of the finding."""
         digest = hashlib.sha1(
             ("%s|%s|%s" % (self.rule, self.path, self.snippet)).encode("utf-8")
         )
@@ -103,24 +103,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule that inspects the whole scanned set at once.
-
-    Per-module rules see one file at a time; project rules (the
-    quantity and fork-safety analyses, REP008..REP012) need the cross-
-    module index the engine builds after parsing everything.  The
-    engine calls :meth:`check_project` once per run with a
-    ``repro.lint.project.ProjectContext``; expensive shared analyses
-    are memoized on the context so sibling rules reuse them.
-    """
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, context: Any) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 def qualified_name(node: ast.AST) -> Optional[str]:
     """Dotted name of a ``Name``/``Attribute`` chain, else ``None``.
 
@@ -145,10 +127,3 @@ def walk_scopes(tree: ast.Module) -> Iterator[List[ast.stmt]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield list(node.body)
 
-
-def iter_findings(
-    rules: Iterable[Rule], module: ModuleSource
-) -> Iterator[Finding]:
-    """All findings of all rules over one module, in rule order."""
-    for rule in rules:
-        yield from rule.check(module)

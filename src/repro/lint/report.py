@@ -6,15 +6,15 @@ finding -- the same ``source: line N: message`` shape as
 reporter emits a stable machine-readable document (schema below) for
 CI annotation tooling.
 
-JSON schema (``version`` 2; version 1 lacked ``stale_noqa``)::
+JSON schema (``version`` 3; version 2 also carried the baseline
+counts ``baselined`` and ``stale_baseline``, version 1 lacked
+``stale_noqa``)::
 
-    {"version": 2,
+    {"version": 3,
      "tool": "repro-lint",
      "clean": bool,
      "files_scanned": int,
      "suppressed": int,
-     "baselined": int,
-     "stale_baseline": int,
      "stale_noqa": [{"path", "line", "codes", "snippet"}, ...],
      "counts": {"REP002": 3, ...},
      "findings": [{"rule", "path", "line", "col",
@@ -32,7 +32,7 @@ from typing import Any, Dict, List
 from repro.lint.engine import LintResult
 from repro.lint.rules import rule_catalog
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def render_text(result: LintResult) -> str:
@@ -53,10 +53,6 @@ def render_text(result: LintResult) -> str:
     extras = []
     if result.suppressed:
         extras.append("%d suppressed" % result.suppressed)
-    if result.baselined:
-        extras.append("%d baselined" % result.baselined)
-    if result.stale_baseline:
-        extras.append("%d stale baseline entr(y/ies)" % result.stale_baseline)
     if result.stale_noqa:
         extras.append("%d stale noqa comment(s)" % len(result.stale_noqa))
     if extras:
@@ -73,8 +69,6 @@ def report_dict(result: LintResult) -> Dict[str, Any]:
         "clean": result.clean,
         "files_scanned": result.files_scanned,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
-        "stale_baseline": result.stale_baseline,
         "stale_noqa": [
             {
                 "path": entry.path,

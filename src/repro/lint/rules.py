@@ -16,18 +16,15 @@ it checks.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.forksafe import analyze_fork_safety
 from repro.lint.model import (
     Finding,
     ModuleSource,
-    ProjectRule,
     Rule,
     qualified_name,
     walk_scopes,
 )
-from repro.lint.quantity import analyze_project
 from repro.obs import names as _obs_names
 
 __all__ = ["DEFAULT_RULES", "default_rules", "rule_catalog"]
@@ -595,128 +592,6 @@ class ArrayTruthinessRule(Rule):
 
 
 #: Rule classes in code order (instantiated per run by the engine).
-class _AnalysisRule(ProjectRule):
-    """Base for rules backed by a memoized whole-project analysis."""
-
-    #: memo key + builder shared by sibling codes of one analysis.
-    analysis_key = "quantity"
-
-    @staticmethod
-    def analysis(index):  # type: ignore[no-untyped-def]
-        raise NotImplementedError
-
-    def check_project(self, context) -> Iterator[Finding]:  # type: ignore[no-untyped-def]
-        raw_findings = context.memo(self.analysis_key, type(self).analysis)
-        for raw in raw_findings:
-            if raw.code == self.code:
-                yield self.finding(raw.module, raw.node, raw.message)
-
-
-class QuantityMixRule(_AnalysisRule):
-    """REP008: ``+``/``-``/comparison over incompatible quantity kinds.
-
-    The cost algebra (Eq. 3) only ever adds like kinds: lengths with
-    lengths, switched capacitance with switched capacitance.  Adding a
-    resistance to a capacitance, or comparing a delay against a
-    wirelength, type-checks as ``float`` and silently corrupts every
-    downstream cost.  Kinds come from ``repro.quantity`` alias
-    declarations and flow interprocedurally; unknown kinds never fire.
-    """
-
-    code = "REP008"
-    title = "incompatible quantity kinds in add/sub/compare"
-    rationale = (
-        "adding or comparing values of different physical kinds "
-        "(resistance + capacitance, delay vs length) is a silent "
-        "unit bug; declare kinds via repro.quantity aliases"
-    )
-    analysis_key = "quantity"
-    analysis = staticmethod(analyze_project)
-
-
-class ArgumentKindRule(_AnalysisRule):
-    """REP009: a call argument contradicts the parameter's kind.
-
-    Swapping ``unit_capacitance`` for ``unit_resistance`` at a call
-    site produces plausible numbers and wrong trees; with declared
-    parameter kinds the mix-up is caught at lint time.
-    """
-
-    code = "REP009"
-    title = "call argument of the wrong quantity kind"
-    rationale = (
-        "passing a capacitance where a resistance is declared (or a "
-        "delay where a length is due) survives runtime silently; the "
-        "declared parameter kind makes the swap a lint error"
-    )
-    analysis_key = "quantity"
-    analysis = staticmethod(analyze_project)
-
-
-class ReturnKindRule(_AnalysisRule):
-    """REP010: a function returns a kind other than it declares.
-
-    Return-kind drift is how unit bugs propagate: one helper quietly
-    starts returning a delay instead of a length and every caller
-    inherits the confusion.
-    """
-
-    code = "REP010"
-    title = "return value contradicts the declared return kind"
-    rationale = (
-        "a function annotated to return one kind but returning "
-        "another poisons every caller; the declaration is the "
-        "contract the body must meet"
-    )
-    analysis_key = "quantity"
-    analysis = staticmethod(analyze_project)
-
-
-class WorkerGlobalStateRule(_AnalysisRule):
-    """REP011: worker functions reaching process-global observability.
-
-    Tracers, metric registries, run ledgers and tracemalloc are
-    process-global; inside a ``ProcessPoolExecutor`` worker they
-    record into buffers nobody drains (or double peak memory).  The
-    rule walks the call graph from every submitted function and pool
-    initializer and reports the offending chain at the submission
-    site.  Initializers that *reset* the state (``set_tracer``,
-    ``set_registry``, ``tracemalloc.stop``) are the sanctioned fix.
-    """
-
-    code = "REP011"
-    title = "process-global state reachable from a pool worker"
-    rationale = (
-        "tracer/registry/ledger/tracemalloc calls inside a "
-        "ProcessPoolExecutor worker observe a different process than "
-        "the one being measured; reset them in the pool initializer"
-    )
-    analysis_key = "forksafe"
-    analysis = staticmethod(analyze_fork_safety)
-
-
-class UnpicklablePayloadRule(_AnalysisRule):
-    """REP012: known-unpicklable values shipped to a pool worker.
-
-    Lambdas, nested functions, generators, open file handles and
-    catalogued classes (``ActivityOracle`` carries per-instance
-    ``lru_cache`` wrappers) die in ``pickle`` at submission time --
-    but only on the first real multi-process run, not under the
-    in-process test path.  Ship plain data (``oracle.tables``) and
-    rebuild worker-side.
-    """
-
-    code = "REP012"
-    title = "unpicklable value in a pool submission"
-    rationale = (
-        "lambdas, nested functions, open handles and lru_cache-"
-        "bearing objects fail to pickle only when a real worker pool "
-        "spins up; the lint catches the payload at the submit site"
-    )
-    analysis_key = "forksafe"
-    analysis = staticmethod(analyze_fork_safety)
-
-
 DEFAULT_RULES = (
     FloatEqualityRule,
     BareExceptionRule,
@@ -725,11 +600,6 @@ DEFAULT_RULES = (
     KernelParityRule,
     MutableDefaultRule,
     ArrayTruthinessRule,
-    QuantityMixRule,
-    ArgumentKindRule,
-    ReturnKindRule,
-    WorkerGlobalStateRule,
-    UnpicklablePayloadRule,
 )
 
 

@@ -1,38 +1,17 @@
-"""Quantity-kind vocabulary: ``Annotated`` aliases for physical kinds.
+"""Quantity vocabulary: unit-labelled aliases for physical kinds.
 
 Every scalar the routing flow computes is a *quantity* of one physical
 kind -- a wirelength, a capacitance, an enable probability, a switched
-capacitance per cycle.  The paper's objective (Eq. 3) multiplies and
-adds these kinds in exactly one legal way; mixing them (adding a
-resistance to a capacitance, passing a delay where a length is due) is
-a silent bug the type system cannot see, because every kind is a plain
-``float``.
-
-This module gives each kind a name the static analyzer understands.
-Annotating a parameter, return value, dataclass field or variable with
-one of the aliases below declares its kind to ``repro.lint.quantity``
-(rules REP008..REP010) without changing runtime behaviour at all:
-``Annotated[float, QuantityKind("length_um")]`` *is* ``float`` to the
-interpreter and to mypy.
+capacitance per cycle.  The aliases below name that kind (and its
+unit) in signatures and dataclass fields.  They are plain ``float`` /
+``int`` aliases: nothing checks them, they document.  The tests that
+pin routed trees and switched capacitance (golden values, merge-trace
+and tree digests) are what catch a unit mix-up.
 
 Unit conventions follow :mod:`repro.tech.parameters`: lengths are in
-layout units (lambda, the analyzer's ``length_um`` scale unit),
-capacitances in pF (``capacitance_fF`` scale unit), resistances in ohm
-and delays in ohm*pF Elmore products.  The kind names are scale-free
-labels -- the analyzer checks *kinds*, not magnitudes.
-
-The full kind lattice, the composition algebra and the seed catalog
-format are documented in ``DESIGN.md`` section 7 (REP008 rule entry).
+layout units (lambda), capacitances in pF, resistances in ohm and
+delays in ohm*pF Elmore products.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-try:  # Python >= 3.9 always has Annotated; keep the guard for clarity.
-    from typing import Annotated
-except ImportError:  # pragma: no cover - repro requires >= 3.9
-    raise
 
 __all__ = [
     "AreaUm2",
@@ -44,57 +23,44 @@ __all__ = [
     "LengthUm",
     "NodeId",
     "Probability",
-    "QuantityKind",
     "ResPerLength",
     "ResistanceOhm",
     "SwitchedCap",
 ]
 
 
-@dataclass(frozen=True)
-class QuantityKind:
-    """Annotation marker naming the physical kind of a value.
-
-    Instances carry no behaviour; they exist so the quantity analyzer
-    (and any future runtime checker) can read the kind name out of
-    ``typing.get_type_hints(..., include_extras=True)``.
-    """
-
-    name: str
-
-
 #: Manhattan wirelength / coordinate, layout units (lambda).
-LengthUm = Annotated[float, QuantityKind("length_um")]
+LengthUm = float
 
 #: Layout area, lambda^2.
-AreaUm2 = Annotated[float, QuantityKind("area_um2")]
+AreaUm2 = float
 
 #: Lumped capacitance, pF.
-CapacitanceFF = Annotated[float, QuantityKind("capacitance_fF")]
+CapacitanceFF = float
 
 #: Wire capacitance per unit length, pF / lambda.
-CapPerLength = Annotated[float, QuantityKind("cap_per_length")]
+CapPerLength = float
 
 #: Lumped resistance, ohm.
-ResistanceOhm = Annotated[float, QuantityKind("resistance_ohm")]
+ResistanceOhm = float
 
 #: Wire resistance per unit length, ohm / lambda.
-ResPerLength = Annotated[float, QuantityKind("res_per_length")]
+ResPerLength = float
 
 #: Elmore delay, ohm * pF products.
-DelayPs = Annotated[float, QuantityKind("delay_ps")]
+DelayPs = float
 
 #: A probability in [0, 1] (signal / transition / enable activity).
-Probability = Annotated[float, QuantityKind("probability")]
+Probability = float
 
 #: Switched capacitance per clock cycle: probability-weighted pF.
-SwitchedCap = Annotated[float, QuantityKind("switched_cap")]
+SwitchedCap = float
 
 #: Index of a node in a :class:`~repro.cts.topology.ClockTree`.
-NodeId = Annotated[int, QuantityKind("node_id")]
+NodeId = int
 
 #: A cardinality (numbers of sinks, gates, iterations, ...).
-Count = Annotated[int, QuantityKind("count")]
+Count = int
 
 #: A declared pure number (ratios, activity factors, weights).
-Dimensionless = Annotated[float, QuantityKind("dimensionless")]
+Dimensionless = float

@@ -1,6 +1,7 @@
 """Sharded routing: partition, per-shard DME, exact zero-skew stitch."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.check.errors import InputError
 from repro.core.flow import route_gated, route_sharded
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.cts.sharded import (
+    _worker_initializer,
     partition_sinks,
     route_shards,
     shard_edge_cap_sums,
@@ -20,7 +22,14 @@ from repro.cts.sharded import (
 )
 from repro.cts.topology import Sink
 from repro.geometry.point import Point
-from repro.obs import MetricsRegistry, get_registry, set_registry
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    get_registry,
+    get_tracer,
+    set_registry,
+    set_tracer,
+)
 from repro.tech.presets import date98_technology
 
 
@@ -292,3 +301,38 @@ class TestShardMetrics:
         assert registry.counter("shard.stitch_merges").value == 3
         # Per-shard merger counters fold in via MetricsRegistry.merge.
         assert registry.counter("dme.plans_computed").value > 0
+
+
+@pytest.fixture
+def parent_observability():
+    """An enabled tracer, a populated registry and running tracemalloc,
+    as a pool worker inherits them under ``fork``; all restored after."""
+    tracer = Tracer(enabled=True)
+    registry = MetricsRegistry()
+    registry.counter("shard.count").inc()
+    was_tracing = tracemalloc.is_tracing()
+    previous_tracer = set_tracer(tracer)
+    previous_registry = set_registry(registry)
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        yield tracer, registry
+    finally:
+        set_tracer(previous_tracer)
+        set_registry(previous_registry)
+        if was_tracing and not tracemalloc.is_tracing():
+            tracemalloc.start()
+        elif not was_tracing and tracemalloc.is_tracing():
+            tracemalloc.stop()
+
+
+class TestWorkerInitializer:
+    def test_resets_inherited_observability_state(self, parent_observability):
+        tracer, registry = parent_observability
+        _worker_initializer()
+        assert get_tracer() is not tracer
+        assert not get_tracer().enabled
+        assert get_registry() is not registry
+        assert isinstance(get_registry(), MetricsRegistry)
+        assert len(get_registry()) == 0
+        assert not tracemalloc.is_tracing()

@@ -1,11 +1,11 @@
-"""Engine behaviour: suppression comments, baseline, reporters."""
+"""Engine behaviour: suppression comments, reporters, errors."""
 
 import json
 
 import pytest
 
 from repro.check.errors import InputError
-from repro.lint import Baseline, render_json, render_text, run_lint
+from repro.lint import render_json, render_text, run_lint
 from repro.lint.report import REPORT_VERSION, report_dict
 
 VIOLATION = 'def f():\n    raise ValueError("boom")\n'
@@ -56,79 +56,23 @@ class TestSuppression:
         assert finding.diagnostic().startswith("mod.py: line 2: [REP002]")
 
 
-class TestBaseline:
-    def test_round_trip_then_clean(self, tmp_path):
-        write_module(tmp_path, VIOLATION)
-        first = run_lint([str(tmp_path)], project_root=str(tmp_path))
-        assert not first.clean
-        baseline_path = tmp_path / ".repro-lint-baseline.json"
-        Baseline.from_findings(first.findings).save(str(baseline_path))
-        baseline = Baseline.load(str(baseline_path))
-        assert len(baseline) == 1
-        second = run_lint(
-            [str(tmp_path)], project_root=str(tmp_path), baseline=baseline
-        )
-        assert second.clean
-        assert second.baselined == 1
-        assert second.stale_baseline == 0
-
-    def test_new_finding_still_fails(self, tmp_path):
-        write_module(tmp_path, VIOLATION)
-        baseline = Baseline.from_findings(
-            run_lint([str(tmp_path)], project_root=str(tmp_path)).findings
-        )
-        write_module(
-            tmp_path,
-            VIOLATION + '\ndef g():\n    raise RuntimeError("new")\n',
-        )
-        result = run_lint(
-            [str(tmp_path)], project_root=str(tmp_path), baseline=baseline
-        )
-        assert len(result.findings) == 1
-        assert "RuntimeError" in result.findings[0].message
-        assert result.baselined == 1
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        write_module(tmp_path, VIOLATION)
-        baseline = Baseline.from_findings(
-            run_lint([str(tmp_path)], project_root=str(tmp_path)).findings
-        )
-        write_module(tmp_path, "# a new leading comment\n" + VIOLATION)
-        result = run_lint(
-            [str(tmp_path)], project_root=str(tmp_path), baseline=baseline
-        )
-        assert result.clean
-        assert result.baselined == 1
-
-    def test_stale_entries_are_counted(self, tmp_path):
-        write_module(tmp_path, VIOLATION)
-        baseline = Baseline.from_findings(
-            run_lint([str(tmp_path)], project_root=str(tmp_path)).findings
-        )
-        write_module(tmp_path, "def f():\n    return 1\n")
-        result = run_lint(
-            [str(tmp_path)], project_root=str(tmp_path), baseline=baseline
-        )
-        assert result.clean
-        assert result.stale_baseline == 1
-
-    def test_malformed_baseline_raises_typed_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        with pytest.raises(InputError):
-            Baseline.load(str(bad))
-        bad.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(InputError):
-            Baseline.load(str(bad))
-
-
 class TestReporters:
     def test_json_schema(self, tmp_path):
         write_module(tmp_path, VIOLATION)
         result = run_lint([str(tmp_path)], project_root=str(tmp_path))
         payload = json.loads(render_json(result))
         assert payload == report_dict(result)
-        assert payload["version"] == REPORT_VERSION
+        assert payload["version"] == REPORT_VERSION == 3
+        assert set(payload) == {
+            "version",
+            "tool",
+            "clean",
+            "files_scanned",
+            "suppressed",
+            "stale_noqa",
+            "counts",
+            "findings",
+        }
         assert payload["tool"] == "repro-lint"
         assert payload["clean"] is False
         assert payload["files_scanned"] == 1

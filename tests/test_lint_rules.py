@@ -28,12 +28,12 @@ def run_rule(rule, source, path="src/repro/mod.py"):
 
 
 class TestCatalogShape:
-    def test_twelve_rules_with_unique_codes(self):
+    def test_seven_rules_with_unique_codes(self):
         rules = default_rules()
         codes = [r.code for r in rules]
         assert codes == sorted(codes)
-        assert len(set(codes)) == len(codes) == 12
-        assert codes == ["REP%03d" % i for i in range(1, 13)]
+        assert len(set(codes)) == len(codes) == 7
+        assert codes == ["REP%03d" % i for i in range(1, 8)]
 
     def test_every_rule_documents_rationale(self):
         for code, rule in rule_catalog().items():
