@@ -8,17 +8,29 @@ measurement, with the DME sub-phases alongside) and persists them to
 across PRs is attributable to phases instead of a single end-to-end
 number.
 
-The span tree must cover >= 95% of the wall clock of every routed
-flow -- untraced time means a phase is missing instrumentation.
+Three assertions make this a smoke gate rather than a report:
+
+* the span tree must cover >= 95% of the wall clock of every routed
+  flow -- untraced time means a phase is missing instrumentation;
+* process peak RSS after routing all five benchmarks stays under
+  :data:`RSS_CEILING_BYTES`;
+* ledger recording inflates the r1 root span by at most
+  :data:`OVERHEAD_CEILING` (``test_ledger_overhead``).
+
+CI re-checks both ceilings from the persisted values, so a blowup
+fails the build even if the bench itself survived it.
 
 Outputs:
 
 * ``benchmarks/results/phase_profile.txt`` -- one phase table per
   benchmark (via :func:`repro.analysis.report.format_phase_times`);
-* ``BENCH_phase_profile.json`` -- machine-readable per-phase rows.
+* ``BENCH_phase_profile.json`` -- machine-readable per-phase rows, the
+  process peak RSS and the ledger-overhead ratio.
 """
 
+import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -28,13 +40,17 @@ from repro.core.flow import route_gated
 from repro.obs import (
     DME_DETAIL_SPANS,
     MetricsRegistry,
+    RunLedger,
     Tracer,
+    load_json,
     phase_profile,
     record_from_trace,
     set_registry,
     set_tracer,
     write_bench_json,
+    write_json,
 )
+from repro.obs.jsonio import round_floats
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +58,28 @@ ROOT = Path(__file__).resolve().parent.parent
 #: small while the full-scale r3-r5 rows document the flow-level
 #: speedup trajectory (the JSON schema is identical at every scale).
 BENCHES = ("r1", "r2", "r3", "r4", "r5")
+
+#: Hard cap on process peak RSS after routing all five benchmarks at
+#: the CI scale (0.25).  The suite currently peaks well under 400 MiB;
+#: 1.5 GiB flags a genuine blowup (leaked trees, unbounded caches)
+#: without tripping on allocator noise across platforms.
+RSS_CEILING_BYTES = 1_536 * 1024 * 1024
+
+
+def peak_rss_bytes() -> Optional[int]:
+    """Process-lifetime peak RSS in bytes (``None`` where unavailable).
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; both are
+    normalized to bytes here.
+    """
+    try:
+        import resource
+    except ImportError:  # non-POSIX platform
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return int(rss)
+    return int(rss) * 1024
 
 
 @pytest.mark.benchmark(group="observability")
@@ -73,6 +111,7 @@ def test_phase_profile(run_once, tech, scale, record, ledger):
         return out
 
     traced = run_once(measure)
+    rss_peak = peak_rss_bytes()
 
     # Every traced route also lands in the run ledger, so the sentinel
     # can diff bench runs across commits the same way it diffs CLI runs.
@@ -125,6 +164,95 @@ def test_phase_profile(run_once, tech, scale, record, ledger):
             )
         )
 
-    payload = {"candidate_limit": 16, "rows": rows}
+    assert rss_peak < RSS_CEILING_BYTES, (
+        "peak RSS %.1f MiB exceeds the %.0f MiB ceiling"
+        % (rss_peak / 2**20, RSS_CEILING_BYTES / 2**20)
+    )
+
+    payload = {
+        "candidate_limit": 16,
+        "rss_peak_bytes": rss_peak,
+        "rss_ceiling_bytes": RSS_CEILING_BYTES,
+        "rows": rows,
+    }
     write_bench_json(ROOT / "BENCH_phase_profile.json", "phase_profile", payload)
     record("phase_profile", "\n\n".join(tables))
+
+
+#: Generous in-bench ceiling for the traced-vs-ledgered root-span
+#: ratio: the true overhead is ~0 by construction (see below), so the
+#: margin only absorbs scheduler noise on a ~50 ms span.
+OVERHEAD_CEILING = 1.05
+
+OVERHEAD_ROUNDS = 5
+
+
+@pytest.mark.benchmark(group="observability")
+def test_ledger_overhead(run_once, tech, scale, tmp_path):
+    """Ledger recording must not tax the flow it records.
+
+    A :class:`~repro.obs.ledger.RunRecord` is assembled *after* the
+    ``flow.route_gated`` root span closed, so the root span of a
+    ledgered run must time the same as a plainly traced one.  Measured
+    as a min-of-N ratio on r1 and persisted into the phase-profile
+    artifact (the acceptance bar is <= 2%; the asserted ceiling adds
+    noise margin).
+    """
+    case = load_benchmark("r1", scale=scale)
+    ledger = RunLedger(tmp_path / "ledger")
+
+    def _root_ns(with_ledger):
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            result = route_gated(
+                case.sinks,
+                tech,
+                case.oracle,
+                die=case.die,
+                candidate_limit=16,
+            )
+        finally:
+            set_tracer(previous)
+        (root,) = [s for s in tracer.spans if s.name == "flow.route_gated"]
+        if with_ledger:
+            ledger.save(
+                record_from_trace(
+                    kind="bench",
+                    label="overhead:r1",
+                    config={"benchmark": "r1", "candidate_limit": 16},
+                    tracer=tracer,
+                    pins=result.pins(),
+                    root_name="flow.route_gated",
+                )
+            )
+        return root.duration_ns
+
+    def measure():
+        traced = min(_root_ns(False) for _ in range(OVERHEAD_ROUNDS))
+        ledgered = min(_root_ns(True) for _ in range(OVERHEAD_ROUNDS))
+        return traced, ledgered
+
+    traced_ns, ledgered_ns = run_once(measure)
+    ratio = ledgered_ns / max(traced_ns, 1)
+    assert ratio <= OVERHEAD_CEILING, (
+        "ledger recording inflated the r1 root span %.1f%% (ceiling %.0f%%)"
+        % (100 * (ratio - 1), 100 * (OVERHEAD_CEILING - 1))
+    )
+
+    # Extend the artifact written by test_phase_profile (definition
+    # order runs it first; a standalone run starts fresh).
+    path = ROOT / "BENCH_phase_profile.json"
+    try:
+        payload = load_json(path)
+    except OSError:
+        payload = {}
+    payload["ledger_overhead"] = {
+        "benchmark": "r1",
+        "rounds": OVERHEAD_ROUNDS,
+        "root_ns_traced": traced_ns,
+        "root_ns_ledgered": ledgered_ns,
+        "ratio": ratio,
+        "ceiling": OVERHEAD_CEILING,
+    }
+    write_json(path, round_floats(payload))

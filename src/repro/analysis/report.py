@@ -123,25 +123,11 @@ def format_phase_times(
     ``profile`` comes from :func:`repro.obs.phase_profile` over a
     tracer's spans; the CLI prints this table whenever ``--trace`` is
     given, and the phase-profile bench persists the same rows to
-    ``BENCH_phase_profile.json``.  Traces recorded with a memory
-    sampler attached (``--profile-memory``) grow two extra columns:
-    peak heap growth and net allocated blocks per phase.
+    ``BENCH_phase_profile.json``.
     """
-    memory = profile.has_memory
     headers = ["phase", "spans", "seconds", "share"]
-    if memory:
-        headers += ["peak MiB", "allocs"]
-
-    def _mem_cells(peak, blocks):
-        if not memory:
-            return []
-        if peak is None:
-            return ["-", "-"]
-        return ["%.2f" % (peak / (1024.0 * 1024.0)), blocks]
-
     data = [
         [row.name, row.count, row.total_ns / 1e9, "%.1f%%" % (100 * row.fraction)]
-        + _mem_cells(row.mem_peak_bytes, row.mem_alloc_blocks)
         for row in profile.rows
     ]
     # Detail rows are nested inside phases already listed (they sit
@@ -154,7 +140,6 @@ def format_phase_times(
             row.total_ns / 1e9,
             "%.1f%%" % (100 * row.fraction),
         ]
-        + _mem_cells(row.mem_peak_bytes, row.mem_alloc_blocks)
         for row in profile.detail_rows
     )
     data.append(
@@ -164,7 +149,6 @@ def format_phase_times(
             profile.root_ns / 1e9,
             "%.1f%% covered" % (100 * profile.coverage),
         ]
-        + _mem_cells(profile.root_mem_peak_bytes, "")
     )
     return format_table(headers, data, title=title)
 

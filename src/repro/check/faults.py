@@ -193,14 +193,13 @@ FAULTS: Tuple[Fault, ...] = (
           "two distinct sinks at identical coordinates (merged with a "
           "zero-length edge and an exact split)",
           _colocate),
-    Fault("sharded_ledger_profile", "sinks", "ok",
+    Fault("sharded_ledger", "sinks", "ok",
           "valid inputs routed with --shards/--workers while the "
-          "parent records a ledger RunRecord with memory profiling: "
-          "the tracemalloc sampler and RunRecord assembly must stay "
-          "parent-only under multiprocessing",
+          "parent records a ledger RunRecord: RunRecord assembly must "
+          "stay parent-only under multiprocessing",
           lambda t: t,
           extra_argv=("--shards", "2", "--workers", "2",
-                      "--ledger", "{dir}/ledger", "--profile-memory")),
+                      "--ledger", "{dir}/ledger")),
     # -- ISA file ------------------------------------------------------
     Fault("truncated_isa", "isa", "error", "ISA JSON cut mid-token",
           lambda t: t[: len(t) // 2]),

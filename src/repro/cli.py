@@ -38,7 +38,7 @@ Examples::
 
     gated-cts route --benchmark r1 --scale 0.4 --method reduced --svg out.svg
     gated-cts route --sinks my.sinks --isa my_isa.json --instr-trace my.trace
-    gated-cts route --benchmark r1 --ledger --profile-memory
+    gated-cts route --benchmark r1 --ledger
     gated-cts compare --benchmark r2 --scale 0.4
     gated-cts sweep --benchmark r1 --scale 0.4 --points 6
     gated-cts study --spec studies/paper_fig3.json --out results.json
@@ -64,10 +64,8 @@ digest, environment fingerprint, phase tree, raw span rows, metrics
 registry snapshot -- merger plan counters, oracle cache hits,
 star-edge histograms, ... -- and result pins) into the run ledger
 (``.repro-runs/`` by default) for ``obs diff/trend/check``; it is the
-run's one artefact.  ``--profile-memory`` attaches the tracemalloc
-sampler so every span (and the printed phase table) carries peak-heap
-/ allocated-block columns, and ``--log-level debug`` surfaces the
-library's guarded debug logging.
+run's one artefact.  ``--log-level debug`` surfaces the library's
+guarded debug logging.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.bench.suite import benchmark_names, load_benchmark
-from repro.check.errors import ReproError
+from repro.check.errors import InputError, ReproError
 from repro.core.controller import ControllerLayout
 from repro.core.flow import route_buffered, route_gated, route_sharded
 from repro.core.gate_reduction import GateReductionPolicy
@@ -119,12 +117,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=list(LOG_LEVELS),
         help="configure the repro logger (handlers installed once)",
-    )
-    group.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help="attach the tracemalloc sampler: every span (and the "
-        "phase table) gains peak-heap and allocated-block columns",
     )
     group.add_argument(
         "--ledger",
@@ -231,8 +223,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
     if args.method == "buffered":
-        from repro.check.errors import InputError
-
         if args.refine:
             raise InputError(
                 "--refine applies to the gated/reduced methods only",
@@ -394,6 +384,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise InputError(
+            "--points must be >= 1, got %d" % args.points, field="points"
+        )
     tech = date98_technology()
     case = load_benchmark(
         args.benchmark, scale=args.scale, target_activity=args.activity, seed=args.seed
@@ -492,8 +486,6 @@ def _thresholds_from(args: argparse.Namespace):
     return Thresholds(
         time_rel=args.time_rel,
         time_floor_ns=int(args.time_floor_ms * 1e6),
-        mem_rel=args.mem_rel,
-        mem_floor_bytes=int(args.mem_floor_mb * 1024 * 1024),
         counter_rel=args.counter_rel,
     )
 
@@ -522,6 +514,8 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
     """The last N records as a time series with selected pins."""
     from repro.obs import RunLedger, format_trend
 
+    if args.last < 1:
+        raise InputError("--last must be >= 1, got %d" % args.last, field="last")
     records = RunLedger(args.dir).records()
     if not records:
         print("run ledger %s is empty" % args.dir)
@@ -588,18 +582,6 @@ def _add_thresholds(parser: argparse.ArgumentParser) -> None:
         help="phases faster than this in both runs are never flagged",
     )
     group.add_argument(
-        "--mem-rel",
-        type=float,
-        default=1.5,
-        help="peak-heap ratio above which bigger is a regression",
-    )
-    group.add_argument(
-        "--mem-floor-mb",
-        type=float,
-        default=1.0,
-        help="peaks below this in both runs are never flagged",
-    )
-    group.add_argument(
         "--counter-rel",
         type=float,
         default=0.25,
@@ -608,7 +590,7 @@ def _add_thresholds(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--sections",
         default=None,
-        help="comma list from pins,time,memory,counters (default all); "
+        help="comma list from pins,time,counters (default all); "
         "cross-machine CI checks typically use pins,counters",
     )
 
@@ -825,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = obs_sub.add_parser(
         "selftest",
-        help="plant synthetic time/memory/counter/pin regressions and "
+        help="plant synthetic time/counter/pin regressions and "
         "verify the sentinel catches all of them",
     )
     _add_thresholds(p_selftest)
@@ -900,14 +882,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "log_level", None) is not None:
         configure_logging(args.log_level)
-    profile_memory = getattr(args, "profile_memory", False)
     ledger_dir = getattr(args, "ledger", None)
-    tracing = (
-        getattr(args, "trace", None) is not None
-        or profile_memory
-        or ledger_dir is not None
-    )
-    tracer = enable_tracing(profile_memory=profile_memory) if tracing else None
+    tracing = getattr(args, "trace", None) is not None or ledger_dir is not None
+    tracer = enable_tracing() if tracing else None
     registry = None
     previous_registry = None
     if tracer is not None:
@@ -928,7 +905,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     finally:
         if tracer is not None:
-            disable_tracing()  # also stops an attached memory sampler
+            disable_tracing()
             if previous_registry is not None:
                 set_registry(previous_registry)
     if tracer is not None:
@@ -938,7 +915,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if ledger_dir is not None:
             # Assembled after the root span closed and tracing was
             # torn down, so the ledger's own work never pollutes the
-            # timings (or memory peaks) it records.
+            # timings it records.
             _record_run(args, tracer, registry)
         print(
             format_phase_times(

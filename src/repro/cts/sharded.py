@@ -178,22 +178,15 @@ def _route_one_shard(
 def _worker_initializer() -> None:
     """Make a forked/spawned worker process observability-safe.
 
-    Workers inherit the parent's process-global tracer (possibly with
-    an attached tracemalloc sampler whose feeder state belongs to the
-    parent), its metrics registry, and -- under ``fork`` -- a running
-    ``tracemalloc``.  Spans, samplers and the RunRecord ledger are
-    strictly parent-side concerns: install a disabled tracer and a
-    private registry, and stop any inherited allocation tracing before
+    Workers inherit the parent's process-global tracer and metrics
+    registry.  Spans and the RunRecord ledger are strictly parent-side
+    concerns: install a disabled tracer and a private registry before
     the shard does real work.
     """
-    import tracemalloc
-
     from repro.obs import Tracer, set_tracer
 
     set_tracer(Tracer(enabled=False))
     set_registry(MetricsRegistry())
-    if tracemalloc.is_tracing():
-        tracemalloc.stop()
 
 
 def _pool_route_shard(payload: Tuple) -> ShardRoute:

@@ -1,18 +1,26 @@
-"""Observability for the routing flow: spans, metrics, exporters.
+"""Observability for the routing flow: spans, metrics, run records.
 
-Two layers (see ``DESIGN.md``, sections "Observability" and "Run
-ledger & regression sentinel"):
+Nine modules in two layers (see ``DESIGN.md``, sections
+"Observability" and "Run ledger & regression sentinel").
+
+Recording, live during a run:
 
 * :mod:`repro.obs.tracer` -- hierarchical span tracing
   (``phase.subphase`` naming, ``perf_counter_ns`` timing, process
   -global default that is a true no-op until enabled);
 * :mod:`repro.obs.metrics` -- named counters / gauges / histograms the
   subsystem stat structs publish into;
-* :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON, per-phase
-  wall-clock (and memory) profiles;
+* :mod:`repro.obs.instrument` -- the bridges from those stat structs
+  into the registry;
+* :mod:`repro.obs.names` -- the checked-in catalog of span and metric
+  names;
 * :mod:`repro.obs.logconfig` -- one-shot ``repro`` logger setup for
-  the CLI's ``--log-level``;
-* :mod:`repro.obs.memory` -- opt-in per-span tracemalloc/RSS sampling;
+  the CLI's ``--log-level``.
+
+Keeping and comparing, after a run:
+
+* :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON and
+  per-phase wall-clock profiles;
 * :mod:`repro.obs.jsonio` -- the one JSON policy bench artifacts and
   run records share (schema key, float rounding, content digests);
 * :mod:`repro.obs.ledger` -- content-addressed :class:`RunRecord`
@@ -55,7 +63,6 @@ from repro.obs.ledger import (
     record_from_trace,
 )
 from repro.obs.logconfig import LOG_LEVELS, configure_logging
-from repro.obs.memory import MemorySampler, peak_rss_bytes, span_memory_attrs
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -89,7 +96,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LOG_LEVELS",
-    "MemorySampler",
     "MetricsRegistry",
     "NULL_SPAN",
     "PhaseProfile",
@@ -115,7 +121,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "load_json",
-    "peak_rss_bytes",
     "phase_profile",
     "publish_index_stats",
     "publish_merger_stats",
@@ -124,7 +129,6 @@ __all__ = [
     "self_test",
     "set_registry",
     "set_tracer",
-    "span_memory_attrs",
     "write_bench_json",
     "write_chrome_trace",
     "write_json",

@@ -81,24 +81,15 @@ class PhaseRow:
     total_ns: int
     fraction: float
     """Share of the root span(s) total; 0 when there is no root."""
-    mem_peak_bytes: Optional[int] = None
-    """Largest per-span heap peak among the phase's spans; only set
-    when the trace was recorded with a memory sampler attached."""
-    mem_alloc_blocks: Optional[int] = None
-    """Summed net allocated-block delta across the phase's spans."""
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "name": self.name,
             "count": self.count,
             "total_ns": self.total_ns,
             "total_s": self.total_ns / 1e9,
             "fraction": self.fraction,
         }
-        if self.mem_peak_bytes is not None:
-            out["mem_peak_bytes"] = self.mem_peak_bytes
-            out["mem_alloc_blocks"] = self.mem_alloc_blocks
-        return out
 
 
 @dataclass(frozen=True)
@@ -112,20 +103,11 @@ class PhaseProfile:
     """Totals of explicitly requested sub-phase names found at *any*
     depth under the roots (see ``phase_profile``'s ``detail_names``);
     nested inside ``rows`` entries, so excluded from ``covered_ns``."""
-    root_mem_peak_bytes: Optional[int] = None
-    """Largest root-span heap peak (memory-sampled traces only)."""
 
     @property
     def coverage(self) -> float:
         """Fraction of root wall-clock covered by depth-1 spans."""
         return self.covered_ns / self.root_ns if self.root_ns else 0.0
-
-    @property
-    def has_memory(self) -> bool:
-        """Was the trace recorded with a memory sampler attached?"""
-        return self.root_mem_peak_bytes is not None or any(
-            r.mem_peak_bytes is not None for r in self.rows
-        )
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -137,8 +119,6 @@ class PhaseProfile:
         }
         if self.detail_rows:
             out["detail"] = [r.as_dict() for r in self.detail_rows]
-        if self.root_mem_peak_bytes is not None:
-            out["root_mem_peak_bytes"] = self.root_mem_peak_bytes
         return out
 
 
@@ -150,31 +130,17 @@ DME_DETAIL_SPANS = ("dme.init_best", "dme.merge_loop", "dme.embed")
 
 
 class _PhaseAgg:
-    """Accumulator behind one :class:`PhaseRow`.
+    """Accumulator behind one :class:`PhaseRow`."""
 
-    Memory columns only materialize when at least one span of the
-    phase carries them (i.e. the trace was memory-sampled): the peak
-    aggregates as a max (spans of one phase run sequentially, so the
-    phase's high-water mark is its worst span), the block delta as a
-    sum.
-    """
-
-    __slots__ = ("count", "total_ns", "mem_peak", "mem_blocks")
+    __slots__ = ("count", "total_ns")
 
     def __init__(self):
         self.count = 0
         self.total_ns = 0
-        self.mem_peak: Optional[int] = None
-        self.mem_blocks: Optional[int] = None
 
     def add(self, span: SpanRecord) -> None:
         self.count += 1
         self.total_ns += span.duration_ns
-        peak = span.attrs.get("mem_peak_bytes")
-        if peak is not None:
-            self.mem_peak = peak if self.mem_peak is None else max(self.mem_peak, peak)
-            blocks = span.attrs.get("mem_alloc_blocks", 0)
-            self.mem_blocks = (self.mem_blocks or 0) + blocks
 
     def row(self, name: str, root_ns: int) -> PhaseRow:
         return PhaseRow(
@@ -182,8 +148,6 @@ class _PhaseAgg:
             count=self.count,
             total_ns=self.total_ns,
             fraction=(self.total_ns / root_ns) if root_ns else 0.0,
-            mem_peak_bytes=self.mem_peak,
-            mem_alloc_blocks=self.mem_blocks,
         )
 
 
@@ -212,9 +176,6 @@ def phase_profile(
     ]
     root_ids = {s.span_id for s in roots}
     root_ns = sum(s.duration_ns for s in roots)
-    root_peaks = [
-        s.attrs["mem_peak_bytes"] for s in roots if "mem_peak_bytes" in s.attrs
-    ]
     totals: Dict[str, _PhaseAgg] = {}
     order: Dict[str, int] = {}
     for span in spans:
@@ -252,6 +213,5 @@ def phase_profile(
         root_ns=root_ns,
         covered_ns=covered,
         detail_rows=detail_rows,
-        root_mem_peak_bytes=max(root_peaks) if root_peaks else None,
     )
 

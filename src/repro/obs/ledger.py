@@ -3,10 +3,9 @@
 Every flow/bench/CLI invocation can persist a :class:`RunRecord` --
 one JSON document holding the run's configuration, an environment
 fingerprint (git revision, Python, platform, seeds), the full span
-tree and per-phase profile (with memory columns when sampled), the
-metrics-registry snapshot, and the *result pins* (wirelength, switched
-capacitance, gate count, ...) that must stay byte-identical across
-refactors.
+tree and per-phase profile, the metrics-registry snapshot, and the
+*result pins* (wirelength, switched capacitance, gate count, ...) that
+must stay byte-identical across refactors.
 
 Records live in a ledger directory (``.repro-runs/`` by default) under
 ``<run_id>.json`` where ``run_id`` is the SHA-256 of the record's
@@ -186,10 +185,6 @@ class RunRecord:
     @property
     def root_ns(self) -> int:
         return self.phases.get("root_ns", 0)
-
-    @property
-    def root_mem_peak_bytes(self) -> Optional[int]:
-        return self.phases.get("root_mem_peak_bytes")
 
 
 def record_from_trace(

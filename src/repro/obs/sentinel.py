@@ -10,7 +10,6 @@ up section by section and emits one-line findings in the style of the
 * **time** -- per-phase wall-clock ratios, gated by a relative
   threshold *and* an absolute floor (a 2x blowup of a 2 ms phase is
   scheduler noise; a 2x blowup of a 2 s phase is a regression);
-* **memory** -- per-phase and root peak-heap ratios, same model;
 * **counters** -- work counters (``dme.plans_computed``,
   ``dme.kernel_batches``, ...) with a tight relative band in both
   directions: the merger doing 30% more *or* fewer plans than the
@@ -38,7 +37,7 @@ from repro.obs.ledger import RunRecord
 from repro.obs.metrics import get_registry
 
 #: Sections a comparison may cover, in report order.
-ALL_SECTIONS = ("pins", "time", "memory", "counters")
+ALL_SECTIONS = ("pins", "time", "counters")
 
 #: Statuses that make a diff fail (exit 1).
 FAILING = ("regression", "pin-mismatch")
@@ -52,20 +51,14 @@ class Thresholds:
     """Phase (and root) time ratio above which slower -> regression."""
     time_floor_ns: int = 50_000_000
     """Phases faster than this in *both* runs are never flagged."""
-    mem_rel: float = 1.5
-    """Peak-heap ratio above which bigger -> regression."""
-    mem_floor_bytes: int = 1_000_000
-    """Peaks below this in both runs are never flagged."""
     counter_rel: float = 0.25
     """Counters may drift this fraction in either direction."""
     counter_floor: int = 32
     """Counters at or below this in both runs are never flagged."""
 
     def __post_init__(self):
-        if self.time_rel <= 1.0 or self.mem_rel <= 1.0:
-            raise InputError(
-                "ratio thresholds must be > 1.0", field="thresholds"
-            )
+        if self.time_rel <= 1.0:
+            raise InputError("time_rel must be > 1.0", field="thresholds")
         if self.counter_rel < 0.0:
             raise InputError(
                 "counter_rel must be >= 0", field="thresholds"
@@ -145,39 +138,23 @@ class RunDiff:
         return "\n".join(lines)
 
 
-def _fmt_ns(ns: float) -> str:
-    return "%.4gs" % (ns / 1e9)
-
-
-def _fmt_bytes(n: float) -> str:
-    return "%.4gMiB" % (n / (1024.0 * 1024.0))
-
-
 def _ratio(baseline: float, current: float) -> Optional[float]:
     return (current / baseline) if baseline > 0 else None
 
 
-def _compare_scalar(
-    section: str,
-    name: str,
-    baseline: float,
-    current: float,
-    rel: float,
-    floor: float,
-    fmt,
-) -> Finding:
-    """Ratio-vs-threshold verdict for one timed/sized quantity."""
-    if baseline <= floor and current <= floor:
-        return Finding(section, name, "ok", baseline, current)
+def _compare_ns(name: str, baseline: int, current: int, t: Thresholds) -> Finding:
+    """Ratio-vs-threshold verdict for one timed quantity."""
+    if baseline <= t.time_floor_ns and current <= t.time_floor_ns:
+        return Finding("time", name, "ok", baseline, current)
     ratio = _ratio(baseline, current)
-    message = "%s -> %s" % (fmt(baseline), fmt(current))
+    message = "%.4gs -> %.4gs" % (baseline / 1e9, current / 1e9)
     if ratio is not None:
-        message += " (%.2fx, threshold %.2fx)" % (ratio, rel)
-    if ratio is None or ratio > rel:
-        return Finding(section, name, "regression", baseline, current, ratio, message)
-    if ratio < 1.0 / rel:
-        return Finding(section, name, "improved", baseline, current, ratio, message)
-    return Finding(section, name, "ok", baseline, current, ratio)
+        message += " (%.2fx, threshold %.2fx)" % (ratio, t.time_rel)
+    if ratio is None or ratio > t.time_rel:
+        return Finding("time", name, "regression", baseline, current, ratio, message)
+    if ratio < 1.0 / t.time_rel:
+        return Finding("time", name, "improved", baseline, current, ratio, message)
+    return Finding("time", name, "ok", baseline, current, ratio)
 
 
 def _compare_pins(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
@@ -208,10 +185,7 @@ def _compare_pins(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
 def _compare_time(
     baseline: RunRecord, current: RunRecord, t: Thresholds
 ) -> Iterable[Finding]:
-    yield _compare_scalar(
-        "time", "(root)", baseline.root_ns, current.root_ns,
-        t.time_rel, t.time_floor_ns, _fmt_ns,
-    )
+    yield _compare_ns("(root)", baseline.root_ns, current.root_ns, t)
     base_rows, cur_rows = baseline.phase_rows(), current.phase_rows()
     for name in sorted(set(base_rows) | set(cur_rows)):
         if name not in cur_rows:
@@ -220,31 +194,8 @@ def _compare_time(
         if name not in base_rows:
             yield Finding("time", name, "new", message="phase not in baseline")
             continue
-        yield _compare_scalar(
-            "time", name,
-            base_rows[name]["total_ns"], cur_rows[name]["total_ns"],
-            t.time_rel, t.time_floor_ns, _fmt_ns,
-        )
-
-
-def _compare_memory(
-    baseline: RunRecord, current: RunRecord, t: Thresholds
-) -> Iterable[Finding]:
-    base_root, cur_root = baseline.root_mem_peak_bytes, current.root_mem_peak_bytes
-    if base_root is not None and cur_root is not None:
-        yield _compare_scalar(
-            "memory", "(root)", base_root, cur_root,
-            t.mem_rel, t.mem_floor_bytes, _fmt_bytes,
-        )
-    base_rows, cur_rows = baseline.phase_rows(), current.phase_rows()
-    for name in sorted(set(base_rows) & set(cur_rows)):
-        base_peak = base_rows[name].get("mem_peak_bytes")
-        cur_peak = cur_rows[name].get("mem_peak_bytes")
-        if base_peak is None or cur_peak is None:
-            continue
-        yield _compare_scalar(
-            "memory", name, base_peak, cur_peak,
-            t.mem_rel, t.mem_floor_bytes, _fmt_bytes,
+        yield _compare_ns(
+            name, base_rows[name]["total_ns"], cur_rows[name]["total_ns"], t
         )
 
 
@@ -296,8 +247,6 @@ def compare_runs(
         diff.findings.extend(_compare_pins(baseline, current))
     if "time" in sections:
         diff.findings.extend(_compare_time(baseline, current, thresholds))
-    if "memory" in sections:
-        diff.findings.extend(_compare_memory(baseline, current, thresholds))
     if "counters" in sections:
         diff.findings.extend(_compare_counters(baseline, current, thresholds))
     registry = get_registry()
@@ -313,17 +262,15 @@ def format_trend(records: Sequence[RunRecord], pins: Sequence[str] = ()) -> str:
     """One line per record, oldest first: the ledger as a time series."""
     from repro.analysis.report import format_table
 
-    headers = ["run", "created", "label", "root s", "peak MiB", "plans"]
+    headers = ["run", "created", "label", "root s", "plans"]
     headers += list(pins)
     rows = []
     for record in records:
-        peak = record.root_mem_peak_bytes
         row = [
             record.run_id[:12],
             record.created_unix,
             record.label,
             record.root_ns / 1e9,
-            (peak / (1024.0 * 1024.0)) if peak is not None else "-",
             record.counters().get("dme.plans_computed", "-"),
         ]
         row += [record.pins.get(name, "-") for name in pins]
@@ -336,27 +283,24 @@ def format_trend(records: Sequence[RunRecord], pins: Sequence[str] = ()) -> str:
 # ----------------------------------------------------------------------
 def synthetic_record(
     time_factor: float = 1.0,
-    mem_factor: float = 1.0,
     counter_factor: float = 1.0,
     pins: Optional[Dict[str, Any]] = None,
 ) -> RunRecord:
     """A small, fully deterministic record for sentinel self-tests.
 
-    Factors scale the planted ``topology.gated`` phase time, its peak
-    memory, and the ``dme.plans_computed`` counter relative to the
-    canonical baseline shape, so tests (and ``obs selftest``) can plant
-    a precise synthetic regression.
+    Factors scale the planted ``topology.gated`` phase time and the
+    ``dme.plans_computed`` counter relative to the canonical baseline
+    shape, so tests (and ``obs selftest``) can plant a precise
+    synthetic regression.
     """
     topo_ns = int(2_000_000_000 * time_factor)
     measure_ns = 100_000_000
     root_ns = topo_ns + measure_ns + 50_000_000
-    topo_peak = int(64_000_000 * mem_factor)
     phases = {
         "root_ns": root_ns,
         "root_s": root_ns / 1e9,
         "covered_ns": topo_ns + measure_ns,
         "coverage": (topo_ns + measure_ns) / root_ns,
-        "root_mem_peak_bytes": max(topo_peak, 8_000_000),
         "phases": [
             {
                 "name": "topology.gated",
@@ -364,8 +308,6 @@ def synthetic_record(
                 "total_ns": topo_ns,
                 "total_s": topo_ns / 1e9,
                 "fraction": topo_ns / root_ns,
-                "mem_peak_bytes": topo_peak,
-                "mem_alloc_blocks": 1000,
             },
             {
                 "name": "flow.measure",
@@ -373,8 +315,6 @@ def synthetic_record(
                 "total_ns": measure_ns,
                 "total_s": measure_ns / 1e9,
                 "fraction": measure_ns / root_ns,
-                "mem_peak_bytes": 8_000_000,
-                "mem_alloc_blocks": 200,
             },
         ],
     }
@@ -403,9 +343,9 @@ def synthetic_record(
 def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
     """Does the sentinel catch planted regressions and pass clean runs?
 
-    Plants a synthetic 2x ``topology.gated`` slowdown, a 3x memory
-    spike, a counter blowup and a pin flip against the canonical
-    baseline, and also diffs the baseline against itself.  Returns
+    Plants a synthetic 2x ``topology.gated`` slowdown, a counter
+    blowup and a pin flip against the canonical baseline, and also
+    diffs the baseline against itself.  Returns
     ``(ok, report)`` where ``ok`` requires every planted fault to be
     caught *and* the identical pair to diff clean.
     """
@@ -420,7 +360,6 @@ def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
 
     planted = {
         "2x topology.gated slowdown": synthetic_record(time_factor=2.0),
-        "3x memory spike": synthetic_record(mem_factor=3.0),
         "counter blowup": synthetic_record(counter_factor=2.0),
         "pin flip": synthetic_record(
             pins={"wirelength": 123456.789013, "gate_count": 254}

@@ -92,7 +92,6 @@ class Span:
         "name",
         "attrs",
         "_start_ns",
-        "_mem",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]):
@@ -102,7 +101,6 @@ class Span:
         self.span_id = -1
         self.parent_id: Optional[int] = None
         self._start_ns = 0
-        self._mem = None
 
     def set(self, **attrs) -> "Span":
         """Attach attributes to the span; chainable."""
@@ -116,8 +114,6 @@ class Span:
         stack = tracer._stack
         self.parent_id = stack[-1].span_id if stack else None
         stack.append(self)
-        if tracer._sampler is not None:
-            self._mem = tracer._sampler.push()
         self._start_ns = tracer._clock()
         return self
 
@@ -126,10 +122,6 @@ class Span:
         if exc_type is not None:
             # Record the failure but never swallow it.
             self.attrs.setdefault("error", exc_type.__name__)
-        sampler = self._tracer._sampler
-        if self._mem is not None and sampler is not None:
-            self.attrs.update(sampler.pop(self._mem))
-            self._mem = None
         stack = self._tracer._stack
         # The span may close out of order only if user code misuses the
         # context managers; drop everything above it so the stack never
@@ -169,22 +161,12 @@ class Tracer:
         self._stack: List[Span] = []
         self._clock = clock
         self._next_id = 0
-        self._sampler = None
 
     def span(self, name: str, **attrs):
         """Open a span named ``name`` with initial attributes."""
         if not self.enabled:
             return NULL_SPAN
         return Span(self, name, attrs)
-
-    def set_sampler(self, sampler) -> None:
-        """Attach a :class:`~repro.obs.memory.MemorySampler` (or None).
-
-        While attached, every finished span carries the sampler's
-        memory columns (``mem_peak_bytes`` / ``mem_net_bytes`` /
-        ``mem_alloc_blocks``) in its attributes.
-        """
-        self._sampler = sampler
 
     def reset(self) -> None:
         """Drop all finished spans (open spans keep recording)."""
@@ -208,33 +190,14 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def enable_tracing(profile_memory: bool = False) -> Tracer:
-    """Install (and return) a fresh enabled global tracer.
-
-    ``profile_memory=True`` also starts a
-    :class:`~repro.obs.memory.MemorySampler` and attaches it, so every
-    span records its peak/net heap columns; pair with
-    :func:`disable_tracing`, which stops an attached sampler.
-    """
+def enable_tracing() -> Tracer:
+    """Install (and return) a fresh enabled global tracer."""
     tracer = Tracer(enabled=True)
-    if profile_memory:
-        from repro.obs.memory import MemorySampler
-
-        tracer.set_sampler(MemorySampler().start())
     set_tracer(tracer)
     return tracer
 
 
 def disable_tracing() -> Tracer:
-    """Install a fresh disabled global tracer; returns the old one.
-
-    Stops the old tracer's memory sampler, if one was attached, so
-    ``tracemalloc`` does not keep taxing allocations after tracing is
-    turned off.
-    """
-    previous = set_tracer(Tracer(enabled=False))
-    if previous._sampler is not None:
-        previous._sampler.stop()
-        previous.set_sampler(None)
-    return previous
+    """Install a fresh disabled global tracer; returns the old one."""
+    return set_tracer(Tracer(enabled=False))
 

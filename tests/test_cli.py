@@ -73,6 +73,14 @@ class TestCommands:
         assert "Fig. 5 sweep" in out
         assert out.count("\n") >= 5
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_sweep_rejects_nonpositive_points(self, capsys, points):
+        code = main(["sweep", "--scale", "0.06", "--points", points])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "Fig. 5 sweep" not in captured.out
+
     def test_exact_greedy_option(self, capsys):
         # --candidate-limit 0 selects the exact greedy.
         assert main(

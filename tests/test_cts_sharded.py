@@ -1,7 +1,6 @@
 """Sharded routing: partition, per-shard DME, exact zero-skew stitch."""
 
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,25 +304,18 @@ class TestShardMetrics:
 
 @pytest.fixture
 def parent_observability():
-    """An enabled tracer, a populated registry and running tracemalloc,
-    as a pool worker inherits them under ``fork``; all restored after."""
+    """An enabled tracer and a populated registry, as a pool worker
+    inherits them under ``fork``; both restored after."""
     tracer = Tracer(enabled=True)
     registry = MetricsRegistry()
     registry.counter("shard.count").inc()
-    was_tracing = tracemalloc.is_tracing()
     previous_tracer = set_tracer(tracer)
     previous_registry = set_registry(registry)
-    if not was_tracing:
-        tracemalloc.start()
     try:
         yield tracer, registry
     finally:
         set_tracer(previous_tracer)
         set_registry(previous_registry)
-        if was_tracing and not tracemalloc.is_tracing():
-            tracemalloc.start()
-        elif not was_tracing and tracemalloc.is_tracing():
-            tracemalloc.stop()
 
 
 class TestWorkerInitializer:
@@ -335,4 +327,3 @@ class TestWorkerInitializer:
         assert get_registry() is not registry
         assert isinstance(get_registry(), MetricsRegistry)
         assert len(get_registry()) == 0
-        assert not tracemalloc.is_tracing()

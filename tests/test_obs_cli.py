@@ -1,4 +1,4 @@
-"""CLI observability surface: --ledger, --profile-memory, obs subcommands."""
+"""CLI observability surface: --ledger, obs subcommands."""
 
 import pytest
 
@@ -24,13 +24,6 @@ class TestLedgerFlag:
         assert record.pins["wirelength"] > 0
         assert record.root_ns > 0
         assert record.counters()  # fresh per-invocation registry populated
-
-    def test_profile_memory_annotates_record(self, tmp_path):
-        assert _route(tmp_path, "--profile-memory") == 0
-        (record,) = RunLedger(tmp_path).records()
-        assert record.root_mem_peak_bytes is not None
-        topo = record.phase_rows()["topology.gated"]
-        assert topo["mem_peak_bytes"] > 0
 
     def test_identical_routes_collapse_and_diff_clean(self, tmp_path, capsys):
         assert _route(tmp_path) == 0
@@ -119,6 +112,15 @@ class TestObsCommands:
         )
         assert code == 0
         assert "wirelength" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("last", ["0", "-1"])
+    def test_trend_rejects_nonpositive_last(self, synthetic_ledger, capsys, last):
+        ledger_dir, _, _ = synthetic_ledger
+        code = main(["obs", "trend", "--dir", str(ledger_dir), "--last", last])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "Run-ledger trend" not in captured.out
 
     def test_selftest_exit_0(self, capsys):
         assert main(["obs", "selftest"]) == 0

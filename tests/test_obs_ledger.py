@@ -115,6 +115,59 @@ class TestRunRecord:
         assert record.counters()["dme.plans_computed"] == 100
 
 
+def _with_memory_columns(record):
+    """``record`` as older ledgers stored memory-profiled runs.
+
+    Runs recorded with the retired tracemalloc sampler carry
+    ``mem_*`` attributes on every span and phase row plus a
+    ``root_mem_peak_bytes`` phase key; the record schema is unchanged.
+    """
+    spans = [
+        dict(
+            span,
+            attrs=dict(
+                span["attrs"],
+                mem_peak_bytes=4096,
+                mem_net_bytes=-128,
+                mem_alloc_blocks=7,
+            ),
+        )
+        for span in record.spans
+    ]
+    phases = dict(record.phases, root_mem_peak_bytes=65536)
+    for key in ("phases", "detail"):
+        phases[key] = [
+            dict(row, mem_peak_bytes=2048, mem_alloc_blocks=3)
+            for row in record.phases[key]
+        ]
+    return RunRecord(
+        kind=record.kind,
+        label=record.label,
+        config=record.config,
+        fingerprint=record.fingerprint,
+        phases=phases,
+        spans=spans,
+        metrics=record.metrics,
+        pins=record.pins,
+        created_unix=record.created_unix,
+    )
+
+
+class TestOldRecords:
+    def test_memory_profiled_record_loads_and_diffs_clean(self, tmp_path):
+        plain = _record()
+        old = _with_memory_columns(plain)
+        ledger = RunLedger(tmp_path)
+        ledger.save(old)
+        loaded = ledger.load(old.run_id[:12])
+        assert loaded.run_id == old.run_id != plain.run_id
+        assert loaded.phases["root_mem_peak_bytes"] == 65536
+        for baseline, current in ((loaded, loaded), (loaded, plain), (plain, loaded)):
+            diff = compare_runs(baseline, current)
+            assert diff.ok, diff.report()
+            assert not diff.notable()
+
+
 class TestRunLedger:
     def test_save_is_idempotent(self, tmp_path):
         ledger = RunLedger(tmp_path)

@@ -22,7 +22,7 @@ class TestCleanDiffs:
     def test_small_drift_within_thresholds_is_clean(self):
         diff = compare_runs(
             synthetic_record(),
-            synthetic_record(time_factor=1.2, mem_factor=1.1, counter_factor=1.1),
+            synthetic_record(time_factor=1.2, counter_factor=1.1),
         )
         assert diff.ok
 
@@ -37,11 +37,6 @@ class TestPlantedRegressions:
         diff = compare_runs(synthetic_record(), synthetic_record(time_factor=2.0))
         assert diff.exit_code == 1
         assert _statuses(diff, "time")["topology.gated"] == "regression"
-
-    def test_memory_regression_caught(self):
-        diff = compare_runs(synthetic_record(), synthetic_record(mem_factor=3.0))
-        assert not diff.ok
-        assert _statuses(diff, "memory")["topology.gated"] == "regression"
 
     def test_counter_blowup_caught_both_directions(self):
         up = compare_runs(synthetic_record(), synthetic_record(counter_factor=2.0))
@@ -72,12 +67,6 @@ class TestNoiseModel:
         floors = Thresholds(time_floor_ns=10_000_000_000)
         assert compare_runs(base, blown, floors, sections=("time",)).ok
 
-    def test_memory_floor_suppresses_small_peaks(self):
-        base = synthetic_record()
-        blown = synthetic_record(mem_factor=3.0)
-        floors = Thresholds(mem_floor_bytes=1_000_000_000)
-        assert compare_runs(base, blown, floors, sections=("memory",)).ok
-
     def test_counter_floor_suppresses_small_counts(self):
         base = synthetic_record(counter_factor=0.001)  # 5 plans
         cur = synthetic_record(counter_factor=0.004)  # 20 plans, 4x
@@ -93,8 +82,6 @@ class TestNoiseModel:
     def test_threshold_validation(self):
         with pytest.raises(InputError):
             Thresholds(time_rel=0.9)
-        with pytest.raises(InputError):
-            Thresholds(mem_rel=1.0)
         with pytest.raises(InputError):
             Thresholds(counter_rel=-0.1)
 
