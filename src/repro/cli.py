@@ -200,16 +200,6 @@ def _load_external(args: argparse.Namespace):
 def _cmd_route(args: argparse.Namespace) -> int:
     from repro.core.gate_sizing import GateSizingPolicy
 
-    tech = date98_technology()
-    if args.sinks:
-        case = _load_external(args)
-    else:
-        case = load_benchmark(
-            args.benchmark,
-            scale=args.scale,
-            target_activity=args.activity,
-            seed=args.seed,
-        )
     refine = None
     if args.refine:
         from repro.cts.refine import RefineConfig
@@ -219,8 +209,20 @@ def _cmd_route(args: argparse.Namespace) -> int:
         # annealer, so `gen --seed S` piped into `route --refine
         # --seed S` is reproducible end to end.
         refine = RefineConfig(
-            moves=args.moves,
+            moves=RefineConfig.moves if args.moves is None else args.moves,
             seed=args.seed if args.seed is not None else 0,
+        )
+    elif args.moves is not None:
+        raise InputError("--moves applies to --refine only", field="moves")
+    tech = date98_technology()
+    if args.sinks:
+        case = _load_external(args)
+    else:
+        case = load_benchmark(
+            args.benchmark,
+            scale=args.scale,
+            target_activity=args.activity,
+            seed=args.seed,
         )
     if args.method == "buffered":
         if args.refine:
@@ -672,9 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument(
         "--moves",
         type=int,
-        default=200,
+        default=None,
         metavar="N",
-        help="move budget for --refine (default 200)",
+        help="move budget for --refine (default 200; requires --refine)",
     )
     p_route.add_argument("--out", default=None, help="write the tree as JSON")
     p_route.add_argument("--svg", default=None, help="write a layout SVG")
@@ -895,6 +897,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         registry = MetricsRegistry()
         previous_registry = set_registry(registry)
     try:
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise InputError("--seed must be non-negative, got %d" % seed, field="seed")
         code = args.func(args)
     except (ReproError, OSError) as exc:
         if getattr(args, "log_level", None) == "debug":

@@ -26,9 +26,13 @@ invalidates (repaired in place by :func:`~repro.cts.reembed.rebalance`,
 the node step :func:`~repro.cts.reembed.reembed` loops over), plus the
 unmasked regions whose effective enable probability the move flips.
 The repair already leaves every node's bottom-up state exact, so an
-*accepted* tree move only re-places the tree top-down
-(:meth:`~repro.cts.topology.ClockTree.place`) and pays for an exact
-whole-network re-measurement.  A keep-best snapshot
+*accepted* tree move only re-places what it changed --
+:meth:`~repro.cts.topology.ClockTree.place` walks down the repaired
+root path and into the subtrees whose placements moved, checking each
+node it re-places -- and re-measures the cached per-node Eq. 3 terms
+of the affected set plus the re-placed nodes.  Folding the cached
+terms in the whole-network accounting's order gives the exact cost bit
+for bit.  A keep-best snapshot
 (``ClockTree.clone``) makes the pass monotone from the caller's
 perspective: the returned tree is the best exactly-measured state ever
 visited, never worse than the input.
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -57,17 +61,6 @@ from repro.tech.parameters import Technology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import ControllerLayout
-
-# ``repro.core`` builds on this package, so the Eq. 3 accounting and
-# controller geometry helpers must be imported lazily: a module-level
-# import would close the cts -> core -> cts cycle during package init.
-
-
-def _core():
-    from repro.core.controller import gate_location
-    from repro.core.switched_cap import clock_tree_switched_cap
-
-    return gate_location, clock_tree_switched_cap
 
 __all__ = ["RefineConfig", "RefineResult", "AnnealingRefiner", "refine_tree"]
 
@@ -104,6 +97,21 @@ _COOLING_RATIO = 1e-3
 _WEIGHTS = (0.45, 0.35, 0.20)
 
 
+class _Move(NamedTuple):
+    """A proposed move, applied to the tree and scored by the screen."""
+
+    delta: float
+    """Screen cost change (exact for reassignments)."""
+    kind: str
+    """``"nni"``, ``"gate"`` or ``"reassign"``."""
+    snapshot: Optional[Dict[int, tuple]]
+    """Pre-move fields of the affected set; ``None`` for reassignments."""
+    assignment_undo: Optional[Tuple[int, int]]
+    """``(gate id, previous controller)`` when the assignment changed."""
+    path: Tuple[int, ...] = ()
+    """Root path the zero-skew repair re-merged (tree moves)."""
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     """Annealing knobs; the defaults match the CLI's ``--refine``."""
@@ -117,6 +125,8 @@ class RefineConfig:
     def __post_init__(self):
         if self.moves < 0:
             raise InputError("move budget must be non-negative", field="moves")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative", field="seed")
 
 
 @dataclass
@@ -181,7 +191,6 @@ class AnnealingRefiner:
         self.oracle = oracle
         self.layout = layout
         self.config = config
-        self._gate_location, self._clock_tree_cap = _core()
         self.rng = np.random.default_rng(config.seed)
         self.result = RefineResult()
         #: Explicit controller assignment for gates the pass touched;
@@ -196,18 +205,31 @@ class AnnealingRefiner:
             n.id for n in tree.internal_nodes() if n.id != root and n.parent is not None
         ]
         self._edge_ids = [n.id for n in tree.nodes() if n.id != root and n.parent is not None]
+        #: Cached Eq. 3 terms of the current state: every node's W(T)
+        #: term (by id) and every gate's star term (by gate id).
+        self._tree_terms: List[float] = [0.0] * len(tree)
+        self._star_terms: Dict[int, float] = {}
+        self._refresh_terms([root] + self._edge_ids)
 
     # ------------------------------------------------------------------
-    # exact cost accounting
+    # Eq. 3 terms and the cached exact cost
     # ------------------------------------------------------------------
-    def _star_cost(self) -> float:
-        """Exact ``W(S)`` under the current placements and assignment."""
-        return sum(self._star_term(node) for node in self.tree.gates())
+    def _tree_term(self, node: ClockNode) -> float:
+        """``W(T)`` term of one node: the root's attached cap, or an
+        edge's wire plus attached cap, at the effective enable."""
+        a_clk = self.tech.clock_transitions_per_cycle
+        eff = self._effective_probability(node)
+        attached = self.tree.attached_cap(node.id)
+        if node.id == self.tree.root_id:
+            return eff * attached * a_clk
+        wire = self.tech.unit_wire_capacitance * node.edge_length
+        return a_clk * eff * (wire + attached)
 
     def _star_term(self, node: ClockNode) -> float:
+        """``W(S)`` term of one gate; its pin is its parent's placement."""
         c = self.tech.unit_wire_capacitance
         gate_in = self.tech.masking_gate.input_cap
-        pin = self._gate_location(self.tree, node)
+        pin = self.tree.node(node.parent).location
         index = self.assignment.get(node.id)
         if index is None:
             index, ctrl = self.layout.controller_for(pin)
@@ -216,8 +238,52 @@ class AnnealingRefiner:
         length = pin.manhattan_to(ctrl)
         return (c * length + gate_in) * node.enable_transition_probability
 
-    def _exact_cost(self) -> float:
-        return self._clock_tree_cap(self.tree, self.tech) + self._star_cost()
+    def _star_cost(self) -> float:
+        """Exact ``W(S)`` under the current placements and assignment."""
+        return sum(self._star_term(node) for node in self.tree.gates())
+
+    def _refresh_terms(self, ids: Iterable[int]) -> None:
+        """Recompute the cached terms of the given nodes."""
+        root = self.tree.root_id
+        for nid in ids:
+            node = self.tree.node(nid)
+            self._tree_terms[nid] = self._tree_term(node)
+            if nid != root and node.has_gate:
+                self._star_terms[nid] = self._star_term(node)
+            else:
+                self._star_terms.pop(nid, None)
+
+    def _cost(self) -> float:
+        """Exact ``W(T) + W(S)`` folded from the cached terms.
+
+        The fold follows ``clock_tree_switched_cap`` (root term, then
+        ``+=`` over edges by node id) and :meth:`_star_cost` (``sum()``
+        over gates by id), so it equals a whole-network re-measurement
+        bit for bit.
+        """
+        terms = self._tree_terms
+        total = terms[self.tree.root_id]
+        for nid in self._edge_ids:
+            total += terms[nid]
+        stars = self._star_terms
+        return total + sum(stars[nid] for nid in sorted(stars))
+
+    def _commit(self, move: _Move) -> None:
+        """Bring placements and cached terms up to date with an
+        accepted move.
+
+        A tree move re-places only what it changed -- the subtrees
+        below its repaired root path whose placements moved -- and
+        re-measures the affected set plus the re-placed nodes (a gate's
+        star term follows its parent's placement).  A reassignment
+        changes one gate's star term.
+        """
+        if move.snapshot is None:
+            assert move.assignment_undo is not None
+            self._refresh_terms((move.assignment_undo[0],))
+            return
+        replaced = self.tree.place(changed=set(move.path))
+        self._refresh_terms(set(move.snapshot).union(replaced))
 
     # ------------------------------------------------------------------
     # incremental screen: affected sets and local Eq. 3 terms
@@ -263,25 +329,16 @@ class AnnealingRefiner:
     def _local_cost(self, ids: Set[int]) -> float:
         """Eq. 3 terms of the given nodes only (clock + star shares).
 
-        Same per-edge formula as
-        :func:`repro.core.switched_cap.clock_tree_switched_cap` plus the
-        star terms of gated members; deltas of two evaluations over one
-        id set are exact whenever the set covers everything the move
-        changed -- placements excepted, which the post-accept
-        re-placement and exact re-measurement settle.
+        Deltas of two evaluations over one id set are exact whenever
+        the set covers everything the move changed -- placements
+        excepted, which the accept path's re-placement settles.
         """
-        c = self.tech.unit_wire_capacitance
-        a_clk = self.tech.clock_transitions_per_cycle
         root = self.tree.root_id
         total = 0.0
         for nid in sorted(ids):
             node = self.tree.node(nid)
-            eff = self._effective_probability(node)
-            if nid == root:
-                total += eff * self.tree.attached_cap(nid) * a_clk
-                continue
-            total += a_clk * eff * (c * node.edge_length + self.tree.attached_cap(nid))
-            if node.has_gate:
+            total += self._tree_term(node)
+            if nid != root and node.has_gate:
                 total += self._star_term(node)
         return total
 
@@ -319,7 +376,7 @@ class AnnealingRefiner:
             rebalance(self.tree, self.tree.node(nid))
 
     # ------------------------------------------------------------------
-    # move proposals: each returns (delta, undo) or None if infeasible
+    # move proposals: each returns a _Move, or None if infeasible
     # ------------------------------------------------------------------
     def _propose_nni(self):
         """Swap a random child of a random internal node with its
@@ -342,9 +399,8 @@ class AnnealingRefiner:
         moved_id = pivot.children[slot]
         kept_id = pivot.children[1 - slot]
 
-        affected = self._affected(
-            self._path_ids(pivot_id), (moved_id, kept_id, sibling_id)
-        )
+        path = self._path_ids(pivot_id)
+        affected = self._affected(path, (moved_id, kept_id, sibling_id))
         before = self._local_cost(affected)
         snapshot = self._snapshot(affected)
 
@@ -373,7 +429,7 @@ class AnnealingRefiner:
             self._restore(snapshot)
             return None
         delta = self._local_cost(affected) - before
-        return delta, snapshot, None, "nni"
+        return _Move(delta, "nni", snapshot, None, tuple(path))
 
     def _propose_gate_toggle(self):
         """Insert a masking gate on a bare edge, or remove one."""
@@ -382,7 +438,8 @@ class AnnealingRefiner:
         if node.edge_cell is not None and not node.edge_maskable:
             return None  # buffers (e.g. demoted gates) are off-limits
         assert node.parent is not None
-        affected = self._affected(self._path_ids(node.parent), (edge_id,))
+        path = self._path_ids(node.parent)
+        affected = self._affected(path, (edge_id,))
         before = self._local_cost(affected)
         snapshot = self._snapshot(affected)
         old_assignment = self.assignment.get(edge_id, _NO_ASSIGNMENT)
@@ -403,13 +460,13 @@ class AnnealingRefiner:
             self._undo(None, (edge_id, old_assignment))
             return None
         delta = self._local_cost(affected) - before
-        return delta, snapshot, (edge_id, old_assignment), "gate"
+        return _Move(delta, "gate", snapshot, (edge_id, old_assignment), tuple(path))
 
     def _propose_reassign(self):
         """Move one gate's enable route to a different controller.
 
         Exact by construction (no tree state changes), so acceptance
-        skips the re-place/re-measure escalation entirely.
+        only refreshes the gate's cached star term.
         """
         if self.layout.count < 2:
             return None
@@ -417,7 +474,7 @@ class AnnealingRefiner:
         if not gates:
             return None
         node = gates[int(self.rng.integers(len(gates)))]
-        pin = self._gate_location(self.tree, node)
+        pin = self.tree.node(node.parent).location
         current = self.assignment.get(node.id)
         if current is None:
             current, _ = self.layout.controller_for(pin)
@@ -430,7 +487,7 @@ class AnnealingRefiner:
         delta = c * (new_len - old_len) * node.enable_transition_probability
         old_assignment = self.assignment.get(node.id, _NO_ASSIGNMENT)
         self.assignment[node.id] = target
-        return delta, None, (node.id, old_assignment), "reassign"
+        return _Move(delta, "reassign", None, (node.id, old_assignment))
 
     # ------------------------------------------------------------------
     # the annealing loop
@@ -469,9 +526,7 @@ class AnnealingRefiner:
         config = self.config
         result = self.result
         if config.moves == 0 or len(self._edge_ids) == 0:
-            result.initial_cost = result.final_cost = result.best_cost = (
-                self._exact_cost()
-            )
+            result.initial_cost = result.final_cost = result.best_cost = self._cost()
             return self._original, None, result
 
         registry = get_registry()
@@ -485,38 +540,37 @@ class AnnealingRefiner:
         with get_tracer().span(
             "refine.anneal", n=len(self.tree), moves=config.moves, seed=config.seed
         ):
-            current = self._exact_cost()
+            current = self._cost()
             result.initial_cost = current
             best = current
             for k in range(config.moves):
                 result.moves_proposed += 1
                 pick = float(self.rng.random())
                 proposer = proposers[int(np.searchsorted(thresholds, pick))]
-                proposal = proposer()
-                if proposal is None:
+                move = proposer()
+                if move is None:
                     result.moves_infeasible += 1
                     continue
-                delta, snapshot, assignment_undo, kind = proposal
-                if not self._accept(delta, self._temperature(k, result.initial_cost)):
-                    self._undo(snapshot, assignment_undo)
+                if not self._accept(move.delta, self._temperature(k, result.initial_cost)):
+                    self._undo(move.snapshot, move.assignment_undo)
                     result.moves_rejected += 1
                     continue
                 result.moves_accepted += 1
-                if kind == "nni":
+                if move.kind == "nni":
                     result.nni_accepted += 1
-                elif kind == "gate":
+                elif move.kind == "gate":
                     result.gate_accepted += 1
                 else:
                     result.reassign_accepted += 1
-                if snapshot is not None:
+                self._commit(move)
+                if move.snapshot is not None:
                     # Tree moves escalate: the repair left the bottom-up
-                    # state exact, so re-place the tree top-down, then
-                    # re-measure the whole network exactly.
-                    self.tree.place()
+                    # state exact, so the commit re-placed what moved
+                    # and the cached terms give the exact cost.
                     result.reembeds += 1
-                    current = self._exact_cost()
+                    current = self._cost()
                 else:
-                    current += delta
+                    current += move.delta
                 if current < best:
                     best = current
                     self._best_tree = self.tree.clone()
@@ -545,8 +599,8 @@ def refine_tree(
     """Refine a finished gated tree; never returns a worse one.
 
     Returns ``(best_tree, assignment, result)``.  ``assignment`` maps
-    gate node ids to controller indices for
-    :func:`repro.core.controller.route_enables`; it is ``None`` when
+    gate node ids to controller indices for the enable star routing
+    (``route_enables``); it is ``None`` when
     the input tree was never beaten (including a zero move budget), in
     which case ``best_tree`` *is* the untouched input object.
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple
 
 from repro.check.errors import EmbeddingAuditError, InputError
 from repro.check.errors import ContractError
@@ -305,19 +305,45 @@ class ClockTree:
         """Recomputed root-to-sink Elmore delay."""
         return self.elmore_evaluator().max_delay()
 
-    def place(self) -> None:
-        """Top-down embedding of the merging segments, then validate.
+    def place(self, changed: Optional[Collection[NodeId]] = None) -> List[NodeId]:
+        """Top-down embedding of the merging segments, validated as it goes.
 
         The root sits at the center of its segment, every other node at
         the point of its own segment nearest its parent's placement.
+        The walk re-places the root, then the children of every node it
+        descends into: the root, any node in ``changed``, and any node
+        whose placement moved (``None`` descends everywhere, re-placing
+        the whole tree).  Each re-placed node passes the checks of
+        :meth:`validate_embedding` the moment it is placed; a node the
+        walk skips keeps its location, segment, edge length and parent
+        location from its last passing check, so ``changed`` must hold
+        the parent of every node whose segment, edge length or parent
+        changed since the last placement.
+
+        Returns the ids of the re-placed nodes, in walk order.
         """
-        root = self.root
-        root.location = root.merging_segment.center()
-        for node in self.preorder():
-            for child_id in node.children:
-                child = self._nodes[child_id]
-                child.location = child.merging_segment.nearest_point_to(node.location)
-        self.validate_embedding()
+        root_id = self.root_id
+        replaced: List[NodeId] = []
+        stack = [root_id]
+        while stack:
+            node = self._nodes[stack.pop()]
+            if node.id == root_id:
+                location = node.merging_segment.center()
+            else:
+                parent = self._nodes[node.parent]
+                location = node.merging_segment.nearest_point_to(parent.location)
+            descend = (
+                changed is None
+                or node.id == root_id
+                or location != node.location
+                or node.id in changed
+            )
+            node.location = location
+            self._check_placement(node)
+            replaced.append(node.id)
+            if descend:
+                stack.extend(node.children)
+        return replaced
 
     def validate_embedding(self, tol: float = 1e-6) -> None:
         """Check placement consistency.
@@ -336,21 +362,23 @@ class ClockTree:
         findings instead of raising on the first.
         """
         for node in self.preorder():
-            if node.location is None:
+            self._check_placement(node, tol)
+
+    def _check_placement(self, node: ClockNode, tol: float = 1e-6) -> None:
+        """:meth:`validate_embedding`'s checks on one node."""
+        if node.location is None:
+            raise EmbeddingAuditError("node %d is not placed" % node.id, node=node.id)
+        if not node.merging_segment.contains_point(node.location, tol=tol):
+            raise EmbeddingAuditError(
+                "node %d placed off its merging segment" % node.id,
+                node=node.id,
+            )
+        if node.id != self._root:
+            parent = self._nodes[node.parent]
+            dist = node.location.manhattan_to(parent.location)
+            if node.edge_length < dist - tol:
                 raise EmbeddingAuditError(
-                    "node %d is not placed" % node.id, node=node.id
-                )
-            if not node.merging_segment.contains_point(node.location, tol=tol):
-                raise EmbeddingAuditError(
-                    "node %d placed off its merging segment" % node.id,
+                    "edge above node %d shorter than its endpoints' distance"
+                    % node.id,
                     node=node.id,
                 )
-            if node.id != self.root_id:
-                parent = self._nodes[node.parent]
-                dist = node.location.manhattan_to(parent.location)
-                if node.edge_length < dist - tol:
-                    raise EmbeddingAuditError(
-                        "edge above node %d shorter than its endpoints' distance"
-                        % node.id,
-                        node=node.id,
-                    )

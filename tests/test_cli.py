@@ -120,6 +120,31 @@ class TestCommands:
         )
         assert code == 2
 
+    def test_moves_without_refine_is_rejected(self, capsys):
+        code = main(
+            ["route", "--scale", "0.05", "--method", "reduced", "--moves", "20"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "moves" in captured.err
+        assert "pF" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["route", "--benchmark", "r1", "--scale", "0.05", "--seed", "-1"],
+            ["gen", "--sinks", "50", "--seed", "-1"],
+        ),
+    )
+    def test_negative_seed_is_rejected(self, capsys, tmp_path, argv):
+        code = main(argv + (["--out-dir", str(tmp_path)] if argv[0] == "gen" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "seed" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_skew_bound_and_sizing_flags(self, capsys):
         assert main(
             [

@@ -49,6 +49,11 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             RefineConfig(moves=-1)
 
+    def test_negative_seed(self):
+        with pytest.raises(InputError) as info:
+            RefineConfig(seed=-1)
+        assert info.value.field == "seed"
+
 
 class TestZeroMoveNoOp:
     def test_zero_budget_returns_the_input_object(self, greedy, case, tech):

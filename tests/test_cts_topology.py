@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.errors import EmbeddingAuditError
 from repro.cts import ClockTree, Sink
 from repro.geometry import Point, Trr
 from repro.tech import unit_technology
@@ -143,3 +144,56 @@ class TestValidation:
         a.edge_length = 2.0
         b.edge_length = 2.5  # snaked edges may be longer
         tree.validate_embedding()
+
+
+def four_leaf_tree():
+    """Leaves at x = 0, 4, 10, 14 merged pairwise, then at the root."""
+    tree = ClockTree(unit_technology())
+    a = tree.add_leaf(sink(0, 0, 0))
+    b = tree.add_leaf(sink(1, 4, 0))
+    c = tree.add_leaf(sink(2, 10, 0))
+    d = tree.add_leaf(sink(3, 14, 0))
+    ab = tree.add_internal(a.id, b.id, Trr.from_point(Point(2, 0)))
+    cd = tree.add_internal(c.id, d.id, Trr.from_point(Point(12, 0)))
+    root = tree.add_internal(ab.id, cd.id, Trr.from_point(Point(7, 0)))
+    tree.set_root(root.id)
+    for node in (a, b, c, d):
+        node.edge_length = 2.0
+    ab.edge_length = cd.edge_length = 5.0
+    return tree, (a, b, c, d, ab, cd, root)
+
+
+class TestIncrementalPlace:
+    def test_full_walk_replaces_every_node_in_preorder(self):
+        tree, _ = four_leaf_tree()
+        assert tree.place() == [n.id for n in tree.preorder()]
+
+    def test_unchanged_walk_stops_below_unmoved_nodes(self):
+        tree, (a, b, c, d, ab, cd, root) = four_leaf_tree()
+        tree.place()
+        assert sorted(tree.place(changed=set())) == sorted([root.id, ab.id, cd.id])
+
+    def test_changed_node_replaces_its_children(self):
+        tree, (a, b, c, d, ab, cd, root) = four_leaf_tree()
+        tree.place()
+        replaced = tree.place(changed={ab.id})
+        assert sorted(replaced) == sorted([root.id, ab.id, cd.id, a.id, b.id])
+
+    def test_moved_node_replaces_its_subtree(self):
+        tree, (a, b, c, d, ab, cd, root) = four_leaf_tree()
+        tree.place()
+        ab.merging_segment = Trr.from_point(Point(2, 1))
+        a.edge_length = b.edge_length = 3.0
+        ab.edge_length = 6.0
+        replaced = tree.place(changed={root.id})
+        assert sorted(replaced) == sorted([root.id, ab.id, cd.id, a.id, b.id])
+        assert ab.location == Point(2, 1)
+        tree.validate_embedding()
+
+    def test_replaced_nodes_are_checked(self):
+        tree, (a, b, c, d, ab, cd, root) = four_leaf_tree()
+        tree.place()
+        a.edge_length = 0.5  # needs >= 2
+        with pytest.raises(EmbeddingAuditError) as info:
+            tree.place(changed={ab.id})
+        assert info.value.node == a.id
