@@ -10,7 +10,7 @@ evaluation is reproducible from a single committed file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -36,7 +36,6 @@ class MethodSpec:
     knob: float = 0.5
     num_controllers: int = 1
     candidate_limit: Optional[int] = 16
-    skew_bound: float = 0.0
     gate_sizing: bool = False
 
     def __post_init__(self):
@@ -48,10 +47,7 @@ class MethodSpec:
     def run(self, case, tech: Technology) -> ClockRoutingResult:
         if self.kind == "buffered":
             return route_buffered(
-                case.sinks,
-                tech,
-                candidate_limit=self.candidate_limit,
-                skew_bound=self.skew_bound,
+                case.sinks, tech, candidate_limit=self.candidate_limit
             )
         reduction = (
             GateReductionPolicy.from_knob(self.knob, tech)
@@ -67,8 +63,15 @@ class MethodSpec:
             num_controllers=self.num_controllers,
             candidate_limit=self.candidate_limit,
             gate_sizing=GateSizingPolicy() if self.gate_sizing else None,
-            skew_bound=self.skew_bound,
         )
+
+
+def _reject_unknown_keys(spec_type, data: Dict[str, Any], where: str) -> None:
+    """Raise :class:`InputError` naming the first key of ``data`` that
+    is not a field of ``spec_type``."""
+    unknown = sorted(set(data) - {f.name for f in fields(spec_type)})
+    if unknown:
+        raise InputError("unknown %s key" % where, field=unknown[0])
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,9 @@ class StudySpec:
     # ------------------------------------------------------------------
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "StudySpec":
+        _reject_unknown_keys(StudySpec, data, "study")
+        for m in data.get("methods", []):
+            _reject_unknown_keys(MethodSpec, m, "method")
         methods = tuple(
             MethodSpec(**m) for m in data.get("methods", [])
         ) or StudySpec().methods
@@ -130,7 +136,6 @@ class StudySpec:
                     "knob": m.knob,
                     "num_controllers": m.num_controllers,
                     "candidate_limit": m.candidate_limit,
-                    "skew_bound": m.skew_bound,
                     "gate_sizing": m.gate_sizing,
                 }
                 for m in self.methods

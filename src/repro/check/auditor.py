@@ -13,8 +13,8 @@ Invariants checked (all recomputed from scratch -- never trusting the
 router's incremental bookkeeping):
 
 ``skew``
-    Recomputed Elmore skew within the declared bound; the router's
-    root delay interval brackets the recomputed arrivals.
+    Recomputed Elmore skew is zero within tolerance; the router's
+    root sink delay equals the recomputed arrivals.
 ``cap``
     Per-node downstream capacitance matches an independent Elmore
     walk; all caps finite and non-negative.
@@ -144,17 +144,16 @@ def audit_network(
     routing=None,
     skew_tolerance: float = 1e-6,
     cap_tolerance: float = 1e-9,
-    skew_bound: float = 0.0,
     geometry_tolerance: float = 1e-6,
 ) -> NetworkAuditReport:
     """Re-derive every network invariant and report disagreements.
 
     ``skew_tolerance`` is relative to the phase delay, ``cap_tolerance``
     relative to the subtree capacitance, ``geometry_tolerance`` an
-    absolute slack on placement/containment checks.  ``skew_bound`` is
-    the tree's declared skew budget (0 for exact zero-skew trees).
-    ``routing``, when given, is the :class:`repro.core.controller.
-    EnableRouting` to verify against the tree's gates.
+    absolute slack on placement/containment checks.  The tree must have
+    exact zero skew.  ``routing``, when given, is the
+    :class:`repro.core.controller.EnableRouting` to verify against the
+    tree's gates.
     """
     findings: List[AuditFinding] = []
     checks = ["skew", "cap", "enable", "embedding"]
@@ -173,23 +172,23 @@ def audit_network(
                 % (phase, skew),
             )
         )
-    elif phase > 0 and skew > skew_bound + skew_tolerance * phase:
+    elif phase > 0 and skew > skew_tolerance * phase:
         latest = max(delays, key=lambda s: s.delay)
         findings.append(
             AuditFinding(
                 "skew",
-                "skew %.3e exceeds the bound %.3e (+%.1e of the phase delay "
-                "%.3e)" % (skew, skew_bound, skew_tolerance, phase),
+                "skew %.3e exceeds %.1e of the phase delay %.3e"
+                % (skew, skew_tolerance, phase),
                 node=latest.node,
             )
         )
     root = tree.root
-    if earliest < root.sink_delay_min - skew_tolerance * max(phase, 1.0):
+    if earliest < root.sink_delay - skew_tolerance * max(phase, 1.0):
         findings.append(
             AuditFinding(
                 "skew",
-                "root interval low edge %.6g above earliest recomputed "
-                "arrival %.6g" % (root.sink_delay_min, earliest),
+                "root sink delay %.6g above earliest recomputed "
+                "arrival %.6g" % (root.sink_delay, earliest),
                 node=root.id,
             )
         )

@@ -146,12 +146,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="k-nearest greedy candidate restriction (0 = exact greedy)",
     )
     parser.add_argument(
-        "--skew-bound",
-        type=float,
-        default=0.0,
-        help="skew budget in delay units (0 = exact zero skew)",
-    )
-    parser.add_argument(
         "--gate-sizing",
         action="store_true",
         help="resize gates instead of snaking wire on unbalanced merges",
@@ -239,7 +233,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             case.sinks,
             tech,
             candidate_limit=_limit(args),
-            skew_bound=args.skew_bound,
             audit=args.audit,
         )
     else:
@@ -259,7 +252,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 reduction=reduction,
                 num_controllers=args.controllers,
                 candidate_limit=_limit(args),
-                skew_bound=args.skew_bound,
                 audit=args.audit,
                 refine=refine,
             )
@@ -273,7 +265,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 num_controllers=args.controllers,
                 candidate_limit=_limit(args),
                 gate_sizing=GateSizingPolicy() if args.gate_sizing else None,
-                skew_bound=args.skew_bound,
                 audit=args.audit,
                 refine=refine,
             )
@@ -459,12 +450,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             case.oracle,
             die=case.die,
             candidate_limit=_limit(args),
-            skew_bound=args.skew_bound,
         )
         tree = result.tree
         routing = result.routing
         what = "benchmark %s" % args.benchmark
-    report = audit_network(tree, routing=routing, skew_bound=args.skew_bound)
+    report = audit_network(tree, routing=routing)
     print("auditing %s" % what)
     print(report.summary())
     return 0 if report.ok else 1

@@ -171,7 +171,6 @@ def _maybe_refine(
     oracle: ActivityOracle,
     layout: ControllerLayout,
     refine: Optional[RefineConfig],
-    skew_bound: float,
 ) -> Tuple[ClockTree, Optional[Dict[int, int]]]:
     """Run the annealing post-pass when configured.
 
@@ -181,17 +180,11 @@ def _maybe_refine(
     """
     if refine is None or refine.moves == 0:
         return tree, None
-    if skew_bound != 0:
-        raise InputError(
-            "refinement repairs moves with exact zero-skew splits; "
-            "it cannot run under a bounded-skew budget",
-            field="refine",
-        )
     best, assignment, _stats = refine_tree(tree, tech, oracle, layout, refine)
     return best, assignment
 
 
-def _maybe_audit(result: ClockRoutingResult, audit: bool, skew_bound: float):
+def _maybe_audit(result: ClockRoutingResult, audit: bool):
     """Opt-in post-flow hook: re-verify every network invariant.
 
     Raises a typed :class:`~repro.check.errors.AuditError` naming the
@@ -202,7 +195,7 @@ def _maybe_audit(result: ClockRoutingResult, audit: bool, skew_bound: float):
     from repro.check.auditor import audit_network
 
     with get_tracer().span("flow.audit", method=result.method):
-        report = audit_network(result.tree, routing=result.routing, skew_bound=skew_bound)
+        report = audit_network(result.tree, routing=result.routing)
         report.raise_if_failed()
     return result
 
@@ -212,7 +205,6 @@ def route_buffered(
     tech: Technology,
     die: Optional[Die] = None,
     candidate_limit: Optional[int] = None,
-    skew_bound: float = 0.0,
     audit: bool = False,
 ) -> ClockRoutingResult:
     """The paper's baseline: buffered nearest-neighbour zero-skew tree.
@@ -225,14 +217,9 @@ def route_buffered(
     tracer = get_tracer()
     with tracer.span("flow.route_buffered", n=len(sinks)):
         # build_buffered_tree opens its own "topology.buffered" span.
-        tree = build_buffered_tree(
-            sinks,
-            tech,
-            candidate_limit=candidate_limit,
-            skew_bound=skew_bound,
-        )
+        tree = build_buffered_tree(sinks, tech, candidate_limit=candidate_limit)
         result = _measure("buffered", tree, tech, routing=None)
-        return _maybe_audit(result, audit, skew_bound)
+        return _maybe_audit(result, audit)
 
 
 def _finish_gated(
@@ -244,7 +231,6 @@ def _finish_gated(
     demote: Optional[GateReductionPolicy],
     num_controllers: int,
     refine: Optional[RefineConfig],
-    skew_bound: float,
     audit: bool,
 ) -> ClockRoutingResult:
     """Everything both gated flows do once their tree is built.
@@ -262,12 +248,12 @@ def _finish_gated(
         # apply_gate_reduction opens its own "gating.reduce" span.
         apply_gate_reduction(tree, demote)
     # refine_tree opens its own "refine.anneal" span.
-    tree, assignment = _maybe_refine(tree, tech, oracle, layout, refine, skew_bound)
+    tree, assignment = _maybe_refine(tree, tech, oracle, layout, refine)
     # route_enables opens its own "controller.star" span.
     routing = route_enables(tree, layout, tech, assignment=assignment)
     result = _measure(method, tree, tech, routing=routing)
     publish_oracle_cache(oracle)
-    return _maybe_audit(result, audit, skew_bound)
+    return _maybe_audit(result, audit)
 
 
 def _reduction_rule(
@@ -297,7 +283,6 @@ def route_gated(
     num_controllers: int = 1,
     candidate_limit: Optional[int] = None,
     gate_sizing=None,
-    skew_bound: float = 0.0,
     audit: bool = False,
     refine: Optional[RefineConfig] = None,
 ) -> ClockRoutingResult:
@@ -333,12 +318,11 @@ def route_gated(
             cell_policy=policy,
             candidate_limit=candidate_limit,
             gate_sizing=gate_sizing,
-            skew_bound=skew_bound,
         )
         method = "gated" if reduction is None else "gate-red"
         return _finish_gated(
             method, tree, tech, oracle, die, demote, num_controllers,
-            refine, skew_bound, audit,
+            refine, audit,
         )
 
 
@@ -353,7 +337,6 @@ def route_sharded(
     reduction_mode: str = "merge",
     num_controllers: int = 1,
     candidate_limit: Optional[int] = None,
-    skew_bound: float = 0.0,
     audit: bool = False,
     refine: Optional[RefineConfig] = None,
 ) -> ClockRoutingResult:
@@ -414,22 +397,14 @@ def route_sharded(
                 num_workers=num_workers,
                 cell_policy=policy,
                 candidate_limit=candidate_limit,
-                skew_bound=skew_bound,
             )
         for shard in shards:
             registry.histogram("shard.route_seconds").observe(shard.seconds)
         with tracer.span("shard.stitch", shards=plan.num_shards):
-            tree = stitch_shards(
-                shards,
-                plan,
-                tech,
-                oracle,
-                cell_policy=policy,
-                skew_bound=skew_bound,
-            )
+            tree = stitch_shards(shards, plan, tech, oracle, cell_policy=policy)
         return _finish_gated(
             "sharded", tree, tech, oracle, die, demote, num_controllers,
-            refine, skew_bound, audit,
+            refine, audit,
         )
 
 

@@ -37,7 +37,6 @@ def build_gated_tree(
     cell_policy: Optional[CellPolicy] = None,
     candidate_limit: Optional[int] = None,
     gate_sizing=None,
-    skew_bound: float = 0.0,
 ) -> ClockTree:
     """Build a zero-skew gated clock tree minimizing switched capacitance.
 
@@ -76,6 +75,5 @@ def build_gated_tree(
             controller_point=controller_point,
             candidate_limit=candidate_limit,
             cell_sizer=gate_sizing,
-            skew_bound=skew_bound,
         )
         return merger.run()

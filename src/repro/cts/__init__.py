@@ -9,8 +9,6 @@ router needs -- and on top of which the paper's gated router
 * :mod:`repro.cts.merge` -- Tsay-style exact zero-skew merging,
   generalized to edges that carry decoupling cells (buffers or masking
   gates), including wire snaking;
-* :mod:`repro.cts.bounded` -- the bounded-skew generalization (delay
-  intervals, partial snaking) with zero skew as the ``bound=0`` case;
 * :mod:`repro.cts.reembed` -- fixed-topology re-embedding of a given
   topology (bisection) and the ``rebalance`` node step it loops over
   (refine's root-path repair);
@@ -29,7 +27,6 @@ router needs -- and on top of which the paper's gated router
 
 from repro.cts.topology import ClockNode, ClockTree, Sink
 from repro.cts.merge import SkewBalanceError, SplitResult, Tap, zero_skew_split
-from repro.cts.bounded import SkewBoundError, bounded_skew_split
 from repro.cts.candidate_index import SegmentGridIndex
 from repro.cts.dme import BottomUpMerger, CellDecision, MergePlan, MergerStats
 from repro.cts.buffered import build_buffered_tree
@@ -46,11 +43,9 @@ __all__ = [
     "Sink",
     "SegmentGridIndex",
     "SkewBalanceError",
-    "SkewBoundError",
     "SplitResult",
     "Tap",
     "zero_skew_split",
-    "bounded_skew_split",
     "BottomUpMerger",
     "CellDecision",
     "MergePlan",

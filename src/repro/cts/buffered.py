@@ -22,7 +22,6 @@ def build_buffered_tree(
     tech: Technology,
     oracle: Optional[ActivityOracle] = None,
     candidate_limit: Optional[int] = None,
-    skew_bound: float = 0.0,
 ) -> ClockTree:
     """Nearest-neighbour zero-skew tree with a buffer on every edge.
 
@@ -38,6 +37,5 @@ def build_buffered_tree(
             cell_policy=BufferEveryEdgePolicy(),
             oracle=oracle,
             candidate_limit=candidate_limit,
-            skew_bound=skew_bound,
         )
         return merger.run()

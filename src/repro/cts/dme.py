@@ -32,12 +32,12 @@ decides both new edges of every lane at once
 :meth:`PairCost.batch` prices them; one ``(cost, id)`` ranking then
 picks the best partner.  The kernels mirror the scalar float
 arithmetic op for op, so every lane equals the scalar plan and cost of
-its pair bit for bit.  Lanes the kernels do not model -- snaked splits
-(re-sized by the cell sizer when one is set) and bounded-skew splits
--- take their split from the scalar :meth:`BottomUpMerger.plan` for
-that lane and are priced in the same batch.  Those plans are memoized
-per *ordered* pair until either side retires, and the winning merge is
-planned through the same memo at commit.
+its pair bit for bit.  Lanes the kernels do not model -- snaked splits,
+re-sized by the cell sizer when one is set -- take their split from
+the scalar :meth:`BottomUpMerger.plan` for that lane and are priced in
+the same batch.  Those plans are memoized per *ordered* pair until
+either side retires, and the winning merge is planned through the same
+memo at commit.
 
 Exact-greedy runs (no ``candidate_limit``) repair orphaned best-pair
 pointers *lazily*: pair costs are immutable and an orphan's candidate
@@ -242,13 +242,11 @@ def plan_merge(
     cells: Sequence[CellDecision],
     oracle: Optional[ActivityOracle],
     tech: Technology,
-    skew_bound: float,
     distance: Optional[LengthUm] = None,
 ) -> MergePlan:
     """Plan the merge of two subtree roots: the cells of both new edges
     (``cells`` is the policy's :meth:`~CellPolicy.cells`) and the
-    zero-skew -- or, with a positive ``skew_bound``, bounded-skew --
-    split of their merging distance."""
+    zero-skew split of their merging distance."""
     if distance is None:
         distance = na.merging_segment.distance_to(nb.merging_segment)
     merged_mask = na.module_mask | nb.module_mask
@@ -261,27 +259,13 @@ def plan_merge(
     )
     tap_a = Tap(cap=na.subtree_cap, delay=na.sink_delay, cell=decision_a.cell)
     tap_b = Tap(cap=nb.subtree_cap, delay=nb.sink_delay, cell=decision_b.cell)
-    if skew_bound > 0:
-        from repro.cts.bounded import bounded_skew_split
-
-        split = bounded_skew_split(
-            distance,
-            tap_a,
-            na.sink_delay_min,
-            tap_b,
-            nb.sink_delay_min,
-            skew_bound,
-            tech,
-        )
-    else:
-        split = zero_skew_split(distance, tap_a, tap_b, tech)
     return MergePlan(
         a_id=na.id,
         b_id=nb.id,
         distance=distance,
         decision_a=decision_a,
         decision_b=decision_b,
-        split=split,
+        split=zero_skew_split(distance, tap_a, tap_b, tech),
         merged_mask=merged_mask,
         merged_probability=merged_probability,
     )
@@ -305,7 +289,6 @@ def commit_merge(
     merged.module_mask = plan.merged_mask
     merged.subtree_cap = plan.split.merged_cap
     merged.sink_delay = plan.split.delay
-    merged.sink_delay_min = plan.split.earliest_delay
     annotate_enable(merged, oracle)
     return merged
 
@@ -391,9 +374,9 @@ class MergerStats:
     distance evaluations, ``kernel_candidates`` the candidate lanes
     they covered, and ``kernel_scalar_fallbacks`` lanes whose split
     came from a scalar plan because the kernels do not model them
-    (snaked or bounded-skew splits).  ``distance_reuses`` counts
-    ``plan()`` calls that received an already-measured segment distance
-    instead of re-deriving it.
+    (snaked splits).  ``distance_reuses`` counts ``plan()`` calls that
+    received an already-measured segment distance instead of
+    re-deriving it.
 
     The repair counters split best-pair recomputations by trigger:
     ``orphan_recomputes`` eager per-merge repairs of nodes whose best
@@ -473,8 +456,6 @@ class BottomUpMerger:
         :class:`repro.core.gate_sizing.GateSizingPolicy`): given a
         merge whose unit-size split snakes, it may resize the new
         edges' cells to balance the delays with less wire.
-    skew_bound:
-        Skew budget of bounded-skew merging (0 = exact zero skew).
     """
 
     def __init__(
@@ -487,7 +468,6 @@ class BottomUpMerger:
         controller_point: Optional[Point] = None,
         candidate_limit: Optional[int] = None,
         cell_sizer=None,
-        skew_bound: float = 0.0,
     ):
         if not sinks:
             raise InputError("at least one sink is required")
@@ -495,17 +475,12 @@ class BottomUpMerger:
             raise InputError(
                 "candidate_limit must be positive", field="candidate_limit"
             )
-        if not math.isfinite(skew_bound) or skew_bound < 0:
-            raise InputError(
-                "skew_bound must be non-negative", field="skew_bound"
-            )
         self.tech = tech
         self.cost = cost
         self.cell_policy = cell_policy or NoCellPolicy()
         self.oracle = oracle
         self.candidate_limit = candidate_limit
         self.cell_sizer = cell_sizer
-        self.skew_bound = skew_bound
         self._cells = self.cell_policy.cells(tech)
         self._cell_table = EdgeCells(self._cells)
         self.stats = MergerStats()
@@ -594,11 +569,8 @@ class BottomUpMerger:
             self._cells,
             self.oracle,
             self.tech,
-            self.skew_bound,
             distance,
         )
-        # Sizing re-balances to exact zero skew, which is always within
-        # any bound; it only engages when the split had to snake.
         if self.cell_sizer is not None and plan.split.snaked is not None:
             plan.decision_a, plan.decision_b, plan.split = self.cell_sizer.resolve(
                 plan.distance,
@@ -709,24 +681,19 @@ class BottomUpMerger:
                 dtype=np.intp,
             )
         cells_a, cells_b = self._cell_table.take(codes[:n]), self._cell_table.take(codes[n:])
-        if self.skew_bound > 0:
-            length_a, length_b = np.empty_like(distance), np.empty_like(distance)
-            fallbacks = range(n)
-        else:
-            split = kernels.batch_zero_skew_split(
-                distance,
-                arrays.cap[a],
-                arrays.delay[a],
-                arrays.cap[b],
-                arrays.delay[b],
-                self.tech.unit_wire_resistance,
-                self.tech.unit_wire_capacitance,
-                cell_a=cells_a,
-                cell_b=cells_b,
-            )
-            length_a, length_b = split.length_a, split.length_b
-            fallbacks = kernels.out_of_range_lanes(split)
-        for j in fallbacks:
+        split = kernels.batch_zero_skew_split(
+            distance,
+            arrays.cap[a],
+            arrays.delay[a],
+            arrays.cap[b],
+            arrays.delay[b],
+            self.tech.unit_wire_resistance,
+            self.tech.unit_wire_capacitance,
+            cell_a=cells_a,
+            cell_b=cells_b,
+        )
+        length_a, length_b = split.length_a, split.length_b
+        for j in kernels.out_of_range_lanes(split):
             plan = self._plan_pair(int(a[j]), int(b[j]), distance=float(distance[j]))
             length_a[j], length_b[j] = plan.split.length_a, plan.split.length_b
             if self.cell_sizer is not None:
@@ -892,13 +859,11 @@ class BottomUpMerger:
         num_sinks = len(self._active)
         cost_name = type(self.cost).__name__
         logger.debug(
-            "merging %d sinks (cost=%s, policy=%s, candidate_limit=%s, "
-            "skew_bound=%g)",
+            "merging %d sinks (cost=%s, policy=%s, candidate_limit=%s)",
             num_sinks,
             cost_name,
             type(self.cell_policy).__name__,
             self.candidate_limit,
-            self.skew_bound,
         )
         tracer = get_tracer()
         with tracer.span(

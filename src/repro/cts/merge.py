@@ -111,15 +111,6 @@ class SplitResult:
     snaked: Optional[str] = None
     """``"a"`` / ``"b"`` when that side's wire was extended, else None."""
 
-    delay_min: Optional[DelayPs] = None
-    """Earliest merged sink delay; ``None`` means equal to ``delay``
-    (exact zero skew).  Set by bounded-skew splits."""
-
-    @property
-    def earliest_delay(self) -> DelayPs:
-        """The merged interval's low edge."""
-        return self.delay if self.delay_min is None else self.delay_min
-
     @property
     def merged_cap(self) -> CapacitanceFF:
         """Capacitance presented at the new merge node from below."""

@@ -29,7 +29,6 @@ def build_nearest_neighbor_tree(
     cell_policy: Optional[CellPolicy] = None,
     oracle: Optional[ActivityOracle] = None,
     candidate_limit: Optional[int] = None,
-    skew_bound: float = 0.0,
 ) -> ClockTree:
     """Zero-skew tree with nearest-neighbour merge order.
 
@@ -47,6 +46,5 @@ def build_nearest_neighbor_tree(
             cell_policy=cell_policy or NoCellPolicy(),
             oracle=oracle,
             candidate_limit=candidate_limit,
-            skew_bound=skew_bound,
         )
         return merger.run()

@@ -36,7 +36,6 @@ def rebalance(tree: ClockTree, node: ClockNode) -> None:
         node.merging_segment = Trr.from_point(node.sink.location)
         node.subtree_cap = node.sink.load_cap
         node.sink_delay = 0.0
-        node.sink_delay_min = 0.0
         return
     if len(node.children) == 1:
         # Unary pass-through: no split to balance.  The child
@@ -68,10 +67,6 @@ def rebalance(tree: ClockTree, node: ClockNode) -> None:
         )
         node.subtree_cap = split.merged_cap
         node.sink_delay = split.delay
-    # The step is exactly zero-skew, so the delay interval collapses to
-    # a point; leaving a stale bounded-skew lower bound behind would
-    # trip the auditor's interval check.
-    node.sink_delay_min = node.sink_delay
 
 
 def reembed(tree: ClockTree) -> None:

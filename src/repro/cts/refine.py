@@ -80,7 +80,6 @@ _SNAPSHOT_FIELDS = (
     "enable_transition_probability",
     "subtree_cap",
     "sink_delay",
-    "sink_delay_min",
 )
 
 #: Sentinel distinguishing "gate had no explicit assignment" from

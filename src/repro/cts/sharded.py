@@ -155,7 +155,6 @@ def _route_one_shard(
     controller_point: Point,
     cell_policy: Optional[CellPolicy],
     candidate_limit: Optional[int],
-    skew_bound: float,
 ) -> ShardRoute:
     """Route one shard's gated subtree with the existing merger."""
     import time
@@ -170,7 +169,6 @@ def _route_one_shard(
         controller_point=controller_point,
         cell_policy=cell_policy,
         candidate_limit=candidate_limit,
-        skew_bound=skew_bound,
     )
     return ShardRoute(index=index, tree=tree, seconds=time.perf_counter() - start)
 
@@ -206,7 +204,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
         controller_point,
         cell_policy,
         candidate_limit,
-        skew_bound,
     ) = payload
     registry = MetricsRegistry()
     previous = set_registry(registry)
@@ -219,7 +216,6 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
             controller_point,
             cell_policy,
             candidate_limit,
-            skew_bound,
         )
     finally:
         set_registry(previous)
@@ -236,7 +232,6 @@ def route_shards(
     num_workers: int = 1,
     cell_policy: Optional[CellPolicy] = None,
     candidate_limit: Optional[int] = None,
-    skew_bound: float = 0.0,
 ) -> List[ShardRoute]:
     """Route every shard of ``plan``; returns shards in index order.
 
@@ -268,7 +263,6 @@ def route_shards(
                             controller_point,
                             cell_policy,
                             candidate_limit,
-                            skew_bound,
                         )
                     )
                 finally:
@@ -288,7 +282,6 @@ def route_shards(
             controller_point,
             cell_policy,
             candidate_limit,
-            skew_bound,
         )
         for index, members in enumerate(plan.shards)
     ]
@@ -315,7 +308,6 @@ def stitch_shards(
     tech: Technology,
     oracle: ActivityOracle,
     cell_policy: Optional[CellPolicy] = None,
-    skew_bound: float = 0.0,
 ) -> ClockTree:
     """Merge routed shard trees into one exactly zero-skew clock tree.
 
@@ -346,7 +338,6 @@ def stitch_shards(
             cells,
             oracle,
             tech,
-            skew_bound,
         )
         slots[new_slot] = commit_merge(out, merge, oracle).id
     root_slot = plan.merge_order[-1][2] if plan.merge_order else 0

@@ -81,11 +81,8 @@ class ClockNode:
     subtree_cap: CapacitanceFF = 0.0
     """Capacitance presented at this node from below (router-computed)."""
     sink_delay: DelayPs = 0.0
-    """Latest delay from this node down to its sinks (router-computed;
-    under exact zero skew every sink shares this value)."""
-    sink_delay_min: DelayPs = 0.0
-    """Earliest delay to a sink; equals ``sink_delay`` for zero-skew
-    trees, may be up to the skew bound lower for bounded-skew trees."""
+    """Delay from this node down to its sinks (router-computed; under
+    exact zero skew every sink shares this value)."""
     snaked: bool = False
 
     @property

@@ -65,7 +65,6 @@ def _node_to_dict(node: ClockNode) -> Dict[str, Any]:
         "enable_transition_probability": node.enable_transition_probability,
         "subtree_cap": node.subtree_cap,
         "sink_delay": node.sink_delay,
-        "sink_delay_min": node.sink_delay_min,
         "snaked": node.snaked,
     }
 
@@ -150,7 +149,6 @@ def _tree_from_dict(data: Dict[str, Any]) -> ClockTree:
         node.enable_transition_probability = record["enable_transition_probability"]
         node.subtree_cap = record["subtree_cap"]
         node.sink_delay = record["sink_delay"]
-        node.sink_delay_min = record.get("sink_delay_min", record["sink_delay"])
         node.snaked = record["snaked"]
     tree.set_root(data["root"])
     return tree

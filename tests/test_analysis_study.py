@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.study import MethodSpec, StudySpec, run_study
+from repro.check.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,17 @@ class TestSpecValidation:
     def test_bad_knob_rejected(self):
         with pytest.raises(ValueError):
             MethodSpec(name="x", knob=1.5)
+
+    def test_unknown_method_key_rejected(self):
+        data = {"methods": [{"name": "x", "kind": "reduced", "skew_bound": 50.0}]}
+        with pytest.raises(InputError, match="skew_bound") as info:
+            StudySpec.from_dict(data)
+        assert info.value.field == "skew_bound"
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(InputError, match="methodz") as info:
+            StudySpec.from_dict({"methodz": []})
+        assert info.value.field == "methodz"
 
     def test_default_spec_is_fig3(self):
         spec = StudySpec()
@@ -105,13 +117,12 @@ class TestRun:
             benchmarks=("r1",),
             methods=(
                 MethodSpec(name="sized", kind="reduced", gate_sizing=True),
-                MethodSpec(name="bounded", kind="reduced", skew_bound=100.0),
                 MethodSpec(name="spread", kind="gated", num_controllers=4),
             ),
             scale=0.06,
         )
         result = run_study(spec)
-        assert len(result.rows) == 3
+        assert len(result.rows) == 2
 
 
 class TestCli:
@@ -128,3 +139,12 @@ class TestCli:
         assert main(["study", "--spec", str(template), "--out", str(out)]) == 0
         assert out.exists()
         assert "Study: r1" in capsys.readouterr().out
+
+    def test_unknown_spec_key_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"methods": [{"name": "x", "bogus": 1}]}))
+        assert main(["study", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "InputError" in err and "bogus" in err

@@ -96,6 +96,16 @@ class TestSkewInvariant:
             "root delay drift" in f.message for f in report.findings_of("skew")
         )
 
+    def test_interval_violation_detected(self, tree):
+        # The router's root sink delay may never exceed the earliest
+        # recomputed arrival.
+        tree.root.sink_delay = 1.01 * tree.phase_delay() + 1.0
+        report = audit_network(tree)
+        assert any(
+            f.node == tree.root_id and "above earliest" in f.message
+            for f in report.findings_of("skew")
+        )
+
 
 class TestEnableInvariant:
     def test_probability_outside_unit_interval(self, tree):

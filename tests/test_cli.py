@@ -145,18 +145,9 @@ class TestCommands:
         assert "seed" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    def test_skew_bound_and_sizing_flags(self, capsys):
+    def test_gate_sizing_flag(self, capsys):
         assert main(
-            [
-                "route",
-                "--scale",
-                "0.05",
-                "--method",
-                "reduced",
-                "--skew-bound",
-                "50",
-                "--gate-sizing",
-            ]
+            ["route", "--scale", "0.05", "--method", "reduced", "--gate-sizing"]
         ) == 0
 
     def test_external_inputs(self, tmp_path, capsys):

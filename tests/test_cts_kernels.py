@@ -433,19 +433,6 @@ class TestVectorizeTraceParity:
         assert vec.stats.plans_computed < len(sinks) * (len(sinks) - 1) // 2
         assert trace_v == trace_s and wl_v == wl_s
 
-    def test_skew_bound_lanes_fall_back(self):
-        sinks = make_sinks(32, seed=36)
-        common = dict(
-            cost=incremental_switched_capacitance_cost,
-            cell_policy=GateEveryEdgePolicy(),
-            skew_bound=50.0,
-        )
-        vec, trace_v, wl_v = run_config(sinks, True, **common)
-        _, trace_s, wl_s = run_config(sinks, False, **common)
-        # Bounded splits are not modelled: every lane is planned scalar.
-        assert vec.stats.kernel_scalar_fallbacks == vec.stats.kernel_candidates
-        assert trace_v == trace_s and wl_v == wl_s
-
     @pytest.mark.parametrize("limit", [None, 5])
     def test_split_dependent_cost_with_snakes(self, limit):
         # Wildly uneven sink loads force snaked splits: the screen must

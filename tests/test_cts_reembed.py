@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check.auditor import audit_network
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy
 from repro.cts.reembed import reembed
@@ -94,10 +95,11 @@ class TestReembedAfterEdits:
                 node.edge_cell = None
                 node.edge_maskable = False
         reembed(tree)
-        # reembed restores exact zero skew, so the root's delay
-        # interval must collapse back to a point -- a stale
-        # sink_delay_min would trip the auditor's interval check.
-        assert tree.root.sink_delay_min == tree.root.sink_delay
+        # reembed restores exact zero skew; a stale root sink delay
+        # would trip the auditor's interval check.
+        assert tree.root.sink_delay == pytest.approx(tree.phase_delay())
+        report = audit_network(tree)
+        assert report.ok, report.problems
 
 
 class TestUnaryPassThrough:

@@ -216,16 +216,3 @@ class TestResultAccounting:
         assert registry.gauge("refine.improvement").value == result.improvement
         (span,) = [s for s in tracer.spans if s.name == "refine.anneal"]
         assert set(span.attrs) == {"n", "moves", "seed"}
-
-
-class TestGuards:
-    def test_bounded_skew_is_rejected(self, case, tech):
-        with pytest.raises(InputError):
-            route_gated(
-                case.sinks,
-                tech,
-                case.oracle,
-                die=case.die,
-                skew_bound=5.0,
-                refine=RefineConfig(moves=10),
-            )

@@ -181,7 +181,6 @@ class TestSingleShardParity:
                 assert a.edge_maskable == b.edge_maskable
                 assert a.subtree_cap == b.subtree_cap
                 assert a.sink_delay == b.sink_delay
-                assert a.sink_delay_min == b.sink_delay_min
                 assert a.enable_probability == b.enable_probability
                 assert a.enable_transition_probability == b.enable_transition_probability
                 assert a.module_mask == b.module_mask

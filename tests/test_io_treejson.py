@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bench.suite import load_benchmark
+from repro.check.auditor import audit_network
 from repro.core.gate_reduction import GateReductionPolicy
+from repro.core.gate_sizing import GateSizingPolicy
 from repro.core.flow import route_gated
 from repro.io.treejson import load_tree, save_tree, tree_from_dict, tree_to_dict
 from repro.tech import date98_technology
@@ -68,3 +70,39 @@ class TestValidation:
         data["nodes"][0]["id"] = 500
         with pytest.raises(ValueError):
             tree_from_dict(data)
+
+
+class TestLegacyFiles:
+    def test_sink_delay_min_key_is_ignored(self, routed):
+        # Trees written while bounded-skew routing existed carry a
+        # ``sink_delay_min`` key per node; they still load and audit.
+        data = tree_to_dict(routed.tree)
+        for record in data["nodes"]:
+            record["sink_delay_min"] = record["sink_delay"]
+        clone = tree_from_dict(data)
+        assert tree_to_dict(clone) == tree_to_dict(routed.tree)
+        report = audit_network(clone)
+        assert report.ok, report.problems
+
+
+class TestSizedTreeSerialization:
+    def test_sized_tree_roundtrip_preserves_cells(self):
+        tech = date98_technology()
+        case = load_benchmark("r1", scale=0.1)
+        result = route_gated(
+            case.sinks,
+            tech,
+            case.oracle,
+            die=case.die,
+            reduction=GateReductionPolicy.from_knob(0.5, tech),
+            gate_sizing=GateSizingPolicy(),
+        )
+        clone = tree_from_dict(tree_to_dict(result.tree))
+        for a, b in zip(result.tree.nodes(), clone.nodes()):
+            assert (a.edge_cell is None) == (b.edge_cell is None)
+            if a.edge_cell is not None:
+                assert a.edge_cell.input_cap == pytest.approx(b.edge_cell.input_cap)
+                assert a.edge_cell.drive_resistance == pytest.approx(
+                    b.edge_cell.drive_resistance
+                )
+        assert audit_network(clone).ok

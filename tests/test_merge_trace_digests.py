@@ -87,12 +87,6 @@ def _configs():
             candidate_limit=limit,
             cell_sizer=GateSizingPolicy(),
         )
-        configs["skew-bound-50-" + suffix] = dict(
-            cost=incremental_switched_capacitance_cost,
-            policy="gate-every",
-            candidate_limit=limit,
-            skew_bound=50.0,
-        )
     configs["wide-isa"] = dict(
         cost=incremental_switched_capacitance_cost,
         policy="reduction",
@@ -157,8 +151,6 @@ DIGESTS = {
     'nearest-neighbor': '5ee08609d5213e9ef6140778219006560ef0aed130e50397c40efddf63257584',
     'sizing-exact': '859a0f4eadf71f0d48f8acf4ef010a49feaa624c6cf8e8aef7e22342b319d560',
     'sizing-k16': '34173d266b6cd715ce9e54785fd0e5cfd62f9fe90565998f0a6176bbea41415a',
-    'skew-bound-50-exact': 'fa9a96c09873eccd60c02ec420b7f0838e63ad463ec4794de9d4147a50d81c5b',
-    'skew-bound-50-k16': '2ef51bc4ad586f746b680909d0c83b0ce500c2361db4318fb85ce6407cac8ca2',
     'wide-isa': 'd36b8b4df66db9d746b4c438dca3663b1608c47aca8cf9960dc3b16ade654a97',
 }
 
@@ -195,7 +187,10 @@ def tree_digest(tree) -> str:
             node.enable_transition_probability,
             node.subtree_cap,
             node.sink_delay,
-            node.sink_delay_min,
+            # This slot once held the bounded-skew lower delay bound,
+            # which is bit-equal to ``sink_delay`` on every zero-skew
+            # tree; hashing ``sink_delay`` twice keeps the pins valid.
+            node.sink_delay,
             node.merging_segment,
             node.location,
         )
@@ -230,7 +225,6 @@ def _tree_configs():
         "sharded-k4-gate-every": sharded(),
         "sharded-k4-demote": sharded(knob, reduction_mode="demote"),
         "sharded-k4-merge-reduced": sharded(knob),
-        "sharded-k4-skew-bound-50": sharded(skew_bound=50.0),
         "gated-refine-gate-every-seed3": gated(
             refine=RefineConfig(moves=200, seed=3)
         ),
@@ -260,7 +254,6 @@ TREE_DIGESTS = {
     'sharded-k4-demote': '1b6cb3e6b690612b467279a2c7ef8ddde4ea68e178b0800beaa2022b83377a10',
     'sharded-k4-gate-every': '8923b5a2beb701ccb8cd286c1d445946ffa49d75b34749090d35a95fb40891b7',
     'sharded-k4-merge-reduced': 'e23e1b17a76be2d73120cc4e55fe24172a527a3940437fc76db5dfbb503d90a3',
-    'sharded-k4-skew-bound-50': 'bd09da93b831cf58c48ae77f10786d5c8b843fae32cefe29a069fec1787d4629',
 }
 
 

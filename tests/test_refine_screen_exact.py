@@ -43,7 +43,6 @@ def _bottom_up_state(tree):
             n.merging_segment,
             n.subtree_cap,
             n.sink_delay,
-            n.sink_delay_min,
         )
         for n in tree.nodes()
     ]

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import load_benchmark
-from repro.core.flow import route_buffered, route_gated
+from repro.core.flow import route_buffered, route_gated, route_sharded
 from repro.core.gate_reduction import GateReductionPolicy
+from repro.cts.refine import RefineConfig
 from repro.sim import ClockNetworkSimulator
 from repro.tech import date98_technology
 
@@ -64,6 +65,43 @@ class TestExactAgreement:
         replay = sim.run(case.stream)
         assert replay.mean_total == pytest.approx(
             result.switched_cap.total, rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            "refined-4ctrl",
+            "sharded-k4-merge-reduced",
+            "distributed-4ctrl",
+        ],
+    )
+    def test_flow_variant_matches_analytic_exactly(self, setup, flow):
+        case, tech = setup
+        common = dict(
+            die=case.die, reduction=GateReductionPolicy.from_knob(0.5, tech)
+        )
+        if flow == "refined-4ctrl":
+            result = route_gated(
+                case.sinks, tech, case.oracle, num_controllers=4,
+                refine=RefineConfig(moves=200, seed=1), **common
+            )
+        elif flow == "sharded-k4-merge-reduced":
+            result = route_sharded(
+                case.sinks, tech, case.oracle, num_shards=4, **common
+            )
+        else:
+            result = route_gated(
+                case.sinks, tech, case.oracle, num_controllers=4, **common
+            )
+        sim = ClockNetworkSimulator(
+            result.tree, tech, case.cpu.isa, routing=result.routing
+        )
+        replay = sim.run(case.stream)
+        assert replay.mean_clock == pytest.approx(
+            result.switched_cap.clock_tree, rel=1e-9
+        )
+        assert replay.mean_controller == pytest.approx(
+            result.switched_cap.controller_tree, rel=1e-9
         )
 
     def test_gating_visible_cycle_by_cycle(self, setup):
