@@ -208,6 +208,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
         )
     elif args.moves is not None:
         raise InputError("--moves applies to --refine only", field="moves")
+    if args.workers is not None and args.shards is None:
+        raise InputError("--workers applies to --shards only", field="workers")
     tech = date98_technology()
     if args.sinks:
         case = _load_external(args)
@@ -248,7 +250,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 case.oracle,
                 die=case.die,
                 num_shards=args.shards,
-                num_workers=args.workers,
+                num_workers=1 if args.workers is None else args.workers,
                 reduction=reduction,
                 num_controllers=args.controllers,
                 candidate_limit=_limit(args),
@@ -649,9 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="W",
-        help="worker processes for --shards (1 = route shards inline)",
+        help="worker processes for --shards (default 1 = route shards "
+        "inline; requires --shards)",
     )
     p_route.add_argument(
         "--refine",

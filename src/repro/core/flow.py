@@ -345,7 +345,7 @@ def route_sharded(
     The scale-out variant of :func:`route_gated`: the sink set is cut
     into ``num_shards`` spatial shards, each shard's gated subtree is
     routed independently (inline, or across ``num_workers`` processes
-    when > 1), and the shard roots are merged by the exact zero-skew
+    when > 1; below 1 is an ``InputError``), and the shard roots are merged by the exact zero-skew
     top-tree stitch (:mod:`repro.cts.sharded`).  ``num_shards=1``
     reproduces :func:`route_gated`'s tree byte-for-byte.
 
@@ -365,6 +365,10 @@ def route_sharded(
 
     policy, demote = _reduction_rule(reduction, reduction_mode)
     _validate_inputs(sinks, tech, num_modules=oracle.isa.num_modules)
+    if num_workers < 1:
+        raise InputError(
+            "num_workers must be positive, got %d" % num_workers, field="workers"
+        )
     if num_shards > len(sinks):
         logger.warning(
             "clamping num_shards from %d to the sink count %d",

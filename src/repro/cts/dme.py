@@ -24,20 +24,25 @@ answered by a uniform grid
 (:class:`repro.cts.candidate_index.SegmentGridIndex`) -- the
 speed/quality trade-off explored in the ablation bench.
 
-One screen evaluates every candidate set.  The candidates of a node
-form a :class:`PairLanes` batch of oriented pairs; the cell policy
-decides both new edges of every lane at once
+One screen evaluates every candidate set.  The candidates of one or
+many *owner* nodes form a :class:`PairLanes` batch of oriented pairs;
+the cell policy decides both new edges of every lane at once
 (:meth:`CellPolicy.decide`), the NumPy kernels of
 :mod:`repro.cts.kernels` split them, and the cost's
-:meth:`PairCost.batch` prices them; one ``(cost, id)`` ranking then
-picks the best partner.  The kernels mirror the scalar float
-arithmetic op for op, so every lane equals the scalar plan and cost of
-its pair bit for bit.  Lanes the kernels do not model -- snaked splits,
-re-sized by the cell sizer when one is set -- take their split from
-the scalar :meth:`BottomUpMerger.plan` for that lane and are priced in
-the same batch.  Those plans are memoized per *ordered* pair until
-either side retires, and the winning merge is planned through the same
-memo at commit.
+:meth:`PairCost.batch` prices them; one grouped ``(cost, id)`` ranking
+then picks each owner's best partner.  Best-partner recomputes are
+independent of each other, so the initialization and the eager orphan
+repair of a merge step each screen all their owners together, in
+batches of at most :data:`_SCREEN_LANES` lanes; the lazy repair and
+:meth:`BottomUpMerger._introduce` screen one owner.  The kernels
+mirror the scalar float arithmetic op for op and are elementwise, so
+every lane equals the scalar plan and cost of its pair bit for bit,
+whichever lanes share its batch.  Lanes the kernels do not model --
+snaked splits, re-sized by the cell sizer when one is set -- take their
+split from the scalar :meth:`BottomUpMerger.plan` for that lane and are
+priced in the same batch.  Those plans are memoized per *ordered* pair
+until either side retires, and the winning merge is planned through
+the same memo at commit.
 
 Exact-greedy runs (no ``candidate_limit``) repair orphaned best-pair
 pointers *lazily*: pair costs are immutable and an orphan's candidate
@@ -295,6 +300,10 @@ def commit_merge(
 
 _UNSET = object()
 
+_SCREEN_LANES = 1 << 15
+"""Lane cap of one multi-owner screen: bounds the screen's temporaries
+(exact-greedy initialization would otherwise batch all N^2 lanes)."""
+
 
 class PairLanes:
     """A batch of candidate merges ``(a[j], b[j])``, one pair per lane.
@@ -371,12 +380,13 @@ class MergerStats:
     the plan requests the memo answered instead.
 
     The kernel counters track the screens: ``kernel_batches`` batched
-    distance evaluations, ``kernel_candidates`` the candidate lanes
-    they covered, and ``kernel_scalar_fallbacks`` lanes whose split
-    came from a scalar plan because the kernels do not model them
-    (snaked splits).  ``distance_reuses`` counts ``plan()`` calls that
-    received an already-measured segment distance instead of
-    re-deriving it.
+    distance evaluations (one per screen, however many owners it
+    spans, plus one per ring of a k-nearest index query),
+    ``kernel_candidates`` the candidate lanes they covered, and
+    ``kernel_scalar_fallbacks`` lanes whose split came from a scalar
+    plan because the kernels do not model them (snaked splits).
+    ``distance_reuses`` counts ``plan()`` calls that received an
+    already-measured segment distance instead of re-deriving it.
 
     The repair counters split best-pair recomputations by trigger:
     ``orphan_recomputes`` eager per-merge repairs of nodes whose best
@@ -704,25 +714,20 @@ class BottomUpMerger:
             self.stats.kernel_scalar_fallbacks += 1
         return (cells_a, length_a), (cells_b, length_b)
 
-    def _distances(self, segment, ids):
-        """Batched ``Trr.distance_to`` from ``segment`` to each node id."""
+    def _distances(self, bounds, ids):
+        """Batched ``Trr.distance_to`` from query extents ``bounds``
+        (``(ulo, uhi, vlo, vhi)``, scalars or per-lane arrays) to each
+        node id."""
         self.stats.kernel_batches += 1
         self.stats.kernel_candidates += int(ids.size)
         arrays = self.node_arrays
         return kernels.batch_segment_distance(
-            segment.ulo,
-            segment.uhi,
-            segment.vlo,
-            segment.vhi,
-            arrays.ulo[ids],
-            arrays.uhi[ids],
-            arrays.vlo[ids],
-            arrays.vhi[ids],
+            *bounds, arrays.ulo[ids], arrays.uhi[ids], arrays.vlo[ids], arrays.vhi[ids]
         )
 
     def _index_distances(self, segment, ids) -> List[float]:
         """``batch_distance`` hook of :meth:`SegmentGridIndex.nearest`."""
-        return self._distances(segment, kernels.as_id_array(ids)).tolist()
+        return self._distances(segment.bounds_uv, kernels.as_id_array(ids)).tolist()
 
     def _candidates(self, nid: int):
         """Candidate partner ids of ``nid`` (k nearest with a limit)."""
@@ -740,21 +745,28 @@ class BottomUpMerger:
             )
         )
 
-    def _screen(self, nid: int, ids, canonical: bool = False):
-        """Exact ``(costs, distances)`` of merging ``nid`` with each
-        candidate id.
+    def _screen(self, owner, other, canonical: bool = False):
+        """Exact ``(costs, distances)`` of merging each lane's owner
+        ``owner[j]`` with its candidate ``other[j]``.
 
-        Lanes pair ``(nid, other)``; ``canonical`` orients every pair
-        ``(min id, max id)`` instead -- the orientation of an all-pairs
-        scan, which the exact-greedy initialization reproduces
-        (``plan(a, b)`` and ``plan(b, a)`` agree only to rounding).
+        One screen may span the candidates of many owners: every kernel
+        is elementwise, so a lane's cost does not depend on which other
+        lanes share its batch.  Lanes pair ``(owner, other)``;
+        ``canonical`` orients every pair ``(min id, max id)`` instead --
+        the orientation of an all-pairs scan, which the exact-greedy
+        initialization reproduces (``plan(a, b)`` and ``plan(b, a)``
+        agree only to rounding).
         """
-        distance = self._distances(self.tree.node(nid).merging_segment, ids)
+        arrays = self.node_arrays
+        distance = self._distances(
+            (arrays.ulo[owner], arrays.uhi[owner], arrays.vlo[owner], arrays.vhi[owner]),
+            other,
+        )
         if canonical:
-            low = ids < nid
-            a, b = np.where(low, ids, nid), np.where(low, nid, ids)
+            low = other < owner
+            a, b = np.where(low, other, owner), np.where(low, owner, other)
         else:
-            a, b = np.full_like(ids, nid), ids
+            a, b = owner, other
         return self.cost.batch(self, PairLanes(self, a, b, distance)), distance
 
     # ------------------------------------------------------------------
@@ -771,21 +783,51 @@ class BottomUpMerger:
         self._reverse.setdefault(partner, set()).add(nid)
         heapq.heappush(self._heap, (cost, nid, self._generation))
 
-    def _recompute_best(self, nid: int, canonical: bool = False) -> None:
-        """Re-screen a node's candidates for its cheapest partner,
-        ranked by ``(cost, id)``."""
-        ids = self._candidates(nid)
-        if ids.size == 0:
-            self._best.pop(nid, None)
-            return
-        costs, distance = self._screen(nid, ids, canonical=canonical)
-        j = int(kernels.rank_by_cost(ids, costs)[0])
-        self._set_best(nid, float(costs[j]), int(ids[j]), float(distance[j]))
+    def _recompute_best(self, nids: Sequence[int], canonical: bool = False) -> None:
+        """Re-screen the candidates of every node in ``nids`` for its
+        cheapest partner, ranked by ``(cost, id)``.
+
+        The owners' lanes share screens of up to :data:`_SCREEN_LANES`
+        lanes (an owner with more is screened whole, alone).  Owners
+        are independent -- their candidates read the active set and the
+        index, which neither screening nor :meth:`_set_best` touches --
+        so batching changes no best pair, only the number of screens.
+        """
+        owners: List[int] = []
+        groups: List[np.ndarray] = []
+        lanes = 0
+        for nid in nids:
+            ids = self._candidates(nid)
+            if ids.size == 0:
+                self._best.pop(nid, None)
+                continue
+            if owners and lanes + ids.size > _SCREEN_LANES:
+                self._rank_screen(owners, groups, canonical)
+                owners, groups, lanes = [], [], 0
+            owners.append(nid)
+            groups.append(ids)
+            lanes += ids.size
+        if owners:
+            self._rank_screen(owners, groups, canonical)
+
+    def _rank_screen(
+        self, owners: List[int], groups: List[np.ndarray], canonical: bool
+    ) -> None:
+        """One screen over every owner's candidate lanes; each owner
+        adopts its first lane by ``(cost, id)``."""
+        sizes = [ids.size for ids in groups]
+        other = np.concatenate(groups)
+        owner = np.repeat(np.array(owners, dtype=np.int64), sizes)
+        costs, distance = self._screen(owner, other, canonical=canonical)
+        group = np.repeat(np.arange(len(owners)), sizes)
+        best = kernels.rank_by_cost(other, costs, group).tolist()
+        for nid, j in zip(owners, best):
+            self._set_best(nid, float(costs[j]), int(other[j]), float(distance[j]))
 
     def _initialize_best(self) -> None:
-        canonical = self.candidate_limit is None
-        for nid in sorted(self._active):
-            self._recompute_best(nid, canonical=canonical)
+        self._recompute_best(
+            sorted(self._active), canonical=self.candidate_limit is None
+        )
 
     def _pop_valid_pair(self) -> Tuple[int, int, float]:
         while self._heap:
@@ -804,7 +846,7 @@ class BottomUpMerger:
                 # this node's true current best, so it could not have
                 # won a pop over any valid pair (module docstring).
                 self.stats.repair_recomputes += 1
-                self._recompute_best(nid)
+                self._recompute_best((nid,))
                 continue
             return nid, partner, current[3]
         # The merge loop always leaves >= 2 active nodes with mutual
@@ -837,12 +879,12 @@ class BottomUpMerger:
         ids = self._candidates(merged_id)
         best = None
         if ids.size:
-            costs, distance = self._screen(merged_id, ids)
+            costs, distance = self._screen(np.full_like(ids, merged_id), ids)
             for other, cost, d in zip(ids.tolist(), costs.tolist(), distance.tolist()):
                 current = self._best.get(other)
                 if current is None or (cost, merged_id) < (current[0], current[1]):
                     self._set_best(other, cost, merged_id, d)
-            j = int(kernels.rank_by_cost(ids, costs)[0])
+            (j,) = kernels.rank_by_cost(ids, costs).tolist()
             best = float(costs[j]), int(ids[j]), float(distance[j])
         self._active.add(merged_id)
         self._active_ids.add(merged_id)
@@ -890,11 +932,13 @@ class BottomUpMerger:
                     orphans = (self._retire(a_id) | self._retire(b_id)) & self._active
                     self._introduce(merged.id)
                     if self._eager_repair:
-                        for orphan in orphans:
+                        stale = []
+                        for orphan in sorted(orphans):
                             current = self._best.get(orphan)
                             if current is None or current[1] not in self._active:
-                                self.stats.orphan_recomputes += 1
-                                self._recompute_best(orphan)
+                                stale.append(orphan)
+                        self.stats.orphan_recomputes += len(stale)
+                        self._recompute_best(stale)
             (root,) = self._active
             self.tree.set_root(root)
             with tracer.span("dme.embed"):

@@ -20,6 +20,8 @@ What is batched:
 
 * :func:`batch_segment_distance` -- ``Trr.distance_to`` over
   ``(ulo, uhi, vlo, vhi)`` arrays;
+* :func:`rank_by_cost` -- each owner's best lane by ``(cost, id)``,
+  for screens that span many owners;
 * :func:`batch_zero_skew_split` -- the
   ``repro.cts.merge.zero_skew_split`` linear balance ``x = num / den``
   (plain wires or cells on either edge, per lane), with the
@@ -37,7 +39,7 @@ swap-removal so candidate gathers are single fancy-index operations.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -55,33 +57,46 @@ def as_id_array(ids: Sequence[int]) -> np.ndarray:
     return np.asarray(list(ids), dtype=np.int64)
 
 
-def rank_by_cost(ids: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Indices ordering candidates by ``(cost, id)`` ascending.
+def rank_by_cost(
+    ids: np.ndarray, costs: np.ndarray, group: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Index of each group's first lane by ``(cost, id)`` ascending.
 
     This is the scalar greedy's exact comparison: cheapest cost first,
-    float ties broken by the smaller node id.
+    float ties broken by the smaller node id.  ``group`` labels each
+    lane with its owner (non-negative integers); ``None`` is one group.
 
-    Scalar counterpart: repro.cts.dme.BottomUpMerger._recompute_best
+    Scalar counterpart: builtins.min -- of ``(cost, id)`` over each
+    owner's candidates, one owner at a time.
     """
-    return np.lexsort((ids, costs))
+    if group is None:
+        return np.lexsort((ids, costs))[:1]
+    order = np.lexsort((ids, costs, group))
+    ranked = group[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return order[first]
 
 
 def batch_segment_distance(
-    a_ulo: float,
-    a_uhi: float,
-    a_vlo: float,
-    a_vhi: float,
+    a_ulo,
+    a_uhi,
+    a_vlo,
+    a_vhi,
     b_ulo: np.ndarray,
     b_uhi: np.ndarray,
     b_vlo: np.ndarray,
     b_vhi: np.ndarray,
 ) -> np.ndarray:
-    """``Trr.distance_to`` of one query segment against a batch.
+    """``Trr.distance_to`` of query segments against a batch.
 
-    Mirrors ``_interval_gap``: ``max(0, lo2 - hi1, lo1 - hi2)`` per
-    axis, then the max of the two gaps.  ``max`` is rounding-free, so
-    the result is bit-identical to the scalar call in either pair
-    orientation (the gap arguments just swap).
+    The ``a_*`` extents are one query segment (scalars) or one per lane
+    (arrays, as a screen over many owners passes them).  Mirrors
+    ``_interval_gap``: ``max(0, lo2 - hi1, lo1 - hi2)`` per axis, then
+    the max of the two gaps.  ``max`` is rounding-free, so the result
+    is bit-identical to the scalar call in either pair orientation (the
+    gap arguments just swap).
 
     Scalar counterpart: repro.geometry.trr.Trr.distance_to
     """

@@ -145,10 +145,11 @@ class ScalarPolicy(CellPolicy):
 class ScalarReferenceMerger(BottomUpMerger):
     """The greedy engine with each candidate lane priced on its own.
 
-    Every lane of a screen gets a full scalar :meth:`plan` (cells from
-    the scalar section 4.3 rules) and a scalar reference cost, in the
-    lane's pair orientation; candidate selection, the heap and repair
-    are the engine's.  Its merge trace must equal the batched engine's
+    Every lane of a screen -- whichever owner it belongs to -- gets a
+    full scalar :meth:`plan` (cells from the scalar section 4.3 rules)
+    and a scalar reference cost, in the lane's pair orientation;
+    candidate selection, batching, the heap and repair are the
+    engine's.  Its merge trace must equal the batched engine's
     byte for byte.
     """
 
@@ -157,12 +158,12 @@ class ScalarReferenceMerger(BottomUpMerger):
         self.reference_cost = reference_cost or REFERENCE_COSTS[self.cost]
         self.cell_policy = ScalarPolicy(self.cell_policy)
 
-    def _screen(self, nid, ids, canonical=False):
-        segment = self.tree.node(nid).merging_segment
+    def _screen(self, owner, other, canonical=False):
         costs, distances = [], []
-        for other in ids.tolist():
-            a, b = (other, nid) if canonical and other < nid else (nid, other)
+        for nid, partner in zip(owner.tolist(), other.tolist()):
+            a, b = (partner, nid) if canonical and partner < nid else (nid, partner)
             plan = self.plan(a, b)
             costs.append(self.reference_cost(plan, self))
-            distances.append(segment.distance_to(self.tree.node(other).merging_segment))
+            segment = self.tree.node(nid).merging_segment
+            distances.append(segment.distance_to(self.tree.node(partner).merging_segment))
         return np.array(costs, dtype=float), np.array(distances, dtype=float)

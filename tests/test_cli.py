@@ -131,6 +131,23 @@ class TestCommands:
         assert "pF" not in captured.out
 
     @pytest.mark.parametrize(
+        "extra",
+        (
+            ["--shards", "2", "--workers", "-5"],
+            ["--shards", "2", "--workers", "0"],
+            ["--workers", "2"],
+        ),
+        ids=["negative", "zero", "without-shards"],
+    )
+    def test_bad_workers_is_rejected(self, capsys, extra):
+        code = main(["route", "--benchmark", "r1", "--scale", "0.2"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "workers" in captured.err
+        assert "pF" not in captured.out
+
+    @pytest.mark.parametrize(
         "argv",
         (
             ["route", "--benchmark", "r1", "--scale", "0.05", "--seed", "-1"],

@@ -88,6 +88,15 @@ class TestBatchDistanceParity:
         )
         assert ab[0] == ba[0] == a.distance_to(b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(arcs(), arcs()), min_size=1, max_size=8))
+    def test_per_lane_query_segments(self, pairs):
+        # A screen over many owners passes one query segment per lane.
+        got = kernels.batch_segment_distance(
+            *batch_of([a for a, _ in pairs]), *batch_of([b for _, b in pairs])
+        )
+        assert got.tolist() == [a.distance_to(b) for a, b in pairs]
+
     def test_touching_segments_have_zero_distance(self):
         a = Trr(0.0, 4.0, 0.0, 0.0)
         b = Trr(4.0, 8.0, 0.0, 0.0)
@@ -295,8 +304,35 @@ class TestNodeArrays:
     def test_rank_by_cost_breaks_ties_by_id(self):
         ids = np.array([9, 3, 5], dtype=np.int64)
         costs = np.array([1.0, 1.0, 0.5])
-        order = kernels.rank_by_cost(ids, costs)
-        assert ids[order].tolist() == [5, 3, 9]
+        assert ids[kernels.rank_by_cost(ids, costs)].tolist() == [5]
+        assert ids[kernels.rank_by_cost(ids[:2], costs[:2])].tolist() == [3]
+        # One best lane per group: cheapest cost, then the smaller id.
+        ids = np.array([9, 3, 5, 8, 4, 2], dtype=np.int64)
+        costs = np.array([1.0, 1.0, 2.0, 0.5, 0.5, 7.0])
+        group = np.array([0, 0, 0, 1, 1, 2])
+        best = kernels.rank_by_cost(ids, costs, group)
+        assert ids[best].tolist() == [3, 4, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([0.0, 0.5, 1.0, 2.5, float("inf")]),
+                st.integers(0, 40),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_rank_by_cost_is_min_per_group(self, lanes):
+        group, costs, ids = (np.array(column) for column in zip(*lanes))
+        best = kernels.rank_by_cost(ids, costs, group)
+        expected = [
+            min((c, i) for g, c, i in lanes if g == label)
+            for label in sorted(set(group.tolist()))
+        ]
+        assert list(zip(costs[best].tolist(), ids[best].tolist())) == expected
 
 
 # ----------------------------------------------------------------------

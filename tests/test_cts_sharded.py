@@ -254,6 +254,19 @@ class TestStitchedTree:
             assert a.edge_length == b.edge_length
             assert a.enable_probability == b.enable_probability
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_non_positive_workers_rejected(self, case, tech, workers):
+        sinks, oracle = case
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with pytest.raises(InputError) as raised:
+                route_sharded(sinks, tech, oracle, num_shards=2, num_workers=workers)
+        finally:
+            set_registry(previous)
+        assert raised.value.field == "workers"
+        assert "shard.workers" not in registry
+
     def test_reduction_applies_post_stitch(self, case, tech):
         sinks, oracle = case
         reduction = GateReductionPolicy.from_knob(0.5, tech)

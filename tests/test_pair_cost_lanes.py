@@ -125,9 +125,10 @@ def test_every_lane_matches_scalar_reference(
     active = merge_some(mergers, pairs)
     nid = active[pick % len(active)]
     ids = np.array([o for o in active if o != nid], dtype=np.int64)
+    owner = np.full_like(ids, nid)
     for canonical in (False, True):
-        costs, distance = batched._screen(nid, ids, canonical=canonical)
-        ref_costs, ref_distance = reference._screen(nid, ids, canonical=canonical)
+        costs, distance = batched._screen(owner, ids, canonical=canonical)
+        ref_costs, ref_distance = reference._screen(owner, ids, canonical=canonical)
         assert distance.tolist() == ref_distance.tolist()
         assert costs.tolist() == ref_costs.tolist()
     event("snaked fallback lanes" if batched.stats.kernel_scalar_fallbacks else "kernel lanes only")
@@ -227,9 +228,10 @@ def test_snaked_fallback_lanes_match(oracle, cost, sized):
     active = merge_some(mergers, [(0, 1), (2, 3), (4, 7)])
     for nid in active:
         ids = np.array([o for o in active if o != nid], dtype=np.int64)
+        owner = np.full_like(ids, nid)
         for canonical in (False, True):
-            costs, _ = batched._screen(nid, ids, canonical=canonical)
-            ref_costs, _ = reference._screen(nid, ids, canonical=canonical)
+            costs, _ = batched._screen(owner, ids, canonical=canonical)
+            ref_costs, _ = reference._screen(owner, ids, canonical=canonical)
             assert costs.tolist() == ref_costs.tolist()
     assert batched.stats.kernel_scalar_fallbacks > 0
 
