@@ -17,8 +17,9 @@ router needs -- and on top of which the paper's gated router
   policy, followed by top-down placement of merging segments; one
   exact screen prices every candidate batch, and the merge step
   (``plan_merge`` / ``commit_merge``) is shared with the shard stitch;
-* :mod:`repro.cts.candidate_index` -- the uniform-grid spatial index
-  answering the merger's k-nearest-candidate queries;
+* :mod:`repro.cts.candidate_index` -- the bounding-box block index
+  answering the merger's k-nearest-candidate queries, with the exact
+  distances its screen reuses;
 * :mod:`repro.cts.nearest_neighbor` -- the nearest-neighbour pair cost
   (Edahiro-style), used by the baseline;
 * :mod:`repro.cts.buffered` -- the buffered zero-skew clock tree the
@@ -27,7 +28,7 @@ router needs -- and on top of which the paper's gated router
 
 from repro.cts.topology import ClockNode, ClockTree, Sink
 from repro.cts.merge import SkewBalanceError, SplitResult, Tap, zero_skew_split
-from repro.cts.candidate_index import SegmentGridIndex
+from repro.cts.candidate_index import SegmentBlockIndex
 from repro.cts.dme import BottomUpMerger, CellDecision, MergePlan, MergerStats
 from repro.cts.buffered import build_buffered_tree
 from repro.cts.reembed import reembed
@@ -41,7 +42,7 @@ __all__ = [
     "ClockNode",
     "ClockTree",
     "Sink",
-    "SegmentGridIndex",
+    "SegmentBlockIndex",
     "SkewBalanceError",
     "SplitResult",
     "Tap",

@@ -1,244 +1,204 @@
-"""Spatial candidate index for the greedy merger's k-nearest queries.
+"""Block index for the greedy merger's k-nearest candidate queries.
 
 During bottom-up merging every active subtree root carries a merging
-segment (a Manhattan arc, stored as a degenerate
-:class:`~repro.geometry.trr.Trr`).  With a ``candidate_limit`` the
-greedy engine repeatedly needs, for one segment, its ``k`` nearest
-active segments -- previously a full sort of all active nodes,
-O(N log N) per query.
+segment (a Manhattan arc), mirrored as one ``(ulo, uhi, vlo, vhi)`` row
+of the merger's :class:`~repro.cts.kernels.NodeArrays`.  With a
+``candidate_limit`` the greedy engine repeatedly needs, for one node,
+its ``k`` nearest live segments.
 
-:class:`SegmentGridIndex` answers the same query from a uniform grid
-over segment *centers* in the rotated ``(u, v) = (x + y, x - y)``
-coordinates, where Manhattan distance in the layout becomes the
-Chebyshev (L-infinity) distance, so grid rings are square and the ring
-radius is a true distance bound.  A query expands rings of cells
-around the query center, collecting candidates with their **exact**
-segment-to-segment distances, until the ring bound proves that no
-unscanned segment can still enter the result:
+:class:`SegmentBlockIndex` splits the live ids into spatial blocks of
+about :data:`_BLOCK` ids (sort-tile-recursive over segment centers in
+the rotated ``(u, v)`` coordinates, where Manhattan distance is the
+Chebyshev distance).  Each block stores its members' extents in a
+fixed-width slot row and keeps a high-water ``(u, v)`` bounding box of
+them.  Every segment lies inside its block's box, so the segment
+distance from a query to the box is a lower bound for every member.
+A query bounds its distance to every box in one vectorized step,
+takes blocks in bound order (its own block first) until they hold
+``k`` ids, measures those members in one kernel, then adds every remaining block whose
+bound is ``<=`` the k-th distance (at most one more kernel).  The
+stop rule is strict -- a block whose bound *equals* the k-th distance
+is still measured -- so distance ties are broken by id exactly as a
+full ``(distance, id)`` sort breaks them.  With a population of one
+block a query is a single kernel over that block.
 
-``dist(q, s) >= Linf(center_q, center_s) - rad_q - rad_s
-            >= r * cell - rad_q - max_rad``
+Removals leave a dead slot (infinitely far from any query) and never
+shrink a box; the blocks are re-derived from the live population
+whenever it halves, which re-tightens the boxes and compacts the slots.
+An insert takes a free slot in the nearest block that has one and
+widens that block's box (the blocks are re-derived when every block
+is full).
 
-after completing ring ``r`` (``rad`` is a segment's half-extent; the
-index keeps a high-water maximum over inserted segments, which stays a
-valid -- merely conservative -- bound after removals).  Because large
-segments are born late in a merge and retire soon after, a grow-only
-high-water mark loosens the stop bound exactly when queries get
-expensive; the index therefore recomputes the true maximum whenever
-the live population halves since the mark was last exact, an O(N)
-scan amortized O(1) per removal (``radius_recomputes`` counts scans,
-``tightened_queries`` the queries that ran with a tightened bound).
-
-Results are ranked by ``(exact distance, id)``, byte-identical to the
-full-sort implementation the merger used before, so switching to the
-index cannot change any greedy decision.  The expansion stops only
-when the bound *strictly* exceeds the k-th best distance, so distance
-ties are still broken by id exactly as the sort did.  Each ring's
-exact distances can optionally be answered by one batched call
-(the ``batch_distance`` hook of :meth:`SegmentGridIndex.nearest`)
-instead of a Python loop; the hook is pinned bit-identical to
-``Trr.distance_to``, so it cannot change a result either.
+Results are the ``(Trr.distance_to, id)`` top-k *set*, measured by the
+bit-exact :func:`~repro.cts.kernels.batch_segment_distance`, and come
+back with their distances so the merger need not measure them again.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.check.errors import ContractError
-from repro.geometry.trr import Trr
+from repro.cts import kernels
+
+_BLOCK = 256
+"""Target ids per block after a rebuild."""
+
+_DEAD = (np.inf, -np.inf, np.inf, -np.inf)
+"""Extents of an empty slot or box: infinitely far from every segment."""
 
 
-class SegmentGridIndex:
-    """Uniform grid over merging-segment centers with ring expansion.
+class SegmentBlockIndex:
+    """k-nearest queries over ``NodeArrays`` rows, by bounding-box blocks.
 
     Parameters
     ----------
-    cell_size:
-        Grid pitch in the rotated coordinates.  Any positive value is
-        correct; a pitch near the typical nearest-neighbour spacing
-        makes queries touch O(k) cells.
+    arrays:
+        The :class:`~repro.cts.kernels.NodeArrays` whose rows hold the
+        segment extents; a row must be written before its id is
+        inserted and must not change while it is indexed.
+    ids:
+        The initially live ids.
+    measure:
+        The segment-distance kernel for member distances, with the
+        signature of :func:`~repro.cts.kernels.batch_segment_distance`
+        (the merger passes a counting wrapper of it).
     """
 
-    def __init__(self, cell_size: float):
-        if not cell_size > 0.0:
-            raise ContractError("cell_size must be positive")
-        self.cell_size = float(cell_size)
-        self._segments: Dict[int, Trr] = {}
-        self._cells: Dict[Tuple[int, int], Set[int]] = {}
-        self._cell_of: Dict[int, Tuple[int, int]] = {}
-        #: High-water half-extent over the *live* segments.  A stale
-        #: (too large) value only delays the stop condition, it cannot
-        #: make a query inexact; it is recomputed exactly whenever the
-        #: population halves below :attr:`_peak_population`.
-        self._max_radius = 0.0
-        #: Largest half-extent ever inserted (never lowered; used only
-        #: to detect that ``_max_radius`` has been tightened below it).
-        self._ever_max_radius = 0.0
-        #: Population when ``_max_radius`` was last known exact.
-        self._peak_population = 0
-        # High-water bounding box of occupied cells, for termination.
-        self._bounds: Optional[List[int]] = None  # [ulo, uhi, vlo, vhi]
-        #: Query counters (read by the merger's ``MergerStats``).
-        self.queries = 0
-        self.cells_scanned = 0
-        self.radius_recomputes = 0
-        self.tightened_queries = 0
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._segments
-
-    @staticmethod
-    def _center(segment: Trr) -> Tuple[float, float]:
-        return (
-            (segment.ulo + segment.uhi) / 2.0,
-            (segment.vlo + segment.vhi) / 2.0,
-        )
-
-    @staticmethod
-    def _radius(segment: Trr) -> float:
-        return max(segment.u_extent, segment.v_extent) / 2.0
-
-    def _cell(self, u: float, v: float) -> Tuple[int, int]:
-        return (
-            int(math.floor(u / self.cell_size)),
-            int(math.floor(v / self.cell_size)),
-        )
-
-    def insert(self, item_id: int, segment: Trr) -> None:
-        """Register an active segment under ``item_id``."""
-        if item_id in self._segments:
-            raise ContractError("id %d is already indexed" % item_id)
-        u, v = self._center(segment)
-        cell = self._cell(u, v)
-        self._segments[item_id] = segment
-        self._cell_of[item_id] = cell
-        self._cells.setdefault(cell, set()).add(item_id)
-        self._max_radius = max(self._max_radius, self._radius(segment))
-        self._ever_max_radius = max(self._ever_max_radius, self._max_radius)
-        self._peak_population = max(self._peak_population, len(self._segments))
-        if self._bounds is None:
-            self._bounds = [cell[0], cell[0], cell[1], cell[1]]
-        else:
-            b = self._bounds
-            b[0] = min(b[0], cell[0])
-            b[1] = max(b[1], cell[0])
-            b[2] = min(b[2], cell[1])
-            b[3] = max(b[3], cell[1])
-
-    def remove(self, item_id: int) -> None:
-        """Drop a retired segment from the index."""
-        if item_id not in self._segments:
-            raise KeyError(item_id)
-        del self._segments[item_id]
-        cell = self._cell_of.pop(item_id)
-        bucket = self._cells[cell]
-        bucket.discard(item_id)
-        if not bucket:
-            del self._cells[cell]
-        if len(self._segments) * 2 <= self._peak_population:
-            # The population halved since the radius mark was last
-            # exact: re-derive it from the survivors so late queries
-            # stop on the live maximum, not on long-retired giants.
-            self._max_radius = max(
-                (self._radius(s) for s in self._segments.values()), default=0.0
-            )
-            self._peak_population = len(self._segments)
-            self.radius_recomputes += 1
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def _ring(self, cu: int, cv: int, r: int) -> Iterator[Tuple[int, int]]:
-        """Cells at Chebyshev distance exactly ``r``, clamped to bounds."""
-        b = self._bounds
-        if b is None:
-            return
-        if r == 0:
-            if b[0] <= cu <= b[1] and b[2] <= cv <= b[3]:
-                yield (cu, cv)
-            return
-        ulo, uhi = max(cu - r, b[0]), min(cu + r, b[1])
-        for gv in (cv - r, cv + r):
-            if b[2] <= gv <= b[3]:
-                for gu in range(ulo, uhi + 1):
-                    yield (gu, gv)
-        vlo, vhi = max(cv - r + 1, b[2]), min(cv + r - 1, b[3])
-        for gu in (cu - r, cu + r):
-            if b[0] <= gu <= b[1]:
-                for gv in range(vlo, vhi + 1):
-                    yield (gu, gv)
-
-    def nearest(
+    def __init__(
         self,
-        segment: Trr,
-        k: int,
-        exclude: Optional[int] = None,
-        batch_distance=None,
-    ) -> List[int]:
-        """The ``k`` indexed segments nearest to ``segment``.
+        arrays: kernels.NodeArrays,
+        ids: Iterable[int] = (),
+        measure=kernels.batch_segment_distance,
+    ):
+        self._arrays = arrays
+        self._measure = measure
+        self._slot: Dict[int, Tuple[int, int]] = {}
+        self._rebuild(list(ids))
 
-        Ranked by ``(Trr.distance_to, id)`` -- exactly the order a full
-        sort over all indexed segments would produce.  ``exclude``
-        omits one id (the querying node itself when it is indexed).
+    def __len__(self) -> int:
+        return len(self._slot)
 
-        ``batch_distance(segment, ids) -> distances`` optionally
-        answers one ring's exact segment distances in a single call
-        (the merger passes its batched segment-distance kernel).
-        The callback must be bit-identical to ``Trr.distance_to`` per
-        id; results are then ranked by the same ``(distance, id)``
-        sort either way, so the hook cannot change a query result.
+    def __contains__(self, nid: int) -> bool:
+        return nid in self._slot
+
+    def _extents(self, nid) -> np.ndarray:
+        a = self._arrays
+        return np.array((a.ulo[nid], a.uhi[nid], a.vlo[nid], a.vhi[nid]))
+
+    def _rebuild(self, ids: List[int]) -> None:
+        """Re-derive the blocks from the live ``ids``."""
+        live = np.array(ids, dtype=np.int64)
+        ulo, uhi, vlo, vhi = ext = self._extents(live).reshape(4, -1)
+        # Sort-tile-recursive: about sqrt(n / _BLOCK) slabs along u,
+        # each cut along v into blocks of at most _BLOCK ids.
+        slabs = math.isqrt(max(0, -(-live.size // _BLOCK) - 1)) + 1
+        blocks = []
+        for slab in np.array_split(np.argsort(ulo + uhi, kind="stable"), slabs):
+            slab = slab[np.argsort(vlo[slab] + vhi[slab], kind="stable")]
+            blocks.extend(np.array_split(slab, max(1, -(-slab.size // _BLOCK))))
+        # Spare slots let inserts (a merge's new node lands near the
+        # two it replaces) find room without a rebuild.
+        width = max(b.size for b in blocks)
+        width += width // 4 + 1
+        self._ext = np.empty((4, len(blocks), width))
+        self._ext[:] = np.array(_DEAD)[:, None, None]
+        self._ids = np.full((len(blocks), width), -1, dtype=np.int64)
+        self._box = np.empty((4, len(blocks)))
+        self._box[:] = np.array(_DEAD)[:, None]
+        self._count = np.array([b.size for b in blocks], dtype=np.int64)
+        self._free = [list(range(width - 1, b.size - 1, -1)) for b in blocks]
+        self._slot = {}
+        for j, members in enumerate(blocks):
+            self._ext[:, j, : members.size] = ext[:, members]
+            self._ids[j, : members.size] = live[members]
+            if members.size:
+                self._box[0::2, j] = ext[0::2, members].min(axis=1)
+                self._box[1::2, j] = ext[1::2, members].max(axis=1)
+            self._slot.update((nid, (j, s)) for s, nid in enumerate(live[members].tolist()))
+        self._peak = live.size
+
+    def insert(self, nid: int) -> None:
+        """Index node ``nid`` (its ``NodeArrays`` row is its segment)."""
+        if nid in self._slot:
+            raise ContractError("id %d is already indexed" % nid)
+        ext = self._extents(nid)
+        bound = self._bounds(ext)
+        bound[self._count >= self._ids.shape[1]] = np.inf
+        j = int(bound.argmin())
+        if not self._free[j]:  # every block is full
+            self._rebuild(list(self._slot) + [nid])
+            return
+        s = self._free[j].pop()
+        self._slot[nid] = (j, s)
+        self._ext[:, j, s] = ext
+        self._ids[j, s] = nid
+        self._count[j] += 1
+        box = self._box[:, j]
+        box[0::2] = np.minimum(box[0::2], ext[0::2])
+        box[1::2] = np.maximum(box[1::2], ext[1::2])
+        self._peak = max(self._peak, len(self._slot))
+
+    def remove(self, nid: int) -> None:
+        """Drop node ``nid``; raises ``KeyError`` if it is not indexed."""
+        j, s = self._slot.pop(nid)
+        self._ext[:, j, s] = _DEAD
+        self._ids[j, s] = -1
+        self._count[j] -= 1
+        self._free[j].append(s)
+        if 2 * len(self._slot) <= self._peak:
+            self._rebuild(list(self._slot))
+
+    def _bounds(self, ext: np.ndarray) -> np.ndarray:
+        """Per block, a lower bound (possibly negative) of the distance
+        from the segment with extents ``ext`` to every member."""
+        ext = ext[:, None]
+        gap = np.maximum(self._box[0::2] - ext[1::2], ext[0::2] - self._box[1::2])
+        return np.maximum(gap[0], gap[1])
+
+    def _members(self, query, blocks):
+        """Ids and exact distances of every slot of ``blocks``."""
+        ids = self._ids[blocks].ravel()
+        return ids, self._measure(*query, *self._ext[:, blocks].reshape(4, -1))
+
+    def nearest(self, nid: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``k`` live ids nearest to node ``nid``'s segment.
+
+        Returns ``(ids, distances)``: the first ``k`` live ids other
+        than ``nid`` by ``(distance, id)`` -- exactly the set a full
+        sort would pick -- in no particular order.
         """
         if k < 1:
             raise ContractError("k must be positive")
-        self.queries += 1
-        if self._max_radius < self._ever_max_radius:
-            self.tightened_queries += 1
-        total = len(self._segments) - (1 if exclude in self._segments else 0)
-        if total <= 0:
-            return []
-        qu, qv = self._center(segment)
-        q_rad = self._radius(segment)
-        cu, cv = self._cell(qu, qv)
-        found: List[Tuple[float, int]] = []
-        r = 0
-        while True:
-            ring_ids: List[int] = []
-            for cell in self._ring(cu, cv, r):
-                bucket = self._cells.get(cell)
-                if not bucket:
-                    continue
-                self.cells_scanned += 1
-                for iid in bucket:
-                    if iid == exclude:
-                        continue
-                    ring_ids.append(iid)
-            if ring_ids:
-                if batch_distance is not None:
-                    found.extend(zip(batch_distance(segment, ring_ids), ring_ids))
-                else:
-                    found.extend(
-                        (segment.distance_to(self._segments[iid]), iid)
-                        for iid in ring_ids
-                    )
-            if len(found) >= total:
-                break
-            if len(found) >= k:
-                found.sort()
-                # After ring r every unscanned center is > r*cell away
-                # (strictly, >= r*cell measured from the query point's
-                # own cell); subtract both half-extents for a segment
-                # distance bound.  Stop only on a *strict* win so that
-                # equal-distance ties are still resolved by id.
-                bound = r * self.cell_size - q_rad - self._max_radius
-                if bound > found[k - 1][0]:
-                    break
-            r += 1
-        found.sort()
-        return [iid for _, iid in found[:k]]
+        own = self._slot.get(nid)
+        k = min(k, len(self._slot) - (own is not None))
+        if k <= 0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        query = self._extents(nid)
+        blocks = slice(0, 1)
+        if self._count.size > 1:
+            bound = self._bounds(query)
+            if own is not None:
+                bound[own[0]] = -np.inf  # the own block comes first
+            order = np.argsort(bound)
+            reach = 1
+            if self._count[order[0]] <= k:
+                reach += int(np.searchsorted(np.cumsum(self._count[order]), k + 1))
+            blocks = order[:reach]
+        ids, d = self._members(query, blocks)
+        if own is not None:
+            d[own[1]] = np.inf
+        kth = np.partition(d, k - 1)[k - 1]
+        if self._count.size > 1:
+            more = int(np.searchsorted(bound[order], kth, side="right"))
+            if more > reach:
+                extra_ids, extra_d = self._members(query, order[reach:more])
+                ids, d = np.concatenate((ids, extra_ids)), np.concatenate((d, extra_d))
+                kth = np.partition(d, k - 1)[k - 1]
+        pick = np.flatnonzero(d <= kth)
+        if pick.size > k:  # ties at the k-th distance go to the smaller ids
+            pick = pick[np.lexsort((ids[pick], d[pick]))[:k]]
+        return ids[pick], d[pick]

@@ -20,8 +20,9 @@ partner; a lazy min-heap orders the candidates.  This gives the exact
 greedy (same result as scanning all pairs each round) in roughly
 O(N^2) cost evaluations.  An optional ``candidate_limit`` restricts
 each node's candidates to its k geometrically nearest neighbours,
-answered by a uniform grid
-(:class:`repro.cts.candidate_index.SegmentGridIndex`) -- the
+answered by a bounding-box block index
+(:class:`repro.cts.candidate_index.SegmentBlockIndex`) together with
+their exact distances, which the screen then reuses -- the
 speed/quality trade-off explored in the ablation bench.
 
 One screen evaluates every candidate set.  The candidates of one or
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -69,13 +69,8 @@ import numpy as np
 from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, InternalInvariantError
 from repro.cts import kernels
-from repro.cts.candidate_index import SegmentGridIndex
-from repro.obs import (
-    get_registry,
-    get_tracer,
-    publish_index_stats,
-    publish_merger_stats,
-)
+from repro.cts.candidate_index import SegmentBlockIndex
+from repro.obs import get_registry, get_tracer, publish_merger_stats
 from repro.cts.merge import SplitResult, Tap, merge_regions, zero_skew_split
 from repro.cts.topology import ClockNode, ClockTree, Sink
 from repro.geometry.point import Point
@@ -379,10 +374,12 @@ class MergerStats:
     evaluations (scalar split + cell decisions); ``plan_cache_hits``
     the plan requests the memo answered instead.
 
-    The kernel counters track the screens: ``kernel_batches`` batched
-    distance evaluations (one per screen, however many owners it
-    spans, plus one per ring of a k-nearest index query),
-    ``kernel_candidates`` the candidate lanes they covered, and
+    The kernel counters track the segment distances:
+    ``kernel_batches`` batched distance evaluations of candidate
+    segments (one per exact-greedy screen, however many owners it
+    spans, and one or two per k-nearest index query, whose distances
+    the screen reuses), ``kernel_candidates`` the lanes they covered
+    (an index query measures whole blocks), and
     ``kernel_scalar_fallbacks`` lanes whose split came from a scalar
     plan because the kernels do not model them (snaked splits).
     ``distance_reuses`` counts ``plan()`` calls that received an
@@ -522,11 +519,11 @@ class BottomUpMerger:
         for nid in range(len(sinks)):
             self._set_row(self.tree.node(nid))
         self._active_ids = kernels.ActiveIds(range(len(sinks)), capacity)
-        self._index: Optional[SegmentGridIndex] = None
+        self._index: Optional[SegmentBlockIndex] = None
         if candidate_limit is not None and len(sinks) > 1:
-            self._index = SegmentGridIndex(self._index_cell_size(sinks))
-            for nid in self._active:
-                self._index.insert(nid, self.tree.node(nid).merging_segment)
+            self._index = SegmentBlockIndex(
+                self.node_arrays, range(len(sinks)), measure=self._measure
+            )
         # Exact-greedy runs repair orphaned best pairs lazily at pop
         # time (see the module docstring); candidate_limit runs must
         # stay eager because their k-nearest candidate snapshots are
@@ -534,16 +531,6 @@ class BottomUpMerger:
         self._eager_repair = candidate_limit is not None
         self.merge_trace: List[Tuple[int, int, int]] = []
         """(left, right, merged) triples, in merge order -- for tests."""
-
-    @staticmethod
-    def _index_cell_size(sinks: Sequence[Sink]) -> float:
-        """Grid pitch near the expected nearest-neighbour spacing."""
-        us = [s.location.u for s in sinks]
-        vs = [s.location.v for s in sinks]
-        span = max(max(us) - min(us), max(vs) - min(vs))
-        if span <= 0.0:
-            return 1.0
-        return span / max(1.0, math.sqrt(len(sinks)))
 
     def _set_row(self, node: ClockNode) -> None:
         """Mirror a node's merge state, activation signature and
@@ -714,40 +701,30 @@ class BottomUpMerger:
             self.stats.kernel_scalar_fallbacks += 1
         return (cells_a, length_a), (cells_b, length_b)
 
-    def _distances(self, bounds, ids):
-        """Batched ``Trr.distance_to`` from query extents ``bounds``
-        (``(ulo, uhi, vlo, vhi)``, scalars or per-lane arrays) to each
-        node id."""
+    def _measure(self, *extents) -> np.ndarray:
+        """:func:`kernels.batch_segment_distance`, counted in
+        :attr:`stats`."""
+        distance = kernels.batch_segment_distance(*extents)
         self.stats.kernel_batches += 1
-        self.stats.kernel_candidates += int(ids.size)
-        arrays = self.node_arrays
-        return kernels.batch_segment_distance(
-            *bounds, arrays.ulo[ids], arrays.uhi[ids], arrays.vlo[ids], arrays.vhi[ids]
-        )
-
-    def _index_distances(self, segment, ids) -> List[float]:
-        """``batch_distance`` hook of :meth:`SegmentGridIndex.nearest`."""
-        return self._distances(segment.bounds_uv, kernels.as_id_array(ids)).tolist()
+        self.stats.kernel_candidates += distance.size
+        return distance
 
     def _candidates(self, nid: int):
-        """Candidate partner ids of ``nid`` (k nearest with a limit)."""
-        others = self._active_ids.others(nid)
+        """Candidate partner ids of ``nid`` and their distances: the k
+        nearest with a limit, else every other active id (distances
+        ``None``: the screen measures them)."""
+        index = self._index
+        if index is None:
+            return self._active_ids.others(nid), None
         limit = self.candidate_limit
-        if limit is None or others.size <= limit:
-            return others
-        self.stats.index_queries += 1
-        return kernels.as_id_array(
-            self._index.nearest(
-                self.tree.node(nid).merging_segment,
-                limit,
-                exclude=nid,
-                batch_distance=self._index_distances,
-            )
-        )
+        if len(index) - (nid in index) > limit:
+            self.stats.index_queries += 1
+        return index.nearest(nid, limit)
 
-    def _screen(self, owner, other, canonical: bool = False):
+    def _screen(self, owner, other, distance=None, canonical: bool = False):
         """Exact ``(costs, distances)`` of merging each lane's owner
-        ``owner[j]`` with its candidate ``other[j]``.
+        ``owner[j]`` with its candidate ``other[j]``; ``distance``
+        passes the lanes' segment distances when already measured.
 
         One screen may span the candidates of many owners: every kernel
         is elementwise, so a lane's cost does not depend on which other
@@ -757,11 +734,12 @@ class BottomUpMerger:
         initialization reproduces (``plan(a, b)`` and ``plan(b, a)``
         agree only to rounding).
         """
-        arrays = self.node_arrays
-        distance = self._distances(
-            (arrays.ulo[owner], arrays.uhi[owner], arrays.vlo[owner], arrays.vhi[owner]),
-            other,
-        )
+        if distance is None:
+            rows = self.node_arrays
+            distance = self._measure(
+                rows.ulo[owner], rows.uhi[owner], rows.vlo[owner], rows.vhi[owner],
+                rows.ulo[other], rows.uhi[other], rows.vlo[other], rows.vhi[other],
+            )
         if canonical:
             low = other < owner
             a, b = np.where(low, other, owner), np.where(low, owner, other)
@@ -794,10 +772,10 @@ class BottomUpMerger:
         so batching changes no best pair, only the number of screens.
         """
         owners: List[int] = []
-        groups: List[np.ndarray] = []
+        groups: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         lanes = 0
         for nid in nids:
-            ids = self._candidates(nid)
+            ids, distance = self._candidates(nid)
             if ids.size == 0:
                 self._best.pop(nid, None)
                 continue
@@ -805,20 +783,25 @@ class BottomUpMerger:
                 self._rank_screen(owners, groups, canonical)
                 owners, groups, lanes = [], [], 0
             owners.append(nid)
-            groups.append(ids)
+            groups.append((ids, distance))
             lanes += ids.size
         if owners:
             self._rank_screen(owners, groups, canonical)
 
     def _rank_screen(
-        self, owners: List[int], groups: List[np.ndarray], canonical: bool
+        self,
+        owners: List[int],
+        groups: List[Tuple[np.ndarray, Optional[np.ndarray]]],
+        canonical: bool,
     ) -> None:
-        """One screen over every owner's candidate lanes; each owner
-        adopts its first lane by ``(cost, id)``."""
-        sizes = [ids.size for ids in groups]
-        other = np.concatenate(groups)
+        """One screen over every owner's ``(candidate ids, distances)``
+        lanes; each owner adopts its first lane by ``(cost, id)``."""
+        ids, distances = zip(*groups)
+        sizes = [i.size for i in ids]
+        other = np.concatenate(ids)
         owner = np.repeat(np.array(owners, dtype=np.int64), sizes)
-        costs, distance = self._screen(owner, other, canonical=canonical)
+        distance = None if distances[0] is None else np.concatenate(distances)
+        costs, distance = self._screen(owner, other, distance, canonical)
         group = np.repeat(np.arange(len(owners)), sizes)
         best = kernels.rank_by_cost(other, costs, group).tolist()
         for nid, j in zip(owners, best):
@@ -876,10 +859,10 @@ class BottomUpMerger:
         beats its current best; the resulting heap outcomes do not
         depend on the update order (generation staleness).
         """
-        ids = self._candidates(merged_id)
+        ids, distance = self._candidates(merged_id)
         best = None
         if ids.size:
-            costs, distance = self._screen(np.full_like(ids, merged_id), ids)
+            costs, distance = self._screen(np.full_like(ids, merged_id), ids, distance)
             for other, cost, d in zip(ids.tolist(), costs.tolist(), distance.tolist()):
                 current = self._best.get(other)
                 if current is None or (cost, merged_id) < (current[0], current[1]):
@@ -889,7 +872,7 @@ class BottomUpMerger:
         self._active.add(merged_id)
         self._active_ids.add(merged_id)
         if self._index is not None:
-            self._index.insert(merged_id, self.tree.node(merged_id).merging_segment)
+            self._index.insert(merged_id)
         if best is not None:
             self._set_best(merged_id, *best)
 
@@ -944,7 +927,6 @@ class BottomUpMerger:
             with tracer.span("dme.embed"):
                 self.tree.place()
             publish_merger_stats(self.stats)
-            publish_index_stats(self._index)
         if logger.isEnabledFor(logging.DEBUG):
             # Guarded: these arguments walk the whole tree.
             logger.debug(

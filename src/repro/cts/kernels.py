@@ -39,7 +39,7 @@ swap-removal so candidate gathers are single fancy-index operations.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -47,14 +47,6 @@ from repro.cts.merge import DEGENERATE_DEN_EPS, DEGENERATE_SKEW_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dme -> kernels)
     from repro.cts.topology import ClockNode
-
-
-def as_id_array(ids: Sequence[int]) -> np.ndarray:
-    """Candidate ids as an ``int64`` array (the kernels' id dtype).
-
-    Scalar counterpart: none -- dtype plumbing, no scalar arithmetic.
-    """
-    return np.asarray(list(ids), dtype=np.int64)
 
 
 def rank_by_cost(

@@ -42,7 +42,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.instrument import (
-    publish_index_stats,
     publish_merger_stats,
     publish_oracle_cache,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "get_tracer",
     "load_json",
     "phase_profile",
-    "publish_index_stats",
     "publish_merger_stats",
     "publish_oracle_cache",
     "record_from_trace",

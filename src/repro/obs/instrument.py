@@ -24,17 +24,6 @@ def publish_merger_stats(stats, registry: Optional[MetricsRegistry] = None) -> N
         registry.counter("dme." + key).inc(value)
 
 
-def publish_index_stats(index, registry: Optional[MetricsRegistry] = None) -> None:
-    """Publish :class:`~repro.cts.candidate_index.SegmentGridIndex` work."""
-    if index is None:
-        return
-    registry = registry or get_registry()
-    registry.counter("dme.index.queries").inc(index.queries)
-    registry.counter("dme.index.cells_scanned").inc(index.cells_scanned)
-    registry.counter("dme.index.radius_recomputes").inc(index.radius_recomputes)
-    registry.counter("dme.index.tightened_queries").inc(index.tightened_queries)
-
-
 def publish_oracle_cache(oracle, registry: Optional[MetricsRegistry] = None) -> None:
     """Publish the :class:`ActivityOracle` per-mask LRU hit/miss gauges.
 

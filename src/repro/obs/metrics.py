@@ -1,13 +1,12 @@
 """Named counters, gauges and histograms for the routing flow.
 
 The registry is the sink the ad-hoc instrumentation structs publish
-into: :class:`~repro.cts.dme.MergerStats` counters, the
+into: :class:`~repro.cts.dme.MergerStats` counters and the
 :class:`~repro.activity.probability.ActivityOracle` LRU hit/miss
-numbers and the :class:`~repro.cts.candidate_index.SegmentGridIndex`
-query counters all land here under stable dotted names
-(``dme.plans_computed``, ``oracle.statistics.hits``,
-``dme.index.cells_scanned``, ...), so exporters and tests read one
-uniform ``as_dict()`` instead of reaching into per-module structs.
+numbers land here under stable dotted names
+(``dme.plans_computed``, ``oracle.statistics.hits``, ...), so
+exporters and tests read one uniform ``as_dict()`` instead of
+reaching into per-module structs.
 
 Metric names follow the span naming convention: ``phase.subphase``
 (see ``DESIGN.md`` section "Observability").

@@ -13,7 +13,7 @@ Two consumers enforce that:
 
 Names follow ``phase.subphase`` -- lowercase ``[a-z_]`` segments
 joined by dots (two or more segments; deeper nesting such as
-``dme.index.queries`` is allowed).  Dynamically composed families
+``oracle.statistics.hits`` is allowed).  Dynamically composed families
 (e.g. ``"dme." + key`` over :meth:`MergerStats.snapshot` keys,
 ``"oracle.%s." % method`` over the oracle's cached methods) are
 covered by the prefix tuples instead of exhaustive enumeration.
@@ -60,10 +60,6 @@ SPAN_PREFIXES = ()
 METRIC_NAMES = frozenset(
     {
         "controller.star_edge_length",
-        "dme.index.cells_scanned",
-        "dme.index.queries",
-        "dme.index.radius_recomputes",
-        "dme.index.tightened_queries",
         "dme.init_best.runs",
         "gating.gates_pruned",
         "ledger.runs_recorded",

@@ -158,7 +158,7 @@ class ScalarReferenceMerger(BottomUpMerger):
         self.reference_cost = reference_cost or REFERENCE_COSTS[self.cost]
         self.cell_policy = ScalarPolicy(self.cell_policy)
 
-    def _screen(self, owner, other, canonical=False):
+    def _screen(self, owner, other, distance=None, canonical=False):
         costs, distances = [], []
         for nid, partner in zip(owner.tolist(), other.tolist()):
             a, b = (partner, nid) if canonical and partner < nid else (nid, partner)
@@ -166,4 +166,8 @@ class ScalarReferenceMerger(BottomUpMerger):
             costs.append(self.reference_cost(plan, self))
             segment = self.tree.node(nid).merging_segment
             distances.append(segment.distance_to(self.tree.node(partner).merging_segment))
-        return np.array(costs, dtype=float), np.array(distances, dtype=float)
+        distances = np.array(distances, dtype=float)
+        # Distances measured by the candidate index must be the scalar
+        # ones bit for bit.
+        assert distance is None or np.array_equal(distance, distances)
+        return np.array(costs, dtype=float), distances

@@ -1,22 +1,43 @@
-"""Unit and property tests for the spatial candidate index."""
+"""Unit and property tests for the block candidate index."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cts.candidate_index import SegmentGridIndex
+from repro.cts import candidate_index
+from repro.cts.candidate_index import SegmentBlockIndex
+from repro.cts.kernels import NodeArrays, batch_segment_distance
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 
 
 def brute_force_nearest(segments, query, k, exclude=None):
+    """The first ``k`` of a full ``(Trr.distance_to, id)`` sort."""
     ranked = sorted(
         (query.distance_to(seg), iid)
         for iid, seg in segments.items()
         if iid != exclude
     )
-    return [iid for _, iid in ranked[:k]]
+    return ranked[:k]
+
+
+def ranked(result):
+    """An index result as ``(distance, id)`` pairs in sort order."""
+    ids, distances = result
+    return sorted(zip(distances.tolist(), ids.tolist()))
+
+
+def arrays_of(segments, capacity=None):
+    """A :class:`NodeArrays` whose row ``id`` holds ``segments[id]``."""
+    arrays = NodeArrays(capacity or max(segments, default=0) + 1)
+    for iid, seg in segments.items():
+        write_row(arrays, iid, seg)
+    return arrays
+
+
+def write_row(arrays, iid, seg):
+    arrays.ulo[iid], arrays.uhi[iid], arrays.vlo[iid], arrays.vhi[iid] = seg.bounds_uv
 
 
 def random_segments(rng, n, span=100.0, max_arc=15.0):
@@ -36,102 +57,112 @@ def random_segments(rng, n, span=100.0, max_arc=15.0):
     return segments
 
 
+def indexed(segments, ids=None, capacity=None, measure=batch_segment_distance):
+    arrays = arrays_of(segments, capacity)
+    ids = segments if ids is None else ids
+    return arrays, SegmentBlockIndex(arrays, ids, measure=measure)
+
+
 class TestMaintenance:
     def test_insert_remove_contains(self):
-        index = SegmentGridIndex(10.0)
-        index.insert(3, Trr.from_point(Point(1, 2)))
+        _, index = indexed({3: Trr.from_point(Point(1, 2))}, ids=())
+        index.insert(3)
         assert 3 in index and len(index) == 1
         index.remove(3)
         assert 3 not in index and len(index) == 0
 
     def test_duplicate_insert_rejected(self):
-        index = SegmentGridIndex(10.0)
-        index.insert(1, Trr.from_point(Point(0, 0)))
+        _, index = indexed({1: Trr.from_point(Point(0, 0))})
         with pytest.raises(ValueError):
-            index.insert(1, Trr.from_point(Point(5, 5)))
+            index.insert(1)
 
     def test_remove_missing_rejected(self):
+        _, index = indexed({})
         with pytest.raises(KeyError):
-            SegmentGridIndex(10.0).remove(7)
-
-    def test_bad_cell_size_rejected(self):
-        with pytest.raises(ValueError):
-            SegmentGridIndex(0.0)
+            index.remove(7)
 
     def test_bad_k_rejected(self):
-        index = SegmentGridIndex(1.0)
-        index.insert(0, Trr.from_point(Point(0, 0)))
+        _, index = indexed({0: Trr.from_point(Point(0, 0))})
         with pytest.raises(ValueError):
-            index.nearest(Trr.from_point(Point(0, 0)), 0)
+            index.nearest(0, 0)
 
     def test_empty_query(self):
-        index = SegmentGridIndex(1.0)
-        assert index.nearest(Trr.from_point(Point(0, 0)), 3) == []
+        _, index = indexed({0: Trr.from_point(Point(0, 0))}, ids=())
+        ids, distances = index.nearest(0, 3)
+        assert ids.size == 0 and distances.size == 0
 
     def test_query_counters_advance(self):
-        index = SegmentGridIndex(10.0)
-        for i in range(5):
-            index.insert(i, Trr.from_point(Point(i, 0)))
-        before = index.queries
-        index.nearest(Trr.from_point(Point(0, 0)), 2)
-        assert index.queries == before + 1
+        """Every member distance goes through the ``measure`` kernel."""
+        lanes = []
+
+        def measure(*extents):
+            distances = batch_segment_distance(*extents)
+            lanes.append(distances.size)
+            return distances
+
+        _, index = indexed(
+            {i: Trr.from_point(Point(i, 0)) for i in range(5)}, measure=measure
+        )
+        index.nearest(0, 2)
+        assert len(lanes) == 1 and lanes[0] >= 4
 
 
 class TestExactness:
-    @pytest.mark.parametrize("cell_size", [0.5, 3.0, 17.0, 200.0])
+    @pytest.mark.parametrize("max_arc", [0.5, 3.0, 17.0, 200.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_brute_force(self, cell_size, seed):
+    def test_matches_brute_force(self, max_arc, seed):
+        # Well above one block, so queries take the multi-block path.
         rng = np.random.default_rng(seed)
-        segments = random_segments(rng, 60)
-        index = SegmentGridIndex(cell_size)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
-        for _ in range(30):
-            q = Trr.from_point(Point(rng.uniform(-20, 120), rng.uniform(-20, 120)))
-            k = int(rng.integers(1, 12))
-            assert index.nearest(q, k) == brute_force_nearest(segments, q, k)
+        n = 5 * candidate_index._BLOCK
+        segments = random_segments(rng, n, span=1000.0, max_arc=max_arc)
+        queries = random_segments(rng, 30, span=1200.0, max_arc=max_arc)
+        rows = dict(segments)
+        rows.update({n + i: q for i, q in queries.items()})
+        arrays, index = indexed(rows, ids=segments)
+        for i, query in queries.items():
+            k = int(rng.integers(1, 24))
+            assert ranked(index.nearest(n + i, k)) == brute_force_nearest(
+                segments, query, k
+            )
 
     def test_exclude_matches_brute_force(self):
         rng = np.random.default_rng(3)
         segments = random_segments(rng, 40)
-        index = SegmentGridIndex(5.0)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
+        _, index = indexed(segments)
         for iid in (0, 7, 39):
-            got = index.nearest(segments[iid], 5, exclude=iid)
+            got = ranked(index.nearest(iid, 5))
             assert got == brute_force_nearest(segments, segments[iid], 5, exclude=iid)
 
     def test_k_larger_than_population(self):
-        segments = {i: Trr.from_point(Point(i, i)) for i in range(4)}
-        index = SegmentGridIndex(1.0)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
-        assert index.nearest(Trr.from_point(Point(0, 0)), 10) == [0, 1, 2, 3]
+        segments = {i: Trr.from_point(Point(i, i)) for i in range(5)}
+        _, index = indexed(segments, ids=range(4))
+        ids, distances = index.nearest(4, 10)
+        assert sorted(ids.tolist()) == [0, 1, 2, 3]
+        assert sorted(distances.tolist()) == [2.0, 4.0, 6.0, 8.0]
 
     def test_distance_ties_break_by_id(self):
         # Four points at identical distance from the origin query.
-        index = SegmentGridIndex(2.0)
-        for iid, (x, y) in enumerate([(5, 0), (-5, 0), (0, 5), (0, -5)]):
-            index.insert(iid, Trr.from_point(Point(x, y)))
-        assert index.nearest(Trr.from_point(Point(0, 0)), 2) == [0, 1]
+        points = [(5, 0), (-5, 0), (0, 5), (0, -5), (0, 0)]
+        segments = {iid: Trr.from_point(Point(x, y)) for iid, (x, y) in enumerate(points)}
+        _, index = indexed(segments, ids=range(4))
+        assert ranked(index.nearest(4, 2)) == [(5.0, 0), (5.0, 1)]
 
     def test_dynamic_updates_stay_exact(self):
         rng = np.random.default_rng(4)
-        segments = random_segments(rng, 50)
-        index = SegmentGridIndex(8.0)
-        alive = {}
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
-            alive[iid] = seg
+        segments = random_segments(rng, 51)
+        query = segments.pop(50)
+        arrays, index = indexed(segments, capacity=51)
+        write_row(arrays, 50, query)
+        alive = dict(segments)
         for iid in range(0, 50, 3):
             index.remove(iid)
             del alive[iid]
-        q = Trr.from_point(Point(50, 50))
-        assert index.nearest(q, 8) == brute_force_nearest(alive, q, 8)
+        assert ranked(index.nearest(50, 8)) == brute_force_nearest(alive, query, 8)
 
 
 class TestRadiusHighWater:
-    """The max-radius stop bound re-tightens as the population shrinks."""
+    """The blocks' high-water boxes -- the reach of a query's search --
+    re-tighten when the live population halves."""
 
     @staticmethod
     def _mixed_population(big_radius=40.0):
@@ -143,106 +174,139 @@ class TestRadiusHighWater:
             segments[iid] = Trr(p.u, p.u + 1.0, p.v, p.v)
         return segments
 
-    def test_recompute_fires_when_population_halves(self):
-        segments = self._mixed_population()
-        index = SegmentGridIndex(10.0)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
-        assert index._max_radius == pytest.approx(40.0)
-        index.remove(0)  # the giant retires early...
-        for iid in range(1, 50):  # ...then the population halves
+    @staticmethod
+    def _covers_giant(index):
+        """Does some block box still span the giant's ``u`` range?"""
+        box = index._box
+        return bool(np.any((box[0] <= 0.0) & (box[1] >= 80.0)))
+
+    def test_recompute_fires_when_population_halves(self, monkeypatch):
+        monkeypatch.setattr(candidate_index, "_BLOCK", 8)
+        _, index = indexed(self._mixed_population())
+        assert self._covers_giant(index)
+        index.remove(0)  # the giant retires early: its box stays...
+        assert self._covers_giant(index)
+        for iid in range(1, 50):  # ...until the population halves
             index.remove(iid)
-        assert index.radius_recomputes >= 1
-        assert index._max_radius == pytest.approx(0.5)
-        assert index._ever_max_radius == pytest.approx(40.0)
+        assert not self._covers_giant(index)
 
-    def test_tightened_queries_counted_and_exact(self):
-        segments = self._mixed_population()
-        index = SegmentGridIndex(10.0)
-        alive = dict(segments)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
-        for iid in range(0, 60):
-            index.remove(iid)
-            del alive[iid]
-        assert index._max_radius < index._ever_max_radius
-        before = index.tightened_queries
-        q = Trr.from_point(Point(50, 50))
-        got = index.nearest(q, 6)
-        assert index.tightened_queries == before + 1
-        assert got == brute_force_nearest(alive, q, 6)
-
-    def test_untightened_queries_not_counted(self):
-        index = SegmentGridIndex(10.0)
-        for iid in range(8):
-            index.insert(iid, Trr.from_point(Point(iid, 0.0)))
-        index.nearest(Trr.from_point(Point(0, 0)), 3)
-        assert index.tightened_queries == 0
-
-    def test_tightened_bound_scans_fewer_cells(self):
-        """The recompute pays off: late queries stop on earlier rings."""
+    def test_tightened_bound_scans_fewer_cells(self, monkeypatch):
+        """The rebuild pays off: late queries measure fewer lanes."""
+        monkeypatch.setattr(candidate_index, "_BLOCK", 8)
         segments = self._mixed_population()
 
-        class FrozenIndex(SegmentGridIndex):
-            def remove(self, item_id):
-                # Suppress the recompute: the high-water mark persists.
-                peak, self._peak_population = self._peak_population, 0
+        class FrozenIndex(SegmentBlockIndex):
+            def remove(self, nid):
+                # Suppress the rebuild: boxes and dead slots persist.
+                peak, self._peak = self._peak, 0
                 try:
-                    super().remove(item_id)
+                    super().remove(nid)
                 finally:
-                    self._peak_population = peak
+                    self._peak = peak
 
-        scans = {}
-        for cls in (SegmentGridIndex, FrozenIndex):
-            index = cls(5.0)
-            for iid, seg in segments.items():
-                index.insert(iid, seg)
+        lanes = {}
+        for cls in (SegmentBlockIndex, FrozenIndex):
+            measured = []
+
+            def measure(*extents):
+                distances = batch_segment_distance(*extents)
+                measured.append(distances.size)
+                return distances
+
+            index = cls(arrays_of(segments), segments, measure=measure)
             for iid in range(0, 80):
                 index.remove(iid)
-            before = index.cells_scanned
-            for iid in range(80, 100):
-                index.nearest(segments[iid], 4, exclude=iid)
-            scans[cls.__name__] = index.cells_scanned - before
-        assert scans["SegmentGridIndex"] < scans["FrozenIndex"]
+            del measured[:]
+            results = [ranked(index.nearest(iid, 4)) for iid in range(80, 100)]
+            lanes[cls.__name__] = (sum(measured), results)
+        assert lanes["SegmentBlockIndex"][0] < lanes["FrozenIndex"][0]
+        assert lanes["SegmentBlockIndex"][1] == lanes["FrozenIndex"][1]
 
-    def test_dynamic_updates_with_recompute_stay_exact(self):
+    def test_dynamic_updates_with_recompute_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(candidate_index, "_BLOCK", 6)
         rng = np.random.default_rng(11)
-        segments = random_segments(rng, 80, max_arc=30.0)
-        index = SegmentGridIndex(6.0)
+        segments = random_segments(rng, 81, max_arc=30.0)
+        probe = 80
+        del segments[probe]
+        arrays, index = indexed(segments, capacity=81)
         alive = dict(segments)
-        for iid, seg in segments.items():
-            index.insert(iid, seg)
         removal_order = list(rng.permutation(80))
         for step, iid in enumerate(removal_order[:70]):
             index.remove(int(iid))
             del alive[int(iid)]
             if step % 7 == 0 and alive:
                 q = Trr.from_point(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
-                assert index.nearest(q, 5) == brute_force_nearest(alive, q, 5)
-        assert index.radius_recomputes >= 1
+                write_row(arrays, probe, q)
+                assert ranked(index.nearest(probe, 5)) == brute_force_nearest(alive, q, 5)
 
 
-@settings(max_examples=60, deadline=None)
+def _segment(rng, side, grid, arc_share, giant=False):
+    """A point or arc on an integer lattice of pitch ``grid`` (many
+    exact distance ties and co-located centers)."""
+    u, v = rng.integers(-side, side + 1, size=2) * grid
+    if giant:
+        return Trr(u - 4 * side * grid, u + 4 * side * grid, v, v)
+    if rng.random() >= arc_share:
+        return Trr(u, u, v, v)
+    length = int(rng.integers(0, 4)) * grid
+    return Trr(u, u + length, v, v) if rng.random() < 0.5 else Trr(u, u, v, v + length)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    coords=st.lists(
-        st.tuples(
-            st.integers(min_value=-50, max_value=50),
-            st.integers(min_value=-50, max_value=50),
-        ),
-        min_size=1,
-        max_size=25,
-    ),
-    k=st.integers(min_value=1, max_value=8),
-    cell=st.sampled_from([0.7, 2.0, 9.0, 40.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    block=st.sampled_from([2, 5, 16, candidate_index._BLOCK]),
+    grid=st.sampled_from([1.0, 7.0, 40.0]),
+    arc_share=st.sampled_from([0.0, 0.5, 1.0]),
+    giant=st.booleans(),
+    bulk=st.booleans(),
+    k=st.integers(min_value=1, max_value=24),
+    rounds=st.integers(min_value=1, max_value=6),
 )
-def test_property_matches_brute_force(coords, k, cell):
-    # Integer coordinates force plenty of exact distance ties, the
-    # hardest case for the ring-expansion stop condition.
-    segments = {i: Trr.from_point(Point(x, y)) for i, (x, y) in enumerate(coords)}
-    index = SegmentGridIndex(cell)
-    for iid, seg in segments.items():
-        index.insert(iid, seg)
-    query = Trr.from_point(Point(*coords[0]))
-    assert index.nearest(query, k, exclude=0) == brute_force_nearest(
-        segments, query, k, exclude=0
-    )
+def test_property_matches_brute_force(
+    seed, n, block, grid, arc_share, giant, bulk, k, rounds
+):
+    """Insert/remove sequences across several rebuilds stay exact."""
+    rng = np.random.default_rng(seed)
+    side = int(np.sqrt(n)) + 1
+    capacity = n + 3 + rounds * (n // 2 + 2)
+    arrays = NodeArrays(capacity)
+    alive = {}
+
+    def new_segment(iid, segment=None):
+        if segment is None:
+            segment = _segment(rng, side, grid, arc_share)
+        write_row(arrays, iid, segment)
+        alive[iid] = segment
+
+    for iid in range(n):
+        new_segment(iid)
+    if giant:
+        new_segment(n, _segment(rng, side, grid, arc_share, giant=True))
+    next_id = len(alive)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(candidate_index, "_BLOCK", block)
+        index = SegmentBlockIndex(arrays, list(alive) if bulk else ())
+        if not bulk:
+            for iid in alive:
+                index.insert(iid)
+        probe = capacity - 1  # never indexed: a query from outside
+        for _ in range(rounds):
+            live = list(alive)
+            for iid in rng.permutation(live)[: int(len(live) * rng.uniform(0.3, 0.7))]:
+                index.remove(int(iid))
+                del alive[int(iid)]
+            for _ in range(int(rng.integers(0, n // 2 + 2))):
+                twin = list(alive)[int(rng.integers(len(alive)))] if alive else None
+                copy = alive[twin] if twin is not None and rng.random() < 0.3 else None
+                new_segment(next_id, copy)
+                index.insert(next_id)
+                next_id += 1
+            queries = [int(q) for q in rng.permutation(list(alive))[:3]]
+            write_row(arrays, probe, _segment(rng, side, grid, arc_share))
+            for qid in queries + [probe]:
+                query = Trr(arrays.ulo[qid], arrays.uhi[qid], arrays.vlo[qid], arrays.vhi[qid])
+                assert ranked(index.nearest(qid, k)) == brute_force_nearest(
+                    alive, query, k, exclude=qid
+                )

@@ -68,13 +68,13 @@ class FullSortMerger(BottomUpMerger):
     def _candidates(self, nid):
         others = self._active_ids.others(nid)
         if self.candidate_limit is None or others.size <= self.candidate_limit:
-            return others
+            return others, None
         ms = self.tree.node(nid).merging_segment
         ranked = sorted(
             others.tolist(),
             key=lambda o: (ms.distance_to(self.tree.node(o).merging_segment), o),
         )
-        return np.array(ranked[: self.candidate_limit], dtype=np.int64)
+        return np.array(ranked[: self.candidate_limit], dtype=np.int64), None
 
 
 class TestDeterminism:

@@ -49,12 +49,14 @@ class ScreenLog(BottomUpMerger):
         self.no_candidates = set()
 
     def _candidates(self, nid):
-        ids = super()._candidates(nid)
-        return ids[:0] if nid in self.no_candidates else ids
+        ids, distance = super()._candidates(nid)
+        if nid in self.no_candidates:
+            return ids[:0], None if distance is None else distance[:0]
+        return ids, distance
 
-    def _screen(self, owner, other, canonical=False):
+    def _screen(self, owner, other, distance=None, canonical=False):
         self.screens.append((int(other.size), set(owner.tolist())))
-        return super()._screen(owner, other, canonical=canonical)
+        return super()._screen(owner, other, distance, canonical=canonical)
 
 
 def _merger(sinks, oracle, cost, policy, sized, limit):
@@ -136,7 +138,7 @@ def test_batched_screen_equals_one_owner_screens(
                 merger._active.add(nid)
                 merger._active_ids.add(nid)
                 if merger._index is not None:
-                    merger._index.insert(nid, merger.tree.node(nid).merging_segment)
+                    merger._index.insert(nid)
     owners = sorted({active[i % len(active)] for i in owner_picks})
     empty = {active[i % len(active)] for i in empty_picks}
     batched, single = mergers

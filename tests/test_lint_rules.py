@@ -235,7 +235,7 @@ class TestObsNamesREP004:
             ObsNameRule(),
             """
             with tracer.span("dme.merge_loop"):
-                registry.counter("dme.index.queries").inc()
+                registry.counter("dme.init_best.runs").inc()
                 registry.histogram("controller.star_edge_length").observe(1.0)
             """,
         )
