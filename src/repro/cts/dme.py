@@ -38,12 +38,14 @@ batches of at most :data:`_SCREEN_LANES` lanes; the lazy repair and
 :meth:`BottomUpMerger._introduce` screen one owner.  The kernels
 mirror the scalar float arithmetic op for op and are elementwise, so
 every lane equals the scalar plan and cost of its pair bit for bit,
-whichever lanes share its batch.  Lanes the kernels do not model --
-snaked splits, re-sized by the cell sizer when one is set -- take their
-split from the scalar :meth:`BottomUpMerger.plan` for that lane and are
-priced in the same batch.  Those plans are memoized per *ordered* pair
-until either side retires, and the winning merge is planned through
-the same memo at commit.
+whichever lanes share its batch.  Snaked splits are modelled in the
+kernel too.  Only two kinds of lane take their split from the scalar
+:meth:`BottomUpMerger.plan` and are priced in the same batch: snaked
+lanes when a cell sizer is set (it may resize their cells), and lanes
+whose split cannot balance (the plan raises ``SkewBalanceError``).
+Those plans are memoized per *ordered* pair until either side retires,
+and the winning merge is planned through the same memo at commit;
+without a sizer, the commits are the only plans.
 
 Exact-greedy runs (no ``candidate_limit``) repair orphaned best-pair
 pointers *lazily*: pair costs are immutable and an orphan's candidate
@@ -381,9 +383,11 @@ class MergerStats:
     the screen reuses), ``kernel_candidates`` the lanes they covered
     (an index query measures whole blocks), and
     ``kernel_scalar_fallbacks`` lanes whose split came from a scalar
-    plan because the kernels do not model them (snaked splits).
-    ``distance_reuses`` counts ``plan()`` calls that received an
-    already-measured segment distance instead of re-deriving it.
+    plan: snaked lanes when a cell sizer is set (zero without one,
+    since the kernel models snaked splits) and lanes whose split cannot
+    balance.  ``distance_reuses`` counts ``plan()`` calls that received
+    an already-measured segment distance instead of re-deriving it:
+    without a sizer, one per committed merge.
 
     The repair counters split best-pair recomputations by trigger:
     ``orphan_recomputes`` eager per-merge repairs of nodes whose best
@@ -690,7 +694,12 @@ class BottomUpMerger:
             cell_b=cells_b,
         )
         length_a, length_b = split.length_a, split.length_b
-        for j in kernels.out_of_range_lanes(split):
+        if self.cell_sizer is None:
+            scalar_lanes = kernels.out_of_range_lanes(split)
+        else:
+            # The sizer may resize the cells of any snaked merge.
+            scalar_lanes = np.flatnonzero(~split.in_range).tolist()
+        for j in scalar_lanes:
             plan = self._plan_pair(int(a[j]), int(b[j]), distance=float(distance[j]))
             length_a[j], length_b[j] = plan.split.length_a, plan.split.length_b
             if self.cell_sizer is not None:

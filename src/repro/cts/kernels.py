@@ -25,10 +25,12 @@ What is batched:
 * :func:`batch_zero_skew_split` -- the
   ``repro.cts.merge.zero_skew_split`` linear balance ``x = num / den``
   (plain wires or cells on either edge, per lane), with the
-  degenerate-denominator and out-of-range classification masks.
-  Out-of-range (snaking) lanes are *classified only*: their results
-  are not modelled here, and the merger takes their split from the
-  scalar ``plan()``.
+  degenerate-denominator and out-of-range classification masks, and
+  the snaked length of every out-of-range lane (``_snake_length``'s
+  positive quadratic root, computed over the snaking lanes only).
+  Only lanes whose scalar split raises ``SkewBalanceError`` are left
+  unmodelled (:func:`out_of_range_lanes`); the merger takes those from
+  the scalar ``plan()``, which raises the same error.
 
 :class:`NodeArrays` is the struct-of-arrays mirror of per-node merge
 state the merger writes as nodes are created;
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from repro.cts.merge import DEGENERATE_DEN_EPS, DEGENERATE_SKEW_EPS
+from repro.cts.merge import DEGENERATE_DEN_EPS, DEGENERATE_SKEW_EPS, SNAKE_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dme -> kernels)
     from repro.cts.topology import ClockNode
@@ -100,13 +102,14 @@ def batch_segment_distance(
 class BatchSplit:
     """Vectorized ``zero_skew_split`` outcome over a candidate batch.
 
-    The balance point ``x``, the edge lengths and the classification
-    masks are computed up front; ``delay``, ``presented_a`` /
+    The balance point ``x``, the classification masks and the edge
+    lengths are computed up front; ``delay``, ``presented_a`` /
     ``presented_b`` and ``merged_cap`` on first access (the merger's
-    screens read only the lengths).  Per-lane values are valid only
-    where ``in_range`` is True; snaking lanes (``snake_a`` /
-    ``snake_b``) carry zeros there and must be re-evaluated with the
-    scalar ``zero_skew_split``.
+    screens read only the lengths).  Snaking lanes (``snake_a`` /
+    ``snake_b``) carry the snaked length of their fast side, solved
+    over those lanes alone.  Per-lane values are valid where
+    ``modelled`` is True: on every lane except those whose scalar
+    split raises ``SkewBalanceError``, which carry zeros.
     """
 
     def __init__(self, length, side_a, side_b, r, c):
@@ -118,7 +121,9 @@ class BatchSplit:
 
         den = c * (ra + rb) + r * (cap_a + cap_b) + r * c * length
         # Tap.unloaded_delay: t' = D + R * C + t, association preserved.
-        skew = (ib + rb * cap_b + delay_b) - (ia + ra * cap_a + delay_a)
+        unloaded_a = ia + ra * cap_a + delay_a
+        unloaded_b = ib + rb * cap_b + delay_b
+        skew = unloaded_b - unloaded_a
         num = length * (rb * c + r * cap_b) + r * c * length * length / 2.0 + skew
 
         self.degenerate = den <= DEGENERATE_DEN_EPS
@@ -136,8 +141,24 @@ class BatchSplit:
         self.snake_b = x < 0.0
         self.snake_a = x > length
         self.in_range = ~(self.snake_a | self.snake_b)
+        self.modelled = self.in_range.copy()
         self.length_a = np.where(self.in_range, x, 0.0)
         self.length_b = np.where(self.in_range, length - x, 0.0)
+        # A snaking side keeps a zero edge on the other side and grows
+        # its own wire until it is as slow (zero_skew_split's branches).
+        for snaking, edge, fast, slow in (
+            (self.snake_a, self.length_a, (cap_a, ra, unloaded_a), (cap_b, delay_b, rb, ib)),
+            (self.snake_b, self.length_b, (cap_b, rb, unloaded_b), (cap_a, delay_a, ra, ia)),
+        ):
+            (lanes,) = snaking.nonzero()
+            if lanes.size:
+                edge[lanes], self.modelled[lanes] = _snake_length(
+                    _at(length, lanes),
+                    [_at(v, lanes) for v in fast],
+                    [_at(v, lanes) for v in slow],
+                    r,
+                    c,
+                )
 
     def _edges(self):
         """``(edge length, cap, delay, cell)`` of both sides."""
@@ -148,13 +169,12 @@ class BatchSplit:
     def delay(self):
         """Common delay from the merge point down to every sink."""
         r, c = self._rc
-        delays = []
-        for e, cap, delay, cell in self._edges():
-            drive, intrinsic = _drive_terms(cell)
-            delays.append(
-                intrinsic + drive * (c * e + cap) + r * e * (c * e / 2.0 + cap) + delay
+        return np.maximum(
+            *(
+                _edge_delay(e, cap, delay, *_drive_terms(cell), r, c)
+                for e, cap, delay, cell in self._edges()
             )
-        return np.maximum(*delays)
+        )
 
     @cached_property
     def _presented(self):
@@ -174,11 +194,54 @@ class BatchSplit:
         return self.presented_a + self.presented_b
 
 
+def _at(value, lanes):
+    """A per-lane array's entries at ``lanes``; a scalar as it is."""
+    return value[lanes] if isinstance(value, np.ndarray) else value
+
+
 def _drive_terms(cell):
     """``(drive resistance, intrinsic delay)`` of a side's cells."""
     if cell is None:
         return 0.0, 0.0
     return cell.drive_resistance, cell.intrinsic_delay
+
+
+def _edge_delay(e, cap, delay, drive, intrinsic, r, c):
+    """``Tap.edge_delay``: delay from the edge top down to the sinks."""
+    return intrinsic + drive * (c * e + cap) + r * e * (c * e / 2.0 + cap) + delay
+
+
+def _snake_length(length, fast, slow, r, c):
+    """``(lengths, modelled)`` of snaking lanes' fast sides.
+
+    ``fast`` is the fast side's ``(cap, drive, unloaded delay)``,
+    ``slow`` the other side's ``(cap, delay, drive, intrinsic)``.  Each
+    lane solves ``merge._snake_length`` against the slow side's
+    zero-length edge delay, then takes ``max(e, length)``.  Lanes where
+    the scalar call raises ``SkewBalanceError`` are unmodelled and
+    carry 0.0.
+
+    Scalar counterpart: repro.cts.merge._snake_length
+    """
+    cap, drive, unloaded = fast
+    target = _edge_delay(0.0, *slow, r, c)
+    quad = r * c / 2.0
+    lin = drive * c + r * cap
+    const = unloaded - target
+    flat = const >= -SNAKE_EPS  # already as slow: no snake
+    modelled = ~(const > SNAKE_EPS)
+    # Lanes that take another branch may divide by zero, overflow or
+    # root a negative here; np.where discards them.
+    with np.errstate(all="ignore"):
+        if quad <= SNAKE_EPS:
+            modelled &= flat | (lin > SNAKE_EPS)
+            e = -const / lin
+        else:
+            disc = lin * lin - 4.0 * quad * const
+            e = (-lin + np.sqrt(disc)) / (2.0 * quad)
+    e = np.where(flat, 0.0, e)
+    # max(e, length) as Python evaluates it: length only when larger.
+    return np.where(modelled, np.where(length > e, length, e), 0.0), modelled
 
 
 def _presented_cap(cell, wire_cap):
@@ -220,13 +283,14 @@ def batch_zero_skew_split(
 
 
 def out_of_range_lanes(split: BatchSplit) -> list:
-    """Lane indices the batch split could not model (snaking sides).
+    """Lane indices the batch split could not model: those whose scalar
+    split raises ``SkewBalanceError``.
 
     Scalar counterpart: none -- mask bookkeeping over
-    :class:`BatchSplit`; the snaking lanes themselves are re-evaluated
-    by the scalar ``zero_skew_split``.
+    :class:`BatchSplit`; a scalar ``zero_skew_split`` of these lanes
+    raises the error.
     """
-    return np.nonzero(~split.in_range)[0].tolist()
+    return np.flatnonzero(~split.modelled).tolist()
 
 
 class NodeArrays:

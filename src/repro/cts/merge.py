@@ -37,15 +37,17 @@ from repro.tech.parameters import GateModel, Technology
 
 _EPS = 1e-12
 
-#: Tolerances of :func:`zero_skew_split`'s degenerate-balance branch,
-#: shared with the batched mirror (:mod:`repro.cts.kernels`) so the
-#: two classifiers can never drift apart.
+#: Tolerances of :func:`zero_skew_split`'s degenerate-balance branch
+#: and of the snake length, shared with the batched mirror
+#: (:mod:`repro.cts.kernels`) so the two can never drift apart.
 DEGENERATE_DEN_EPS = _EPS
 DEGENERATE_SKEW_EPS = 1e-12
+SNAKE_EPS = _EPS
 
 __all__ = [
     "DEGENERATE_DEN_EPS",
     "DEGENERATE_SKEW_EPS",
+    "SNAKE_EPS",
     "SkewBalanceError",
     "SplitResult",
     "Tap",
@@ -132,12 +134,12 @@ def _snake_length(fast: Tap, target_delay: DelayPs, tech: Technology) -> LengthU
     quad = r * c / 2.0
     lin = fast.drive_resistance * c + r * fast.cap
     const = fast.unloaded_delay() - target_delay
-    if const > _EPS:
+    if const > SNAKE_EPS:
         raise SkewBalanceError("snaking target is faster than the fast side")
-    if const >= -_EPS:
+    if const >= -SNAKE_EPS:
         return 0.0
-    if quad <= _EPS:
-        if lin <= _EPS:
+    if quad <= SNAKE_EPS:
+        if lin <= SNAKE_EPS:
             raise SkewBalanceError(
                 "wire adds no delay in this technology; cannot balance by snaking"
             )

@@ -13,9 +13,11 @@ Two layers of defence:
   wirelength.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
@@ -27,16 +29,18 @@ from repro.core.cost import (
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import (
     BufferEveryEdgePolicy,
+    CellDecision,
+    EdgeCells,
     GateEveryEdgePolicy,
     PairCost,
     nearest_neighbor_cost,
 )
 from repro.cts import kernels
-from repro.cts.merge import Tap, zero_skew_split
+from repro.cts.merge import SkewBalanceError, Tap, zero_skew_split
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.obs import MetricsRegistry, set_registry
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 from tests.scalar_reference import ScalarReferenceMerger
 
 NUM_MODULES = 6  # paper_example_isa()
@@ -104,6 +108,78 @@ class TestBatchDistanceParity:
             a.ulo, a.uhi, a.vlo, a.vhi, *batch_of([b])
         )
         assert got[0] == 0.0
+
+
+SPLIT_TECHS = {
+    "unit": unit_technology,
+    "date98": date98_technology,
+    "tiny-rc": lambda: dataclasses.replace(
+        unit_technology(), unit_wire_resistance=1e-7, unit_wire_capacitance=1e-7
+    ),
+}
+
+#: One lane: ``(L, cap_a, delay_a, cap_b, delay_b, cell_a, cell_b)``,
+#: cells indexing :func:`lane_cells`.
+split_lanes = st.tuples(
+    st.one_of(st.just(0.0), lengths),
+    caps,
+    delays,
+    caps,
+    delays,
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+
+
+SPLIT_FIELDS = ("length_a", "length_b", "delay", "presented_a", "presented_b", "merged_cap")
+
+
+def lane_cells(tech):
+    """Plain wire, buffer, gate."""
+    return (
+        CellDecision(cell=None),
+        CellDecision(cell=tech.buffer),
+        CellDecision(cell=tech.masking_gate, maskable=True),
+    )
+
+
+def assert_lanes_match(tech, lanes):
+    """Batch-split ``lanes`` with per-lane cells and check every lane
+    against ``zero_skew_split``: equal to the bit where the scalar
+    balances, unmodelled where it raises.  Returns the batch split and
+    each lane's scalar branch."""
+    cells = lane_cells(tech)
+    length, cap_a, delay_a, cap_b, delay_b, code_a, code_b = map(np.array, zip(*lanes))
+    table = EdgeCells(cells)
+    split = kernels.batch_zero_skew_split(
+        length,
+        cap_a,
+        delay_a,
+        cap_b,
+        delay_b,
+        tech.unit_wire_resistance,
+        tech.unit_wire_capacitance,
+        cell_a=table.take(code_a),
+        cell_b=table.take(code_b),
+    )
+    unmodelled = kernels.out_of_range_lanes(split)
+    branches = []
+    for j, (dist, ca, da, cb, db, ka, kb) in enumerate(lanes):
+        tap_a = Tap(cap=ca, delay=da, cell=cells[ka].cell)
+        tap_b = Tap(cap=cb, delay=db, cell=cells[kb].cell)
+        try:
+            scalar = zero_skew_split(dist, tap_a, tap_b, tech)
+        except SkewBalanceError:
+            branches.append("unbalanceable")
+            assert j in unmodelled
+            continue
+        branches.append("snake %s" % scalar.snaked if scalar.snaked else "in range")
+        assert j not in unmodelled
+        assert bool(split.snake_a[j]) == (scalar.snaked == "a")
+        assert bool(split.snake_b[j]) == (scalar.snaked == "b")
+        for field in SPLIT_FIELDS:
+            assert getattr(split, field)[j] == getattr(scalar, field), field
+    return split, branches
 
 
 class TestBatchSplitParity:
@@ -175,7 +251,64 @@ class TestBatchSplitParity:
             r,
             c,
         )
+        # The snaking lane is modelled: nothing is left to the scalar plan.
+        assert bool(split.snake_a[1])
+        assert kernels.out_of_range_lanes(split) == []
+        # Wire without RC cannot snake: the scalar split raises there.
+        split = kernels.batch_zero_skew_split(
+            np.zeros(2), 1.0, 0.0, np.array([1.0, 1.0]), np.array([0.0, 5.0]), 0.0, 0.0
+        )
+        assert bool(split.snake_a[1])
         assert kernels.out_of_range_lanes(split) == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tech_name=st.sampled_from(sorted(SPLIT_TECHS)),
+        lanes=st.lists(split_lanes, min_size=1, max_size=8),
+    )
+    def test_snaked_lanes_bit_identical(self, tech_name, lanes):
+        # Per-lane cells (plain wire, buffer or gate on either side) and
+        # L = 0 (co-located roots); the tiny-RC technology takes the
+        # linear snake branch and leaves cell-free, unloaded lanes
+        # unbalanceable.
+        for branch in assert_lanes_match(SPLIT_TECHS[tech_name](), lanes)[1]:
+            event(branch)
+
+    def test_snake_branch_edges(self):
+        tech = unit_technology()
+        lanes = [
+            # Degenerate denominator (L = 0, unloaded plain wire).
+            (0.0, 0.0, 5.0, 0.0, 9.0, 0, 0),
+            (0.0, 0.0, 5.0, 0.0, 1.0, 0, 0),
+            # Skew inside the snake tolerance but x out of range: the
+            # snake is zero and the edge takes max(0, L).
+            (0.0, 1.0, 0.0, 1.0, 1e-13, 0, 0),
+            (1e-14, 1.0, 0.0, 1.0, 1e-13, 0, 0),
+            # Co-located roots of unequal delay behind different cells.
+            (0.0, 2.0, 3.0, 1.0, 40.0, 2, 1),
+        ]
+        split, _ = assert_lanes_match(tech, lanes)
+        assert split.degenerate[:2].tolist() == [True, True]
+        assert split.snake_a.tolist() == [True, False, True, True, True]
+        assert bool(split.snake_b[1])
+        assert split.length_a[2:4].tolist() == [0.0, 1e-14]
+        assert split.length_a[4] > 0.0
+
+    def test_unbalanceable_lanes_raise_through_plan(self):
+        # Zero-RC wire behind buffers: the degenerate balance sends the
+        # slower side's partner snaking, which no wire can do.
+        tech = dataclasses.replace(
+            unit_technology(), unit_wire_resistance=0.0, unit_wire_capacitance=0.0
+        )
+        sinks = [Sink("a", Point(0, 0), 1.0, 0), Sink("b", Point(10, 0), 3.0, 1)]
+        merger = BottomUpMerger(
+            sinks, tech, cost=total_split_length_cost, cell_policy=BufferEveryEdgePolicy()
+        )
+        with pytest.raises(SkewBalanceError):
+            merger._screen(np.array([0]), np.array([1]))
+        assert merger.stats.plans_computed == 1  # the lane's scalar plan raised
+        with pytest.raises(SkewBalanceError):
+            merger.plan(0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -470,9 +603,9 @@ class TestVectorizeTraceParity:
         assert trace_v == trace_s and wl_v == wl_s
 
     @pytest.mark.parametrize("limit", [None, 5])
-    def test_split_dependent_cost_with_snakes(self, limit):
-        # Wildly uneven sink loads force snaked splits: the screen must
-        # take those lanes' splits from the scalar plan() and still match.
+    def test_split_dependent_cost_with_snakes(self, limit, snaked_lanes):
+        # Wildly uneven sink loads force snaked splits: the screen prices
+        # those lanes in-kernel and must still match the scalar plans.
         sinks = make_sinks(36, seed=37, cap_spread=400.0)
         vec, trace_v, wl_v = run_config(
             sinks, True, cost=total_split_length_cost, candidate_limit=limit
@@ -480,7 +613,8 @@ class TestVectorizeTraceParity:
         _, trace_s, wl_s = run_config(
             sinks, False, cost=total_split_length_cost, candidate_limit=limit
         )
-        assert vec.stats.kernel_scalar_fallbacks > 0
+        assert sum(snaked_lanes) > 0
+        assert vec.stats.kernel_scalar_fallbacks == 0
         assert trace_v == trace_s
         assert wl_v == wl_s
 

@@ -27,6 +27,7 @@ from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import BufferEveryEdgePolicy, GateEveryEdgePolicy, NoCellPolicy
 from repro.geometry import Point
 from repro.tech import date98_technology
+from tests.test_merge_trace_digests import tree_digest
 from tests.scalar_reference import (
     REFERENCE_COSTS,
     ScalarReferenceMerger,
@@ -199,13 +200,10 @@ def test_should_keep_matches_scalar_rules(knob, p, mask, exposed):
     assert lanes.tolist() == [should_keep(policy, p, mask, exposed, tech)]
 
 
-@pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
-@pytest.mark.parametrize("sized", [False, True], ids=["unsized", "sized"])
-def test_snaked_fallback_lanes_match(oracle, cost, sized):
-    # Wildly uneven loads make most splits snake: those lanes take their
-    # split (and, with the sizer, their resized cells) from a scalar plan.
+def uneven_sinks():
+    """Wildly uneven loads: most splits among these sinks snake."""
     rng = np.random.default_rng(5)
-    sinks = [
+    return [
         Sink(
             name="s%d" % i,
             location=Point(float(x), float(y)),
@@ -216,6 +214,14 @@ def test_snaked_fallback_lanes_match(oracle, cost, sized):
             zip(rng.uniform(0, 60, 12), rng.uniform(0, 60, 12), rng.uniform(0.1, 400.0, 12))
         )
     ]
+
+
+@pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
+@pytest.mark.parametrize("sized", [False, True], ids=["unsized", "sized"])
+def test_snaked_fallback_lanes_match(oracle, cost, sized, snaked_lanes):
+    # The kernel prices snaked lanes, except that with the sizer they
+    # take their split (and resized cells) from a scalar plan.
+    sinks = uneven_sinks()
     tech = date98_technology()
     mergers = twin_mergers(
         sinks,
@@ -233,7 +239,75 @@ def test_snaked_fallback_lanes_match(oracle, cost, sized):
             costs, _ = batched._screen(owner, ids, canonical=canonical)
             ref_costs, _ = reference._screen(owner, ids, canonical=canonical)
             assert costs.tolist() == ref_costs.tolist()
-    assert batched.stats.kernel_scalar_fallbacks > 0
+    assert sum(snaked_lanes) > 0
+    fallbacks = batched.stats.kernel_scalar_fallbacks
+    assert fallbacks > 0 if sized else fallbacks == 0
+
+
+def routed(oracle, cost, limit, sizer):
+    tech = date98_technology()
+    merger = BottomUpMerger(
+        uneven_sinks(),
+        tech,
+        cost=cost,
+        cell_policy=GateReductionPolicy.from_knob(0.6, tech),
+        oracle=oracle,
+        controller_point=Point(120.0, 80.0),
+        candidate_limit=limit,
+        cell_sizer=sizer,
+    )
+    return merger, merger.run()
+
+
+@pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
+@pytest.mark.parametrize("limit", [None, 16], ids=["exact", "k16"])
+def test_one_plan_per_merge_without_sizer(oracle, cost, limit, snaked_lanes):
+    # Snaked screen lanes are priced in-kernel, so the only scalar plans
+    # are the committed merges'.
+    merger, _ = routed(oracle, cost, limit, None)
+    assert sum(snaked_lanes) > 0
+    assert merger.stats.plans_computed == len(merger.merge_trace) == 11
+    assert merger.stats.plan_cache_hits == 0
+    assert merger.stats.kernel_scalar_fallbacks == 0
+
+
+#: ``(tree digest, plans computed, plan cache hits)`` of the sized
+#: routes, captured while every snaked screen lane still took a scalar
+#: plan: the sizer path keeps its trees and its plan memo traffic.
+SIZED_ROUTES = {
+    ("eq3", None): (
+        "94442034fbd9fa4b7105a07f0d5e4e53e1363c814e890eba774803e80668b6d9",
+        163,
+        79,
+    ),
+    ("eq3", 16): (
+        "94442034fbd9fa4b7105a07f0d5e4e53e1363c814e890eba774803e80668b6d9",
+        227,
+        233,
+    ),
+    ("incremental", None): (
+        "8858d57bef6c95b397b713018e3160212c6f6909f48392ad174a50431d88bd1d",
+        147,
+        94,
+    ),
+    ("incremental", 16): (
+        "fc90614df1c6808fec0269befb0249496041af6c78a543e1acc47245c17fca4e",
+        209,
+        73,
+    ),
+}
+
+
+@pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
+@pytest.mark.parametrize("limit", [None, 16], ids=["exact", "k16"])
+def test_sized_routes_unchanged(oracle, cost, limit):
+    merger, tree = routed(oracle, cost, limit, GateSizingPolicy())
+    name = "eq3" if cost is switched_capacitance_cost else "incremental"
+    assert (
+        tree_digest(tree),
+        merger.stats.plans_computed,
+        merger.stats.plan_cache_hits,
+    ) == SIZED_ROUTES[name, limit]
 
 
 @pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
