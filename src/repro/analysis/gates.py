@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.core.controller import EnableRouting
 from repro.core.switched_cap import effective_enable_probabilities
-from repro.cts.topology import ClockTree
+from repro.cts.topology import ClockTree, star_term
 from repro.tech.parameters import Technology
 
 
@@ -85,12 +85,10 @@ def gate_efficacy(
     """
     star_cost: Dict[int, float] = {}
     if routing is not None:
-        c = tech.unit_wire_capacitance
-        gate_in = tech.masking_gate.input_cap
         for route in routing.routes:
-            star_cost[route.node_id] = (
-                c * route.length + gate_in
-            ) * route.transition_probability
+            star_cost[route.node_id] = star_term(
+                tech, route.length, route.transition_probability
+            )
 
     # Masking probability of the nearest gate STRICTLY above each node.
     above: Dict[int, float] = {tree.root_id: 1.0}

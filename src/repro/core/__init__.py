@@ -11,9 +11,11 @@ Built on the substrates (:mod:`repro.geometry`, :mod:`repro.rc`,
 * :mod:`repro.core.controller` -- star routing of the enable signals
   from a centralized controller (or the distributed controllers of
   section 6);
-* :mod:`repro.core.switched_cap` -- the final W(T) / W(S) accounting
-  over a finished tree, including enable inheritance across ungated
-  edges;
+* :mod:`repro.core.switched_cap` -- the final W(T) accounting over a
+  finished tree, including enable inheritance across ungated edges
+  (each node's term is :meth:`repro.cts.topology.ClockTree.clock_term`;
+  W(S) folds :func:`repro.cts.topology.star_term` in
+  :mod:`repro.core.controller`);
 * :mod:`repro.core.gated_routing` -- ``build_gated_tree``: the
   GatedClockRouting procedure of section 4.2;
 * :mod:`repro.core.flow` -- one-call flows producing comparable result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.errors import ContractError
-from repro.cts.topology import ClockNode, ClockTree
+from repro.cts.topology import ClockNode, ClockTree, star_term
 from repro.geometry.point import Point
 from repro.obs import get_registry, get_tracer
 from repro.quantity import AreaUm2, LengthUm, NodeId, Probability, SwitchedCap
@@ -170,7 +170,8 @@ def route_enables(
 ) -> EnableRouting:
     """Star-route every gate's enable; compute W(S).
 
-    ``W(S) = sum (c |EN_i| + C_g) P_tr(EN_i)`` over the gated edges,
+    ``W(S)`` sums :func:`~repro.cts.topology.star_term`,
+    ``(c |EN_i| + C_g) P_tr(EN_i)``, over the gated edges in id order,
     with ``C_g`` the AND gate's (enable) input capacitance.
 
     ``assignment`` maps gate node ids to controller indices and
@@ -178,8 +179,6 @@ def route_enables(
     unlisted gates still route to their partition's controller.
     """
     with get_tracer().span("controller.star", controllers=layout.count) as span:
-        c = tech.unit_wire_capacitance
-        gate_in = tech.masking_gate.input_cap
         routes: List[EnableRoute] = []
         switched = 0.0
         wirelength = 0.0
@@ -205,7 +204,7 @@ def route_enables(
                     transition_probability=ptr,
                 )
             )
-            switched += (c * length + gate_in) * ptr
+            switched += star_term(tech, length, ptr)
             wirelength += length
             edge_lengths.observe(length)
         span.set(gates=len(routes), wirelength=wirelength)

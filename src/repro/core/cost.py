@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cts.dme import BottomUpMerger, EdgeCells, PairCost, PairLanes
+from repro.cts.topology import star_term
 
 
 def _edge_weight(lanes: PairLanes, cells: EdgeCells, enable_probability):
@@ -58,12 +59,9 @@ def _edge_weight(lanes: PairLanes, cells: EdgeCells, enable_probability):
 
 
 def _star_term(merger: BottomUpMerger, ids):
-    """Enable-star switched capacitance ``(c |EN| + C_g) P_tr(EN)``."""
-    tech = merger.tech
+    """Enable-star switched capacitance of each lane's child ``ids``."""
     arrays = merger.node_arrays
-    return (
-        tech.unit_wire_capacitance * arrays.star[ids] + tech.masking_gate.input_cap
-    ) * arrays.enable_ptr[ids]
+    return star_term(merger.tech, arrays.star[ids], arrays.enable_ptr[ids])
 
 
 class SwitchedCapacitanceCost(PairCost):

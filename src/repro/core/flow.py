@@ -23,11 +23,7 @@ from repro.core.gate_reduction import (
     apply_gate_reduction,
     reduction_fraction,
 )
-from repro.core.switched_cap import (
-    SwitchedCapBreakdown,
-    clock_tree_switched_cap,
-    masking_efficiency,
-)
+from repro.core.switched_cap import SwitchedCapBreakdown, clock_tree_switched_cap
 from repro.cts.buffered import build_buffered_tree
 from repro.cts.refine import RefineConfig, refine_tree
 from repro.cts.topology import ClockTree, Sink
@@ -410,8 +406,3 @@ def route_sharded(
             "sharded", tree, tech, oracle, die, demote, num_controllers,
             refine, audit,
         )
-
-
-def gated_vs_ungated_floor(result: ClockRoutingResult, tech: Technology) -> float:
-    """Fig. 4's floor: gated W(T) as a fraction of the ungated W(T)."""
-    return masking_efficiency(result.tree, tech)

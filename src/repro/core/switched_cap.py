@@ -13,6 +13,7 @@ term (at the same effective probability), so a node only contributes
 the input capacitance of *cells* it directly drives plus its own sink
 load.
 
+Each node's term is :meth:`repro.cts.topology.ClockTree.clock_term`;
 ``W(S)`` is computed by :mod:`repro.core.controller`.
 """
 
@@ -58,28 +59,23 @@ def effective_enable_probabilities(tree: ClockTree) -> Dict[int, Probability]:
 
 def clock_tree_switched_cap(tree: ClockTree, tech: Technology) -> SwitchedCap:
     """``W(T)`` of an embedded (possibly gated, possibly buffered) tree."""
-    c = tech.unit_wire_capacitance
-    a_clk = tech.clock_transitions_per_cycle
     eff = effective_enable_probabilities(tree)
-    total = eff[tree.root_id] * tree.attached_cap(tree.root_id) * a_clk
+    total = tree.clock_term(tree.root, eff[tree.root_id], tech)
     for node in tree.edges():
-        cap = c * node.edge_length + tree.attached_cap(node.id)
-        total += a_clk * eff[node.id] * cap
+        total += tree.clock_term(node, eff[node.id], tech)
     return total
 
 
-def ungated_clock_tree_switched_cap(tree: ClockTree, tech: Technology) -> float:
+def ungated_clock_tree_switched_cap(tree: ClockTree, tech: Technology) -> SwitchedCap:
     """``W(T)`` of the same tree with every enable stuck at 1.
 
     The paper's Fig. 4 observation -- "the power consumption of the
     gated clock tree will be at least 40% of the ungated clock tree" --
     is checked against this quantity.
     """
-    c = tech.unit_wire_capacitance
-    a_clk = tech.clock_transitions_per_cycle
-    total = tree.attached_cap(tree.root_id) * a_clk
+    total = tree.clock_term(tree.root, 1.0, tech)
     for node in tree.edges():
-        total += a_clk * (c * node.edge_length + tree.attached_cap(node.id))
+        total += tree.clock_term(node, 1.0, tech)
     return total
 
 

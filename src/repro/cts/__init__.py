@@ -5,7 +5,8 @@ router needs -- and on top of which the paper's gated router
 (:mod:`repro.core`) is built:
 
 * :mod:`repro.cts.topology` -- sinks, tree nodes, the embedded clock
-  tree container;
+  tree container, and the two per-node terms of the paper's Eq. 3
+  (``ClockTree.clock_term`` for W(T), ``star_term`` for W(S));
 * :mod:`repro.cts.merge` -- Tsay-style exact zero-skew merging,
   generalized to edges that carry decoupling cells (buffers or masking
   gates), including wire snaking;

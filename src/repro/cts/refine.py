@@ -55,7 +55,7 @@ from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, ReproError
 from repro.cts.dme import annotate_enable
 from repro.cts.reembed import rebalance
-from repro.cts.topology import ClockNode, ClockTree
+from repro.cts.topology import ClockNode, ClockTree, star_term
 from repro.obs import get_registry, get_tracer
 from repro.tech.parameters import Technology
 
@@ -213,40 +213,28 @@ class AnnealingRefiner:
     # ------------------------------------------------------------------
     # Eq. 3 terms and the cached exact cost
     # ------------------------------------------------------------------
-    def _tree_term(self, node: ClockNode) -> float:
-        """``W(T)`` term of one node: the root's attached cap, or an
-        edge's wire plus attached cap, at the effective enable."""
-        a_clk = self.tech.clock_transitions_per_cycle
-        eff = self._effective_probability(node)
-        attached = self.tree.attached_cap(node.id)
-        if node.id == self.tree.root_id:
-            return eff * attached * a_clk
-        wire = self.tech.unit_wire_capacitance * node.edge_length
-        return a_clk * eff * (wire + attached)
-
     def _star_term(self, node: ClockNode) -> float:
-        """``W(S)`` term of one gate; its pin is its parent's placement."""
-        c = self.tech.unit_wire_capacitance
-        gate_in = self.tech.masking_gate.input_cap
+        """``W(S)`` term of one gate at its assigned controller (its
+        partition owner unless reassigned); its pin is its parent's
+        placement."""
         pin = self.tree.node(node.parent).location
         index = self.assignment.get(node.id)
         if index is None:
             index, ctrl = self.layout.controller_for(pin)
         else:
             ctrl = self.layout.points[index]
-        length = pin.manhattan_to(ctrl)
-        return (c * length + gate_in) * node.enable_transition_probability
-
-    def _star_cost(self) -> float:
-        """Exact ``W(S)`` under the current placements and assignment."""
-        return sum(self._star_term(node) for node in self.tree.gates())
+        return star_term(
+            self.tech, pin.manhattan_to(ctrl), node.enable_transition_probability
+        )
 
     def _refresh_terms(self, ids: Iterable[int]) -> None:
         """Recompute the cached terms of the given nodes."""
         root = self.tree.root_id
         for nid in ids:
             node = self.tree.node(nid)
-            self._tree_terms[nid] = self._tree_term(node)
+            self._tree_terms[nid] = self.tree.clock_term(
+                node, self._effective_probability(node), self.tech
+            )
             if nid != root and node.has_gate:
                 self._star_terms[nid] = self._star_term(node)
             else:
@@ -256,9 +244,9 @@ class AnnealingRefiner:
         """Exact ``W(T) + W(S)`` folded from the cached terms.
 
         The fold follows ``clock_tree_switched_cap`` (root term, then
-        ``+=`` over edges by node id) and :meth:`_star_cost` (``sum()``
-        over gates by id), so it equals a whole-network re-measurement
-        bit for bit.
+        ``+=`` over edges by node id) and ``route_enables`` (star terms
+        summed over gates by id), so it equals a whole-network
+        re-measurement bit for bit.
         """
         terms = self._tree_terms
         total = terms[self.tree.root_id]
@@ -336,7 +324,9 @@ class AnnealingRefiner:
         total = 0.0
         for nid in sorted(ids):
             node = self.tree.node(nid)
-            total += self._tree_term(node)
+            total += self.tree.clock_term(
+                node, self._effective_probability(node), self.tech
+            )
             if nid != root and node.has_gate:
                 total += self._star_term(node)
         return total

@@ -36,12 +36,13 @@ Two byte-stability contracts anchor the tests:
   :func:`~repro.core.gated_routing.build_gated_tree` result exactly --
   same merge trace, same floats, same placement -- because the graft
   preserves node ids and every copied field verbatim;
-* for any ``K``, each shard's switched-capacitance contribution over
-  its *internal* edges (:func:`shard_edge_cap_sums`) is bit-identical
-  between the standalone shard tree and the stitched tree: with a gate
-  on every edge the effective enable probability is node-local, the
-  graft preserves ids (hence summation order) and floats verbatim.
-  The stitch's own edges form the one extra accounting bucket.
+* for any ``K``, each shard's switched capacitance over its
+  *internal* edges -- the :meth:`~repro.cts.topology.ClockTree.clock_term`
+  of each, folded in id order -- is bit-identical between the
+  standalone shard tree and the stitched tree: with a gate on every
+  edge the effective enable probability is node-local, and the graft
+  preserves ids (hence summation order) and floats verbatim.  The
+  stitch's own edges form the one extra accounting bucket.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "ShardRoute",
     "partition_sinks",
     "route_shards",
-    "shard_edge_cap_sums",
     "stitch_shards",
 ]
 
@@ -345,42 +345,3 @@ def stitch_shards(
     out.place()
     get_registry().counter("shard.stitch_merges").inc(len(plan.merge_order))
     return out
-
-
-def shard_edge_cap_sums(
-    tree: ClockTree,
-    tech: Technology,
-    node_ranges: Sequence[Tuple[int, int]],
-) -> List[float]:
-    """Per-shard switched capacitance over shard-internal edges.
-
-    ``node_ranges`` gives each shard's contiguous ``[start, stop)``
-    node-id block in ``tree`` (shard roots excluded from their own
-    block's *edge* terms only in the stitched tree, where they carry a
-    stitch-level edge -- pass ``stop`` as the shard root id to scope
-    the sum to internal edges).  Terms follow
-    :func:`repro.core.switched_cap.clock_tree_switched_cap` exactly --
-    ``a_clk * P(EN) * (c * length + attached)`` accumulated in id
-    order -- restricted to edges whose *own* gate masks them, which is
-    every edge under :class:`~repro.cts.dme.GateEveryEdgePolicy`.
-    Identical id order and identical floats make each sum bit-stable
-    between a standalone shard tree and its grafted block.
-    """
-    c = tech.unit_wire_capacitance
-    a_clk = tech.clock_transitions_per_cycle
-    sums: List[float] = []
-    for start, stop in node_ranges:
-        total = 0.0
-        for nid in range(start, stop):
-            node = tree.node(nid)
-            if not node.has_gate:
-                raise ContractError(
-                    "node %d has no masking gate; per-shard accounting "
-                    "requires node-local enable probabilities (gate on "
-                    "every edge)" % nid
-                )
-            total += a_clk * node.enable_probability * (
-                c * node.edge_length + tree.attached_cap(nid)
-            )
-        sums.append(total)
-    return sums

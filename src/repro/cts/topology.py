@@ -6,6 +6,12 @@ nodes.  Following the paper we identify every non-root node ``v_i``
 with the edge ``e_i`` that connects it to its parent, so per-edge data
 (electrical length, decoupling cell, enable probabilities) lives on the
 child node.
+
+The two per-node terms of the paper's objective (Eq. 3) live here too:
+:meth:`ClockTree.clock_term` is one node's ``W(T)`` term and
+:func:`star_term` one gate's ``W(S)`` term.  Every measurement of the
+objective outside the independent oracles (:mod:`repro.sim`,
+:mod:`repro.check`) folds these two.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from repro.check.errors import ContractError
 from repro.geometry.point import Point
 from repro.geometry.trr import Trr
 from repro.quantity import AreaUm2, CapacitanceFF, DelayPs, LengthUm, NodeId, Probability
+from repro.quantity import SwitchedCap
 from repro.rc.elmore import EdgeElectrical, ElmoreEvaluator
 from repro.tech.parameters import GateModel, Technology
 
@@ -251,6 +258,24 @@ class ClockTree:
                 total += cell.input_cap
         return total
 
+    def clock_term(
+        self, node: ClockNode, enable_probability: Probability, tech: Technology
+    ) -> SwitchedCap:
+        """One node's ``W(T)`` term at its effective enable probability.
+
+        The root contributes its attached capacitance, every other node
+        the wire of the edge above it plus its attached capacitance,
+        each switching ``a_clk`` times per cycle with probability
+        ``enable_probability``.  ``tech`` is explicit so one tree can be
+        re-measured under another technology.
+        """
+        attached = self.attached_cap(node.id)
+        a_clk = tech.clock_transitions_per_cycle
+        if node.id == self.root_id:
+            return enable_probability * attached * a_clk
+        wire = tech.unit_wire_capacitance * node.edge_length
+        return a_clk * enable_probability * (wire + attached)
+
     def total_wirelength(self) -> LengthUm:
         """Electrical wirelength of the clock tree (snaking included)."""
         root = self.root_id
@@ -379,3 +404,15 @@ class ClockTree:
                     % node.id,
                     node=node.id,
                 )
+
+
+def star_term(tech: Technology, length, transition_probability):
+    """One gate's ``W(S)`` term: ``(c |EN| + C_g) P_tr(EN)``.
+
+    ``length`` is the enable star edge's wirelength and ``C_g`` the
+    masking gate's enable input capacitance.  Elementwise, so it prices
+    scalars and NumPy lanes alike.
+    """
+    return (
+        tech.unit_wire_capacitance * length + tech.masking_gate.input_cap
+    ) * transition_probability

@@ -10,6 +10,7 @@ from repro.core.switched_cap import (
     clock_tree_switched_cap,
     ungated_clock_tree_switched_cap,
 )
+from repro.cts.topology import star_term
 from repro.tech import date98_technology
 
 
@@ -78,6 +79,12 @@ class TestLedger:
 
     def test_star_costs_match_routing(self, gated, tech):
         ledger = gate_efficacy(gated.tree, tech, gated.routing)
+        routes = {route.node_id: route for route in gated.routing.routes}
+        for entry in ledger:
+            route = routes[entry.node_id]
+            assert entry.star_cost == star_term(
+                tech, route.length, route.transition_probability
+            )
         assert sum(g.star_cost for g in ledger) == pytest.approx(
             gated.switched_cap.controller_tree
         )

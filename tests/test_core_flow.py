@@ -3,12 +3,9 @@
 import pytest
 
 from repro.bench.suite import load_benchmark
-from repro.core.flow import (
-    gated_vs_ungated_floor,
-    route_buffered,
-    route_gated,
-)
+from repro.core.flow import route_buffered, route_gated
 from repro.core.gate_reduction import GateReductionPolicy
+from repro.core.switched_cap import masking_efficiency
 from repro.tech import date98_technology
 
 
@@ -105,7 +102,7 @@ class TestRouteGated:
 
     def test_masking_floor(self, case, tech):
         result = route_gated(case.sinks, tech, case.oracle, die=case.die)
-        floor = gated_vs_ungated_floor(result, tech)
+        floor = masking_efficiency(result.tree, tech)
         assert 0.0 < floor < 1.0
 
     def test_summary_mentions_method(self, case, tech):

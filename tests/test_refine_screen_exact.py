@@ -22,7 +22,7 @@ import pytest
 
 from repro.bench.suite import load_benchmark
 from repro.check.tolerance import relatively_close
-from repro.core.controller import ControllerLayout
+from repro.core.controller import ControllerLayout, route_enables
 from repro.core.flow import route_gated, route_sharded
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.core.switched_cap import clock_tree_switched_cap
@@ -54,8 +54,12 @@ def _embedded_state(tree):
 
 
 def _exact_cost(refiner):
-    """Whole-network ``W(T) + W(S)`` of the refiner's current state."""
-    return clock_tree_switched_cap(refiner.tree, refiner.tech) + refiner._star_cost()
+    """Whole-network ``W(T) + W(S)`` of the refiner's current state, as
+    the flow measures it."""
+    star = route_enables(
+        refiner.tree, refiner.layout, refiner.tech, assignment=refiner.assignment
+    )
+    return clock_tree_switched_cap(refiner.tree, refiner.tech) + star.switched_cap
 
 
 def _reembedded(tree):
