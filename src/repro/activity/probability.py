@@ -75,6 +75,11 @@ class ActivityOracle:
         #                                = a^T (row + col) - 2 a^T P a.
         self._row = self._pair.sum(axis=1)
         self._col = self._pair.sum(axis=0)
+        # Bit positions of a signature that fits an int64 (up to 63
+        # instructions); wider signatures unpack bit by bit.
+        self._bits: Optional[np.ndarray] = None
+        if len(self._masks) <= 63:
+            self._bits = np.arange(len(self._masks), dtype=np.int64)
         # Signature-level memos.  The mask-level methods below route
         # through these, so a scalar ``signal_probability(mask)`` and a
         # ``batch_probabilities`` lane with the same signature share
@@ -166,11 +171,13 @@ class ActivityOracle:
         :meth:`activation_vector`, so probabilities computed from a
         signature are bit-identical to the mask-level ones.
         """
-        return np.fromiter(
-            ((signature >> i) & 1 for i in range(len(self._masks))),
-            dtype=float,
-            count=len(self._masks),
-        )
+        if self._bits is None:
+            return np.fromiter(
+                ((signature >> i) & 1 for i in range(len(self._masks))),
+                dtype=float,
+                count=len(self._masks),
+            )
+        return ((np.int64(signature) >> self._bits) & 1).astype(float)
 
     def _signature_signal_uncached(self, signature: int) -> Probability:
         if signature == 0:

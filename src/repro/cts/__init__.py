@@ -19,8 +19,8 @@ router needs -- and on top of which the paper's gated router
   exact screen prices every candidate batch, and the merge step
   (``plan_merge`` / ``commit_merge``) is shared with the shard stitch;
 * :mod:`repro.cts.candidate_index` -- the bounding-box block index
-  answering the merger's k-nearest-candidate queries, with the exact
-  distances its screen reuses;
+  answering the merger's k-nearest-candidate queries a batch at a
+  time, with the exact distances its screen reuses;
 * :mod:`repro.cts.nearest_neighbor` -- the nearest-neighbour pair cost
   (Edahiro-style), used by the baseline;
 * :mod:`repro.cts.buffered` -- the buffered zero-skew clock tree the

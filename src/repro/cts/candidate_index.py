@@ -3,8 +3,9 @@
 During bottom-up merging every active subtree root carries a merging
 segment (a Manhattan arc), mirrored as one ``(ulo, uhi, vlo, vhi)`` row
 of the merger's :class:`~repro.cts.kernels.NodeArrays`.  With a
-``candidate_limit`` the greedy engine repeatedly needs, for one node,
-its ``k`` nearest live segments.
+``candidate_limit`` the greedy engine repeatedly needs, for a few
+nodes at once (a merge step's merged node and its orphans), their
+``k`` nearest live segments.
 
 :class:`SegmentBlockIndex` splits the live ids into spatial blocks of
 about :data:`_BLOCK` ids (sort-tile-recursive over segment centers in
@@ -13,14 +14,16 @@ Chebyshev distance).  Each block stores its members' extents in a
 fixed-width slot row and keeps a high-water ``(u, v)`` bounding box of
 them.  Every segment lies inside its block's box, so the segment
 distance from a query to the box is a lower bound for every member.
-A query bounds its distance to every box in one vectorized step,
-takes blocks in bound order (its own block first) until they hold
-``k`` ids, measures those members in one kernel, then adds every remaining block whose
-bound is ``<=`` the k-th distance (at most one more kernel).  The
-stop rule is strict -- a block whose bound *equals* the k-th distance
-is still measured -- so distance ties are broken by id exactly as a
-full ``(distance, id)`` sort breaks them.  With a population of one
-block a query is a single kernel over that block.
+:meth:`~SegmentBlockIndex.nearest_many` answers a batch of queries
+over one query x slot grid per kernel.  Each query bounds its distance
+to every box in one vectorized step and takes blocks in bound order
+(its own block first) until they hold ``k`` ids; the union of those
+blocks is measured in one kernel, then every remaining block whose
+bound is ``<=`` some query's k-th distance (at most one more kernel).
+A one-block population is one kernel.  The stop rule is strict -- a
+block whose bound *equals* the k-th distance is still measured -- so
+distance ties are broken by id exactly as a full ``(distance, id)``
+sort breaks them.
 
 Removals leave a dead slot (infinitely far from any query) and never
 shrink a box; the blocks are re-derived from the live population
@@ -37,7 +40,7 @@ back with their distances so the merger need not measure them again.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,10 @@ from repro.cts import kernels
 
 _BLOCK = 256
 """Target ids per block after a rebuild."""
+
+_GRID_QUERIES = 64
+"""Queries per query x slot grid of :meth:`SegmentBlockIndex.nearest_many`
+(bounds its temporaries when a batch spans many blocks)."""
 
 _DEAD = (np.inf, -np.inf, np.inf, -np.inf)
 """Extents of an empty slot or box: infinitely far from every segment."""
@@ -126,7 +133,7 @@ class SegmentBlockIndex:
         if nid in self._slot:
             raise ContractError("id %d is already indexed" % nid)
         ext = self._extents(nid)
-        bound = self._bounds(ext)
+        bound = self._bounds(ext)[0]
         bound[self._count >= self._ids.shape[1]] = np.inf
         j = int(bound.argmin())
         if not self._free[j]:  # every block is full
@@ -153,52 +160,122 @@ class SegmentBlockIndex:
             self._rebuild(list(self._slot))
 
     def _bounds(self, ext: np.ndarray) -> np.ndarray:
-        """Per block, a lower bound (possibly negative) of the distance
-        from the segment with extents ``ext`` to every member."""
-        ext = ext[:, None]
-        gap = np.maximum(self._box[0::2] - ext[1::2], ext[0::2] - self._box[1::2])
+        """Per query and block, a lower bound (possibly negative) of the
+        distance from the query segment to every member of the block.
+
+        ``ext`` holds one query's extents or a ``(4, q)`` array of them;
+        the result has one row per query."""
+        ext = ext.reshape(4, -1, 1)
+        box = self._box[:, None, :]
+        gap = np.maximum(box[0::2] - ext[1::2], ext[0::2] - box[1::2])
         return np.maximum(gap[0], gap[1])
 
-    def _members(self, query, blocks):
-        """Ids and exact distances of every slot of ``blocks``."""
-        ids = self._ids[blocks].ravel()
-        return ids, self._measure(*query, *self._ext[:, blocks].reshape(4, -1))
+    def _grid(self, query: np.ndarray, blocks):
+        """Ids of every slot of ``blocks`` and the ``(q, slots)`` grid
+        of exact distances from each query to each slot."""
+        ext = self._ext[:, blocks].reshape(4, 1, -1)
+        return self._ids[blocks].ravel(), self._measure(*query[:, :, None], *ext)
 
-    def nearest(self, nid: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``k`` live ids nearest to node ``nid``'s segment.
+    def nearest_many(
+        self, nids: Sequence[int], k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``k`` live ids nearest to each node of ``nids``.
 
-        Returns ``(ids, distances)``: the first ``k`` live ids other
-        than ``nid`` by ``(distance, id)`` -- exactly the set a full
-        sort would pick -- in no particular order.
+        Returns ``(ids, distances, sizes)``: the answers of the queries
+        concatenated in ``nids`` order, ``sizes[i]`` entries for
+        ``nids[i]``.  Each answer is the first ``k`` live ids other than
+        the query by ``(distance, id)`` -- exactly the set a full sort
+        would pick -- in no particular order.  A query id may be
+        indexed (it is then excluded from its own answer) or not (its
+        row must still be written).
+
+        Queries are answered in groups of at most :data:`_GRID_QUERIES`
+        (sorted by their own block when there are more, so a group
+        reaches few blocks), each group over a query x slot grid.
+        Pass 1 measures, in one kernel, the union of the blocks each
+        query of the group needs to hold ``k`` ids, and pass 2, in at
+        most one more, every other block whose bound is ``<=`` some
+        query's k-th distance; a one-block population is measured
+        whole.  A slot left unmeasured for a query is therefore strictly
+        farther than its k-th distance, and ties at it are broken by id.
         """
         if k < 1:
             raise ContractError("k must be positive")
-        own = self._slot.get(nid)
-        k = min(k, len(self._slot) - (own is not None))
-        if k <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        query = self._extents(nid)
-        blocks = slice(0, 1)
-        if self._count.size > 1:
+        slots = [self._slot.get(nid) for nid in nids]
+        live = len(self._slot)
+        rows = [i for i, own in enumerate(slots) if live > (own is not None)]
+        if len(rows) == len(slots) <= _GRID_QUERIES:
+            return self._answer(nids, slots, k)
+        sizes = np.zeros(len(slots), dtype=np.int64)
+        if not rows:
+            return np.empty(0, dtype=np.int64), np.empty(0), sizes
+        # Grouped by own block, so each group reaches few blocks.
+        rows.sort(key=lambda i: -1 if slots[i] is None else slots[i][0])
+        answers = {}
+        for start in range(0, len(rows), _GRID_QUERIES):
+            group = rows[start : start + _GRID_QUERIES]
+            ids, d, counts = self._answer([nids[i] for i in group], [slots[i] for i in group], k)
+            sizes[group] = counts
+            ends = np.cumsum(counts)[:-1]
+            answers.update(zip(group, zip(np.split(ids, ends), np.split(d, ends))))
+        ids, d = zip(*(answers[i] for i in sorted(answers)))
+        return np.concatenate(ids), np.concatenate(d), sizes
+
+    def _answer(self, nids, slots, k):
+        """:meth:`nearest_many` of one group of queries, each with at
+        least one live id to find."""
+        live = len(self._slot)
+        want = [min(k, live - (own is not None)) for own in slots]
+        indexed = [i for i, own in enumerate(slots) if own is not None]
+        if len(indexed) == len(slots):
+            block, slot = np.array(slots).T
+            query = self._ext[:, block, slot]
+        else:
+            query = self._extents(np.array(nids, dtype=np.int64)).reshape(4, -1)
+            block, slot = np.array([slots[i] for i in indexed], dtype=np.int64).reshape(-1, 2).T
+        n, width = self._ids.shape
+        if n == 1:
+            ids, d = self._grid(query, slice(None))
+            d[indexed, block * width + slot] = np.inf
+            kth = self._kth(d, want)
+        else:
             bound = self._bounds(query)
-            if own is not None:
-                bound[own[0]] = -np.inf  # the own block comes first
-            order = np.argsort(bound)
-            reach = 1
-            if self._count[order[0]] <= k:
-                reach += int(np.searchsorted(np.cumsum(self._count[order]), k + 1))
-            blocks = order[:reach]
-        ids, d = self._members(query, blocks)
-        if own is not None:
-            d[own[1]] = np.inf
-        kth = np.partition(d, k - 1)[k - 1]
-        if self._count.size > 1:
-            more = int(np.searchsorted(bound[order], kth, side="right"))
-            if more > reach:
-                extra_ids, extra_d = self._members(query, order[reach:more])
-                ids, d = np.concatenate((ids, extra_ids)), np.concatenate((d, extra_d))
-                kth = np.partition(d, k - 1)[k - 1]
-        pick = np.flatnonzero(d <= kth)
-        if pick.size > k:  # ties at the k-th distance go to the smaller ids
-            pick = pick[np.lexsort((ids[pick], d[pick]))[:k]]
-        return ids[pick], d[pick]
+            bound[indexed, block] = -np.inf  # the own block comes first
+            order = np.argsort(bound, axis=1)
+            # Reach: the blocks in bound order until they hold k + 1 ids
+            # (k others besides the query itself); pass 1 takes every
+            # block bounded no farther than a query's last reached one.
+            held = np.cumsum(self._count[order], axis=1)
+            last = np.minimum((held <= np.array(want)[:, None]).sum(axis=1), n - 1)
+            q = np.arange(len(slots))
+            reach = bound <= bound[q, order[q, last]][:, None]
+            blocks = np.flatnonzero(reach.any(axis=0))
+            ids, d = self._grid(query, blocks)
+            d[indexed, np.searchsorted(blocks, block) * width + slot] = np.inf
+            kth = self._kth(d, want)
+            near = (bound <= kth[:, None]).any(axis=0)
+            near[blocks] = False
+            more = np.flatnonzero(near)
+            if more.size:
+                extra_ids, extra_d = self._grid(query, more)
+                ids = np.concatenate((ids, extra_ids))
+                d = np.concatenate((d, extra_d), axis=1)
+                kth = self._kth(d, want)
+        pick = d <= kth[:, None]
+        counts = pick.sum(axis=1)
+        for i in np.flatnonzero(counts > want).tolist():
+            # Ties at the k-th distance go to the smaller ids.
+            tied = np.flatnonzero(pick[i])
+            pick[i] = False
+            pick[i, tied[np.lexsort((ids[tied], d[i, tied]))[: want[i]]]] = True
+            counts[i] = want[i]
+        return ids[pick.nonzero()[1]], d[pick], counts
+
+    @staticmethod
+    def _kth(d: np.ndarray, want: List[int]) -> np.ndarray:
+        """Each row's ``want[i]``-th smallest distance."""
+        ranks = sorted(set(want))
+        if len(ranks) == 1:
+            return np.partition(d, ranks[0] - 1, axis=1)[:, ranks[0] - 1]
+        part = np.partition(d, [r - 1 for r in ranks], axis=1)
+        return part[np.arange(len(want)), np.array(want) - 1]

@@ -32,10 +32,13 @@ the cell policy decides both new edges of every lane at once
 :mod:`repro.cts.kernels` split them, and the cost's
 :meth:`PairCost.batch` prices them; one grouped ``(cost, id)`` ranking
 then picks each owner's best partner.  Best-partner recomputes are
-independent of each other, so the initialization and the eager orphan
-repair of a merge step each screen all their owners together, in
-batches of at most :data:`_SCREEN_LANES` lanes; the lazy repair and
-:meth:`BottomUpMerger._introduce` screen one owner.  The kernels
+independent of each other, so the owners of one screen share one
+candidate query (:meth:`BottomUpMerger._candidates`, one batched
+:meth:`~repro.cts.candidate_index.SegmentBlockIndex.nearest_many` with
+a limit) in batches of at most :data:`_SCREEN_LANES` lanes: the
+initialization screens every node, and each merge step
+(:meth:`BottomUpMerger._merge_step`) screens the merged node together
+with every orphan of the step, once.  The kernels
 mirror the scalar float arithmetic op for op and are elementwise, so
 every lane equals the scalar plan and cost of its pair bit for bit,
 whichever lanes share its batch.  Snaked splits are modelled in the
@@ -51,9 +54,12 @@ Exact-greedy runs (no ``candidate_limit``) repair orphaned best-pair
 pointers *lazily*: pair costs are immutable and an orphan's candidate
 set only shrinks until its entry pops, so the stale heap entry's cost
 can only underestimate the node's true current best and the recompute
-safely waits for :meth:`_pop_valid_pair`'s partner-inactive branch.
-``candidate_limit`` runs keep the eager per-merge repair -- their
-k-nearest candidate snapshots are time-sensitive.
+safely waits for :meth:`_pop_valid_pair`'s partner-inactive branch;
+their merge step screens the merged node alone.  ``candidate_limit``
+runs repair eagerly, in the merge step -- their k-nearest candidate
+snapshots are time-sensitive.  Which orphans adopt the merged node is
+known only once its lanes are priced, so the step queries and screens
+every orphan and applies a ranked lane only to those still stale.
 
 :class:`MergerStats` counts plans, cache hits, heap traffic, index
 queries, kernel batches and lane fallbacks.
@@ -376,24 +382,30 @@ class MergerStats:
     evaluations (scalar split + cell decisions); ``plan_cache_hits``
     the plan requests the memo answered instead.
 
+    ``index_queries`` counts the batched k-nearest index queries that
+    found candidates, one per screen of a ``candidate_limit`` run: at
+    most one per merge step, plus one per :data:`_SCREEN_LANES` lanes
+    of owners at initialization.
+
     The kernel counters track the segment distances:
     ``kernel_batches`` batched distance evaluations of candidate
     segments (one per exact-greedy screen, however many owners it
-    spans, and one or two per k-nearest index query, whose distances
-    the screen reuses), ``kernel_candidates`` the lanes they covered
-    (an index query measures whole blocks), and
-    ``kernel_scalar_fallbacks`` lanes whose split came from a scalar
-    plan: snaked lanes when a cell sizer is set (zero without one,
-    since the kernel models snaked splits) and lanes whose split cannot
-    balance.  ``distance_reuses`` counts ``plan()`` calls that received
-    an already-measured segment distance instead of re-deriving it:
-    without a sizer, one per committed merge.
+    spans, and one or two per group of queries of an index query,
+    whose distances the screen reuses), ``kernel_candidates`` the lanes
+    they covered (an index query measures a query x slot grid of whole
+    blocks), and ``kernel_scalar_fallbacks`` lanes whose split came
+    from a scalar plan: snaked lanes when a cell sizer is set (zero
+    without one, since the kernel models snaked splits) and lanes whose
+    split cannot balance.  ``distance_reuses`` counts ``plan()`` calls
+    that received an already-measured segment distance instead of
+    re-deriving it: without a sizer, one per committed merge.
 
     The repair counters split best-pair recomputations by trigger:
-    ``orphan_recomputes`` eager per-merge repairs of nodes whose best
-    partner retired (``candidate_limit`` runs), ``repair_recomputes``
-    lazy repairs taken when a stale best pair actually popped from the
-    heap (exact-greedy runs).
+    ``orphan_recomputes`` eager repairs in a merge step of nodes whose
+    best partner retired and that did not adopt the merged node
+    (``candidate_limit`` runs), ``repair_recomputes`` lazy repairs
+    taken when a stale best pair actually popped from the heap
+    (exact-greedy runs).
     """
 
     plans_computed: int = 0
@@ -529,9 +541,9 @@ class BottomUpMerger:
                 self.node_arrays, range(len(sinks)), measure=self._measure
             )
         # Exact-greedy runs repair orphaned best pairs lazily at pop
-        # time (see the module docstring); candidate_limit runs must
-        # stay eager because their k-nearest candidate snapshots are
-        # taken relative to the *current* active set.
+        # time (see the module docstring); candidate_limit runs repair
+        # them in the merge step because their k-nearest candidate
+        # snapshots are taken relative to the *current* active set.
         self._eager_repair = candidate_limit is not None
         self.merge_trace: List[Tuple[int, int, int]] = []
         """(left, right, merged) triples, in merge order -- for tests."""
@@ -718,17 +730,21 @@ class BottomUpMerger:
         self.stats.kernel_candidates += distance.size
         return distance
 
-    def _candidates(self, nid: int):
-        """Candidate partner ids of ``nid`` and their distances: the k
-        nearest with a limit, else every other active id (distances
-        ``None``: the screen measures them)."""
+    def _candidates(self, nids: Sequence[int]):
+        """Candidate partners of every owner in ``nids``: ``(sizes, ids,
+        distances)``, the owners' candidates concatenated in ``nids``
+        order, ``sizes[i]`` of them for ``nids[i]``.  With a limit they
+        are the k nearest, from one batched index query; otherwise every
+        other active id (distances ``None``: the screen measures them).
+        """
         index = self._index
         if index is None:
-            return self._active_ids.others(nid), None
-        limit = self.candidate_limit
-        if len(index) - (nid in index) > limit:
+            others = [self._active_ids.others(nid) for nid in nids]
+            return np.array([o.size for o in others]), np.concatenate(others), None
+        ids, distance, sizes = index.nearest_many(nids, self.candidate_limit)
+        if ids.size:
             self.stats.index_queries += 1
-        return index.nearest(nid, limit)
+        return sizes, ids, distance
 
     def _screen(self, owner, other, distance=None, canonical: bool = False):
         """Exact ``(costs, distances)`` of merging each lane's owner
@@ -770,50 +786,49 @@ class BottomUpMerger:
         self._reverse.setdefault(partner, set()).add(nid)
         heapq.heappush(self._heap, (cost, nid, self._generation))
 
+    def _screens(self, nids: Sequence[int], canonical: bool = False):
+        """Screen the candidates of every owner in ``nids``.
+
+        Owners share screens of up to :data:`_SCREEN_LANES` lanes, each
+        with one candidate query (an owner with more lanes is screened
+        alone).  Yields ``(owners, sizes, other, costs, distances,
+        best)`` per screen: the owners' lanes concatenated in owner
+        order, ``sizes[i]`` of them for ``owners[i]``, and ``best[i]``
+        the lane of ``owners[i]``'s first candidate by ``(cost, id)``
+        (``-1`` when it has none).  Owners are independent -- their
+        candidates read the active set and the index, which neither
+        screening nor :meth:`_set_best` touches -- so batching changes
+        no cost, only the number of screens.
+        """
+        per_owner = self.candidate_limit or len(self._active_ids) - 1
+        step = max(1, _SCREEN_LANES // max(1, per_owner))
+        for start in range(0, len(nids), step):
+            owners = nids[start : start + step]
+            sizes, other, distance = self._candidates(owners)
+            best = np.full(len(owners), -1, dtype=np.int64)
+            if other.size == 0:
+                yield owners, sizes, other, np.empty(0), np.empty(0), best
+                continue
+            owner = np.repeat(np.array(owners, dtype=np.int64), sizes)
+            costs, distance = self._screen(owner, other, distance, canonical)
+            group = np.repeat(np.arange(len(owners)), sizes)
+            best[np.flatnonzero(sizes)] = kernels.rank_by_cost(other, costs, group)
+            yield owners, sizes, other, costs, distance, best
+
     def _recompute_best(self, nids: Sequence[int], canonical: bool = False) -> None:
         """Re-screen the candidates of every node in ``nids`` for its
-        cheapest partner, ranked by ``(cost, id)``.
+        cheapest partner, ranked by ``(cost, id)``; a node without
+        candidates loses its best pair."""
+        for owners, _, other, costs, distance, best in self._screens(nids, canonical):
+            for nid, j in zip(owners, best.tolist()):
+                self._take_lane(nid, j, other, costs, distance)
 
-        The owners' lanes share screens of up to :data:`_SCREEN_LANES`
-        lanes (an owner with more is screened whole, alone).  Owners
-        are independent -- their candidates read the active set and the
-        index, which neither screening nor :meth:`_set_best` touches --
-        so batching changes no best pair, only the number of screens.
-        """
-        owners: List[int] = []
-        groups: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
-        lanes = 0
-        for nid in nids:
-            ids, distance = self._candidates(nid)
-            if ids.size == 0:
-                self._best.pop(nid, None)
-                continue
-            if owners and lanes + ids.size > _SCREEN_LANES:
-                self._rank_screen(owners, groups, canonical)
-                owners, groups, lanes = [], [], 0
-            owners.append(nid)
-            groups.append((ids, distance))
-            lanes += ids.size
-        if owners:
-            self._rank_screen(owners, groups, canonical)
-
-    def _rank_screen(
-        self,
-        owners: List[int],
-        groups: List[Tuple[np.ndarray, Optional[np.ndarray]]],
-        canonical: bool,
-    ) -> None:
-        """One screen over every owner's ``(candidate ids, distances)``
-        lanes; each owner adopts its first lane by ``(cost, id)``."""
-        ids, distances = zip(*groups)
-        sizes = [i.size for i in ids]
-        other = np.concatenate(ids)
-        owner = np.repeat(np.array(owners, dtype=np.int64), sizes)
-        distance = None if distances[0] is None else np.concatenate(distances)
-        costs, distance = self._screen(owner, other, distance, canonical)
-        group = np.repeat(np.arange(len(owners)), sizes)
-        best = kernels.rank_by_cost(other, costs, group).tolist()
-        for nid, j in zip(owners, best):
+    def _take_lane(self, nid: int, j: int, other, costs, distance) -> None:
+        """Make lane ``j`` of a screen ``nid``'s best pair (``j < 0``:
+        drop its best pair)."""
+        if j < 0:
+            self._best.pop(nid, None)
+        else:
             self._set_best(nid, float(costs[j]), int(other[j]), float(distance[j]))
 
     def _initialize_best(self) -> None:
@@ -861,29 +876,42 @@ class BottomUpMerger:
             self._index.remove(nid)
         return self._reverse.pop(nid, set())
 
-    def _introduce(self, merged_id: int) -> None:
-        """Register a new subtree and refresh neighbours' best pairs.
+    def _merge_step(self, merged_id: int, orphans: Sequence[int]) -> None:
+        """Register a new subtree and refresh the best pairs it touches,
+        in one candidate query and one screen.
 
-        Every neighbour adopts the new node when ``(cost, merged_id)``
-        beats its current best; the resulting heap outcomes do not
-        depend on the update order (generation staleness).
+        The merged node joins the active set and the index first (a
+        query excludes its own id, so its candidates are unchanged).
+        Its lanes and those of every orphan -- a node whose best
+        partner just retired -- are screened together.  Then, in order:
+        every candidate of the merged node adopts it when ``(cost,
+        merged_id)`` beats its current best; the merged node takes its
+        own best lane; and each orphan, in ``orphans`` order, whose best
+        partner is still inactive takes its ranked lane.  The heap
+        outcomes do not depend on the order of the adoptions
+        (generation staleness).
         """
-        ids, distance = self._candidates(merged_id)
-        best = None
-        if ids.size:
-            costs, distance = self._screen(np.full_like(ids, merged_id), ids, distance)
-            for other, cost, d in zip(ids.tolist(), costs.tolist(), distance.tolist()):
-                current = self._best.get(other)
-                if current is None or (cost, merged_id) < (current[0], current[1]):
-                    self._set_best(other, cost, merged_id, d)
-            (j,) = kernels.rank_by_cost(ids, costs).tolist()
-            best = float(costs[j]), int(ids[j]), float(distance[j])
         self._active.add(merged_id)
         self._active_ids.add(merged_id)
         if self._index is not None:
             self._index.insert(merged_id)
-        if best is not None:
-            self._set_best(merged_id, *best)
+        screens = list(self._screens([merged_id, *orphans]))
+        _, sizes, other, costs, distance, best = screens[0]
+        lanes = int(sizes[0])
+        for partner, cost, d in zip(
+            other[:lanes].tolist(), costs[:lanes].tolist(), distance[:lanes].tolist()
+        ):
+            current = self._best.get(partner)
+            if current is None or (cost, merged_id) < (current[0], current[1]):
+                self._set_best(partner, cost, merged_id, d)
+        for owners, _, other, costs, distance, best in screens:
+            for nid, j in zip(owners, best.tolist()):
+                if nid != merged_id:
+                    current = self._best.get(nid)
+                    if current is not None and current[1] in self._active:
+                        continue  # the orphan adopted the merged node
+                    self.stats.orphan_recomputes += 1
+                self._take_lane(nid, j, other, costs, distance)
 
     # ------------------------------------------------------------------
     # the full flow
@@ -922,15 +950,9 @@ class BottomUpMerger:
                     plan = self._plan_pair(a_id, b_id, distance)
                     merged = self.execute(plan)
                     orphans = (self._retire(a_id) | self._retire(b_id)) & self._active
-                    self._introduce(merged.id)
-                    if self._eager_repair:
-                        stale = []
-                        for orphan in sorted(orphans):
-                            current = self._best.get(orphan)
-                            if current is None or current[1] not in self._active:
-                                stale.append(orphan)
-                        self.stats.orphan_recomputes += len(stale)
-                        self._recompute_best(stale)
+                    self._merge_step(
+                        merged.id, sorted(orphans) if self._eager_repair else ()
+                    )
             (root,) = self._active
             self.tree.set_root(root)
             with tracer.span("dme.embed"):

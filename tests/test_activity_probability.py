@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
-from repro.activity.isa import paper_example_isa, paper_example_stream
+from repro.activity.isa import InstructionSet, paper_example_isa, paper_example_stream
 from repro.activity.probability import scan_stream_probabilities
 
 
@@ -159,3 +159,33 @@ class TestActivationSignatures:
         oracle, _, _ = paper_oracle()
         assert oracle.batch_probabilities(np.array([], dtype=np.int64)).shape == (0,)
         assert oracle.batch_transition_probabilities([]).shape == (0,)
+
+
+def _random_oracle(rng, num_instructions, num_modules):
+    usage = [
+        set(rng.choice(num_modules, size=int(rng.integers(1, 4)), replace=False).tolist())
+        for _ in range(num_instructions)
+    ]
+    isa = InstructionSet.from_usage_lists(usage, num_modules)
+    stream = InstructionStream(ids=rng.integers(0, num_instructions, size=200))
+    return ActivityOracle(ActivityTables.from_stream(isa, stream))
+
+
+@pytest.mark.parametrize("num_instructions", [1, 5, 32, 63, 64, 70])
+def test_signature_vector_equals_activation_vector(num_instructions):
+    # Up to 63 instructions a signature unpacks through an int64 shift;
+    # wider ones bit by bit.  Both must give activation_vector's floats.
+    rng = np.random.default_rng(num_instructions)
+    num_modules = 12
+    oracle = _random_oracle(rng, num_instructions, num_modules)
+    full = (1 << num_modules) - 1
+    masks = [0, full] + rng.integers(1, full, size=40).tolist()
+    for mask in masks:
+        expected = oracle.activation_vector(mask)
+        got = oracle._signature_vector(oracle.activation_signature(mask))
+        assert got.dtype == expected.dtype == np.float64
+        assert np.array_equal(got, expected)
+        if mask:
+            assert oracle.signal_probability(mask) == min(
+                max(float(expected @ oracle.tables.ift), 0.0), 1.0
+            )

@@ -22,6 +22,12 @@ def brute_force_nearest(segments, query, k, exclude=None):
     return ranked[:k]
 
 
+def nearest(index, nid, k):
+    """One query's ``(ids, distances)``: a one-query batch."""
+    ids, distances, _ = index.nearest_many((nid,), k)
+    return ids, distances
+
+
 def ranked(result):
     """An index result as ``(distance, id)`` pairs in sort order."""
     ids, distances = result
@@ -84,11 +90,11 @@ class TestMaintenance:
     def test_bad_k_rejected(self):
         _, index = indexed({0: Trr.from_point(Point(0, 0))})
         with pytest.raises(ValueError):
-            index.nearest(0, 0)
+            nearest(index, 0, 0)
 
     def test_empty_query(self):
         _, index = indexed({0: Trr.from_point(Point(0, 0))}, ids=())
-        ids, distances = index.nearest(0, 3)
+        ids, distances = nearest(index, 0, 3)
         assert ids.size == 0 and distances.size == 0
 
     def test_query_counters_advance(self):
@@ -103,7 +109,7 @@ class TestMaintenance:
         _, index = indexed(
             {i: Trr.from_point(Point(i, 0)) for i in range(5)}, measure=measure
         )
-        index.nearest(0, 2)
+        nearest(index, 0, 2)
         assert len(lanes) == 1 and lanes[0] >= 4
 
 
@@ -121,7 +127,7 @@ class TestExactness:
         arrays, index = indexed(rows, ids=segments)
         for i, query in queries.items():
             k = int(rng.integers(1, 24))
-            assert ranked(index.nearest(n + i, k)) == brute_force_nearest(
+            assert ranked(nearest(index, n + i, k)) == brute_force_nearest(
                 segments, query, k
             )
 
@@ -130,13 +136,13 @@ class TestExactness:
         segments = random_segments(rng, 40)
         _, index = indexed(segments)
         for iid in (0, 7, 39):
-            got = ranked(index.nearest(iid, 5))
+            got = ranked(nearest(index, iid, 5))
             assert got == brute_force_nearest(segments, segments[iid], 5, exclude=iid)
 
     def test_k_larger_than_population(self):
         segments = {i: Trr.from_point(Point(i, i)) for i in range(5)}
         _, index = indexed(segments, ids=range(4))
-        ids, distances = index.nearest(4, 10)
+        ids, distances = nearest(index, 4, 10)
         assert sorted(ids.tolist()) == [0, 1, 2, 3]
         assert sorted(distances.tolist()) == [2.0, 4.0, 6.0, 8.0]
 
@@ -145,7 +151,7 @@ class TestExactness:
         points = [(5, 0), (-5, 0), (0, 5), (0, -5), (0, 0)]
         segments = {iid: Trr.from_point(Point(x, y)) for iid, (x, y) in enumerate(points)}
         _, index = indexed(segments, ids=range(4))
-        assert ranked(index.nearest(4, 2)) == [(5.0, 0), (5.0, 1)]
+        assert ranked(nearest(index, 4, 2)) == [(5.0, 0), (5.0, 1)]
 
     def test_dynamic_updates_stay_exact(self):
         rng = np.random.default_rng(4)
@@ -157,7 +163,7 @@ class TestExactness:
         for iid in range(0, 50, 3):
             index.remove(iid)
             del alive[iid]
-        assert ranked(index.nearest(50, 8)) == brute_force_nearest(alive, query, 8)
+        assert ranked(nearest(index, 50, 8)) == brute_force_nearest(alive, query, 8)
 
 
 class TestRadiusHighWater:
@@ -217,7 +223,7 @@ class TestRadiusHighWater:
             for iid in range(0, 80):
                 index.remove(iid)
             del measured[:]
-            results = [ranked(index.nearest(iid, 4)) for iid in range(80, 100)]
+            results = [ranked(nearest(index, iid, 4)) for iid in range(80, 100)]
             lanes[cls.__name__] = (sum(measured), results)
         assert lanes["SegmentBlockIndex"][0] < lanes["FrozenIndex"][0]
         assert lanes["SegmentBlockIndex"][1] == lanes["FrozenIndex"][1]
@@ -237,7 +243,7 @@ class TestRadiusHighWater:
             if step % 7 == 0 and alive:
                 q = Trr.from_point(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
                 write_row(arrays, probe, q)
-                assert ranked(index.nearest(probe, 5)) == brute_force_nearest(alive, q, 5)
+                assert ranked(nearest(index, probe, 5)) == brute_force_nearest(alive, q, 5)
 
 
 def _segment(rng, side, grid, arc_share, giant=False):
@@ -252,6 +258,18 @@ def _segment(rng, side, grid, arc_share, giant=False):
     return Trr(u, u + length, v, v) if rng.random() < 0.5 else Trr(u, u, v, v + length)
 
 
+def _split(result):
+    """A :meth:`SegmentBlockIndex.nearest_many` result as one ranked
+    ``(distance, id)`` list per query."""
+    ids, distances, sizes = result
+    assert sizes.sum() == ids.size == distances.size
+    ends = np.cumsum(sizes)
+    return [
+        ranked((ids[end - size : end], distances[end - size : end]))
+        for size, end in zip(sizes.tolist(), ends.tolist())
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -263,11 +281,18 @@ def _segment(rng, side, grid, arc_share, giant=False):
     bulk=st.booleans(),
     k=st.integers(min_value=1, max_value=24),
     rounds=st.integers(min_value=1, max_value=6),
+    group=st.sampled_from([1, 3, candidate_index._GRID_QUERIES]),
 )
 def test_property_matches_brute_force(
-    seed, n, block, grid, arc_share, giant, bulk, k, rounds
+    seed, n, block, grid, arc_share, giant, bulk, k, rounds, group
 ):
-    """Insert/remove sequences across several rebuilds stay exact."""
+    """Insert/remove sequences across several rebuilds stay exact.
+
+    Each round's queries -- indexed ones and one from outside -- go in
+    one :meth:`~SegmentBlockIndex.nearest_many` batch, on one block
+    and on many, in groups of several sizes; every answer equals a
+    one-query batch and a full ``(distance, id)`` sort, ties at the k-th distance (a
+    lattice) and k beyond the population included."""
     rng = np.random.default_rng(seed)
     side = int(np.sqrt(n)) + 1
     capacity = n + 3 + rounds * (n // 2 + 2)
@@ -287,6 +312,7 @@ def test_property_matches_brute_force(
     next_id = len(alive)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(candidate_index, "_BLOCK", block)
+        patch.setattr(candidate_index, "_GRID_QUERIES", group)
         index = SegmentBlockIndex(arrays, list(alive) if bulk else ())
         if not bulk:
             for iid in alive:
@@ -303,10 +329,37 @@ def test_property_matches_brute_force(
                 new_segment(next_id, copy)
                 index.insert(next_id)
                 next_id += 1
-            queries = [int(q) for q in rng.permutation(list(alive))[:3]]
+            queries = [int(q) for q in rng.permutation(list(alive))[:6]]
             write_row(arrays, probe, _segment(rng, side, grid, arc_share))
-            for qid in queries + [probe]:
+            batch = queries[:3] + [probe] + queries[3:]
+            for qid, got in zip(batch, _split(index.nearest_many(batch, k))):
                 query = Trr(arrays.ulo[qid], arrays.uhi[qid], arrays.vlo[qid], arrays.vhi[qid])
-                assert ranked(index.nearest(qid, k)) == brute_force_nearest(
-                    alive, query, k, exclude=qid
-                )
+                assert got == ranked(nearest(index, qid, k))
+                assert got == brute_force_nearest(alive, query, k, exclude=qid)
+
+
+def test_nearest_many_one_kernel_per_small_batch():
+    """A batch over a one-block population is one kernel."""
+    lanes = []
+
+    def measure(*extents):
+        distances = batch_segment_distance(*extents)
+        lanes.append(distances.shape)
+        return distances
+
+    segments = {i: Trr.from_point(Point(i, 2 * i)) for i in range(40)}
+    _, index = indexed(segments, measure=measure)
+    ids, distances, sizes = index.nearest_many([3, 17, 29, 30], 5)
+    assert len(lanes) == 1 and lanes[0][0] == 4
+    assert sizes.tolist() == [5, 5, 5, 5]
+    assert _split((ids, distances, sizes))[0] == brute_force_nearest(
+        segments, segments[3], 5, exclude=3
+    )
+
+
+def test_nearest_many_without_candidates():
+    """Queries with nothing to find get empty answers in place."""
+    _, index = indexed({0: Trr.from_point(Point(0, 0)), 1: Trr.from_point(Point(3, 0))}, ids=[0])
+    ids, distances, sizes = index.nearest_many([0, 1, 0], 4)
+    assert sizes.tolist() == [0, 1, 0]
+    assert ids.tolist() == [0] and distances.tolist() == [3.0]

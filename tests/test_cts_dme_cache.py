@@ -65,16 +65,18 @@ def run_config(sinks, **kwargs):
 class FullSortMerger(BottomUpMerger):
     """Candidate retrieval by a full ``(distance, id)`` sort, no index."""
 
-    def _candidates(self, nid):
-        others = self._active_ids.others(nid)
-        if self.candidate_limit is None or others.size <= self.candidate_limit:
-            return others, None
-        ms = self.tree.node(nid).merging_segment
-        ranked = sorted(
-            others.tolist(),
-            key=lambda o: (ms.distance_to(self.tree.node(o).merging_segment), o),
-        )
-        return np.array(ranked[: self.candidate_limit], dtype=np.int64), None
+    def _candidates(self, nids):
+        sizes, ids = [], []
+        for nid in nids:
+            ms = self.tree.node(nid).merging_segment
+            ranked = sorted(
+                self._active_ids.others(nid).tolist(),
+                key=lambda o: (ms.distance_to(self.tree.node(o).merging_segment), o),
+            )
+            ranked = ranked[: self.candidate_limit]
+            sizes.append(len(ranked))
+            ids.extend(ranked)
+        return np.array(sizes, dtype=np.int64), np.array(ids, dtype=np.int64), None
 
 
 class TestDeterminism:

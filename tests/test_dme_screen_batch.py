@@ -1,13 +1,15 @@
 """Multi-owner screens: batching best-partner recomputes changes nothing.
 
 The merger recomputes many nodes' best partners in one screen (the
-initialization, the eager orphan repair of a merge step), capped at
-``repro.cts.dme._SCREEN_LANES`` lanes per screen.  These tests check
-that each owner of such a batch gets the same ``(cost, partner,
-distance)``, bit for bit, as it gets from a screen of its own, in both
-pair orientations, with owners that have no candidates and with caps
-small enough to split the batch -- and that no screen exceeds the cap
-unless one owner alone does.
+initialization, and each merge step's merged node together with its
+orphans), capped at ``repro.cts.dme._SCREEN_LANES`` lanes per screen.
+These tests check that each owner of such a batch gets the same
+``(cost, partner, distance)``, bit for bit, as it gets from a screen
+of its own, in both pair orientations, with owners that have no
+candidates and with caps small enough to split the batch; that no
+screen exceeds the cap unless one owner alone does; and that the fused
+merge step decides exactly what a step of two screens (the merged
+node's, then the still-stale orphans') decides.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from repro.core.cost import (
 )
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.core.gate_sizing import GateSizingPolicy
-from repro.cts import BottomUpMerger, Sink, dme
+from repro.cts import BottomUpMerger, Sink, candidate_index, dme
 from repro.cts.dme import GateEveryEdgePolicy, nearest_neighbor_cost
 from repro.geometry import Point
 from repro.tech import date98_technology
@@ -48,11 +50,12 @@ class ScreenLog(BottomUpMerger):
         self.screens = []
         self.no_candidates = set()
 
-    def _candidates(self, nid):
-        ids, distance = super()._candidates(nid)
-        if nid in self.no_candidates:
-            return ids[:0], None if distance is None else distance[:0]
-        return ids, distance
+    def _candidates(self, nids):
+        sizes, ids, distance = super()._candidates(nids)
+        hidden = np.isin(nids, list(self.no_candidates))
+        keep = ~np.repeat(hidden, sizes)
+        sizes = np.where(hidden, 0, sizes)
+        return sizes, ids[keep], None if distance is None else distance[keep]
 
     def _screen(self, owner, other, distance=None, canonical=False):
         self.screens.append((int(other.size), set(owner.tolist())))
@@ -155,10 +158,12 @@ def test_batched_screen_equals_one_owner_screens(
     for nid in owners:
         assert _best_bits(batched, nid) == _best_bits(single, nid)
         assert (_best_bits(batched, nid) is None) == (nid in empty)
-    assert batched.stats.snapshot() == dict(
-        single.stats.snapshot(),
-        kernel_batches=batched.stats.kernel_batches,
-    )
+    # One candidate query and one screen serve many owners.
+    batched_stats, single_stats = batched.stats.snapshot(), single.stats.snapshot()
+    for batch_counter in ("kernel_batches", "index_queries"):
+        assert batched_stats[batch_counter] <= single_stats[batch_counter]
+        del batched_stats[batch_counter], single_stats[batch_counter]
+    assert batched_stats == single_stats
     for lanes, screen_owners in batched.screens:
         assert lanes <= cap or len(screen_owners) == 1
 
@@ -194,3 +199,68 @@ def test_screens_respect_lane_cap(oracle, monkeypatch, limit, cap):
         assert any(len(owners) > 1 for _, owners in capped.screens)
     assert capped.merge_trace == reference.merge_trace
     assert capped.stats.kernel_candidates == reference.stats.kernel_candidates
+
+
+class TwoScreenStep(ScreenLog):
+    """A merge step as two screens: the merged node's own (its
+    neighbours' adoptions and its best pair), then one over the orphans
+    still stale after adoption -- the order of decisions the fused step
+    must reproduce."""
+
+    def _merge_step(self, merged_id, orphans):
+        super()._merge_step(merged_id, ())
+        stale = [
+            orphan
+            for orphan in orphans
+            if orphan not in self._best or self._best[orphan][1] not in self._active
+        ]
+        self.stats.orphan_recomputes += len(stale)
+        self._recompute_best(stale)
+
+
+@pytest.mark.parametrize("limit", [2, 4, 16, None], ids=["k2", "k4", "k16", "exact-eager"])
+@pytest.mark.parametrize("block", [8, 256], ids=["blocks8", "blocks256"])
+def test_fused_step_matches_two_screen_step(oracle, monkeypatch, limit, block):
+    monkeypatch.setattr(candidate_index, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    n = 60
+    sinks = [
+        Sink(
+            name="s%d" % i,
+            location=Point(float(x), float(y)),
+            load_cap=float(c),
+            module=i % NUM_MODULES,
+        )
+        for i, (x, y, c) in enumerate(
+            zip(rng.uniform(0, 500, n), rng.uniform(0, 500, n), rng.uniform(0.5, 40, n))
+        )
+    ]
+    tech = date98_technology()
+    policy = GateReductionPolicy.from_knob(0.5, tech)
+    runs = []
+    for cls in (ScreenLog, TwoScreenStep):
+        merger = cls(
+            sinks,
+            tech,
+            cost=switched_capacitance_cost,
+            cell_policy=policy,
+            oracle=oracle,
+            controller_point=Point(250.0, 250.0),
+            candidate_limit=limit,
+        )
+        # Exact greedy repairs lazily; force the per-step orphan repair.
+        merger._eager_repair = True
+        tree = merger.run()
+        runs.append((merger, tree.total_wirelength()))
+    (fused, fused_wl), (two, two_wl) = runs
+    assert fused.merge_trace == two.merge_trace
+    assert fused_wl == two_wl
+    # Only orphans still stale after adoption count as recomputes.
+    assert fused.stats.orphan_recomputes == two.stats.orphan_recomputes > 0
+    assert fused.stats.heap_pops == two.stats.heap_pops
+    # The initialization's lanes fit one screen; then at most one
+    # screen and one index query per merge step.
+    merges = len(fused.merge_trace)
+    assert len(fused.screens) <= merges + 1 < len(two.screens)
+    if limit is not None:
+        assert fused.stats.index_queries <= merges + 1
