@@ -61,7 +61,7 @@ def ledger():
     """The repo-root run ledger bench RunRecords append to.
 
     The same ``.repro-runs/`` store the CLI's ``--ledger`` flag uses,
-    so ``gated-cts obs diff/trend/check`` sees bench and CLI runs side
+    so ``gated-cts obs diff/check`` sees bench and CLI runs side
     by side (records are content-addressed; re-runs that measure the
     same thing collapse onto one file).
     """

@@ -235,18 +235,6 @@ class ActivityOracle:
         memo = self._signature_signal
         return np.array([memo(sig) for sig in sigs.ravel().tolist()], dtype=np.float64)
 
-    def batch_transition_probabilities(self, signatures: Any) -> np.ndarray:
-        """``P_tr(EN)`` for an array of signatures (see
-        :meth:`batch_probabilities`; same dedup + memo contract)."""
-        sigs = np.asarray(signatures)
-        if sigs.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        unique, inverse = np.unique(sigs, return_inverse=True)
-        values = np.empty(unique.shape, dtype=np.float64)
-        for j, sig in enumerate(unique.tolist()):
-            values[j] = self._signature_transition(int(sig))
-        return values[inverse]
-
 
 def scan_stream_probabilities(
     isa: InstructionSet, stream: InstructionStream, module_mask: int

@@ -8,7 +8,7 @@ the examples, and the CLI so every surface prints identical rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.flow import ClockRoutingResult
 from repro.obs import PhaseProfile
@@ -49,13 +49,6 @@ class ComparisonRow:
             phase_delay=result.phase_delay,
             wirelength=result.wirelength,
         )
-
-
-def method_comparison_rows(
-    benchmark: str, results: Sequence[ClockRoutingResult]
-) -> List[ComparisonRow]:
-    """Fig. 3 rows for one benchmark."""
-    return [ComparisonRow.from_result(benchmark, r) for r in results]
 
 
 def format_table(

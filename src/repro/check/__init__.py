@@ -36,7 +36,6 @@ from repro.check.validate import (
     validate_gate_model,
     validate_sinks,
     validate_technology,
-    validate_workload,
 )
 
 _LAZY = {
@@ -47,7 +46,6 @@ _LAZY = {
     "Fault": "repro.check.faults",
     "FaultOutcome": "repro.check.faults",
     "run_fault": "repro.check.faults",
-    "run_fault_matrix": "repro.check.faults",
 }
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "validate_sinks",
     "validate_technology",
     "validate_gate_model",
-    "validate_workload",
     *sorted(_LAZY),
 ]
 

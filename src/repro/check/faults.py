@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.check.errors import ReproError
 
@@ -359,20 +359,3 @@ def run_fault(
             % (fault.name, expected, outcome.exit_code)
         )
     return outcome
-
-
-def run_fault_matrix(
-    workdir: "str | Path",
-    faults: Optional[Sequence[Fault]] = None,
-) -> List[FaultOutcome]:
-    """Run every fault; return all outcomes.
-
-    A clean harness run returns outcomes with ``outcome.ok`` True for
-    every entry; callers (tests, CI) assert exactly that.
-    """
-    base = Path(workdir)
-    baseline = write_baseline(str(base / "baseline"))
-    outcomes: List[FaultOutcome] = []
-    for fault in faults if faults is not None else FAULTS:
-        outcomes.append(run_fault(fault, baseline, base / fault.name))
-    return outcomes

@@ -126,31 +126,3 @@ def validate_gate_model(cell, *, source: Optional[str] = None) -> None:
                 source=source,
                 field=field,
             )
-
-
-def validate_workload(isa, stream, *, source: Optional[str] = None) -> None:
-    """Validate an ISA + instruction stream pair.
-
-    The :class:`~repro.activity.isa.InstructionSet` constructor already
-    enforces a non-empty ISA and in-universe module masks; this adds
-    the stream-side checks (non-empty, ids within the ISA).
-    """
-    if len(isa) == 0:
-        raise InputError("instruction set is empty", source=source)
-    if isa.num_modules <= 0:
-        raise InputError(
-            "num_modules is %r; must be positive" % isa.num_modules,
-            source=source,
-            field="num_modules",
-        )
-    if len(stream) == 0:
-        raise InputError("instruction stream is empty", source=source)
-    ids = stream.ids
-    lo, hi = int(ids.min()), int(ids.max())
-    if lo < 0 or hi >= len(isa):
-        raise InputError(
-            "instruction stream ids span [%d, %d]; the ISA has %d "
-            "instructions" % (lo, hi, len(isa)),
-            source=source,
-            field="ids",
-        )

@@ -13,9 +13,6 @@ Subcommands
     group).
 ``sweep``
     Gate-reduction sweep on one benchmark (the Fig. 5 data).
-``study``
-    Run a committed campaign spec (benchmarks x configurations) and
-    print/serialize the whole comparison.
 ``audit``
     Re-verify every network invariant (skew, caps, enables, embedding,
     controller star) of a routed tree -- either a JSON dump from
@@ -27,12 +24,11 @@ Subcommands
     findings are reported; ``--format json`` for machine-readable
     output, ``--check-noqa`` to fail on stale suppressions.
 ``obs``
-    The run ledger and regression sentinel: ``obs list`` / ``obs
-    trend`` browse recorded runs, ``obs diff A B`` compares two
-    records with noise-aware thresholds, ``obs check --baseline REF``
-    gates the latest (or given) run against a committed baseline, and
-    ``obs selftest`` proves the sentinel catches planted regressions.
-    Exit code 1 when a regression is detected.
+    The run ledger and regression sentinel: ``obs diff A B`` compares
+    two records with noise-aware thresholds, ``obs check --baseline
+    REF`` gates the latest (or given) run against a committed
+    baseline, and ``obs selftest`` proves the sentinel catches planted
+    regressions.  Exit code 1 when a regression is detected.
 
 Examples::
 
@@ -41,7 +37,6 @@ Examples::
     gated-cts route --benchmark r1 --ledger
     gated-cts compare --benchmark r2 --scale 0.4
     gated-cts sweep --benchmark r1 --scale 0.4 --points 6
-    gated-cts study --spec studies/paper_fig3.json --out results.json
     gated-cts audit --tree out.json
     gated-cts audit --benchmark r1 --scale 0.2
     gated-cts lint --format json
@@ -63,7 +58,7 @@ or Perfetto); a per-phase wall-clock table is printed as well.
 digest, environment fingerprint, phase tree, raw span rows, metrics
 registry snapshot -- merger plan counters, oracle cache hits,
 star-edge histograms, ... -- and result pins) into the run ledger
-(``.repro-runs/`` by default) for ``obs diff/trend/check``; it is the
+(``.repro-runs/`` by default) for ``obs diff/check``; it is the
 run's one artefact.  ``--log-level debug`` surfaces the library's
 guarded debug logging.
 """
@@ -487,36 +482,9 @@ def _thresholds_from(args: argparse.Namespace):
 def _sections_from(args: argparse.Namespace):
     from repro.obs.sentinel import ALL_SECTIONS
 
-    if not args.sections:
+    if args.sections is None:
         return ALL_SECTIONS
     return tuple(s.strip() for s in args.sections.split(",") if s.strip())
-
-
-def _cmd_obs_list(args: argparse.Namespace) -> int:
-    """All recorded runs in the ledger, oldest first."""
-    from repro.obs import RunLedger, format_trend
-
-    records = RunLedger(args.dir).records()
-    if not records:
-        print("run ledger %s is empty" % args.dir)
-        return 0
-    print(format_trend(records))
-    return 0
-
-
-def _cmd_obs_trend(args: argparse.Namespace) -> int:
-    """The last N records as a time series with selected pins."""
-    from repro.obs import RunLedger, format_trend
-
-    if args.last < 1:
-        raise InputError("--last must be >= 1, got %d" % args.last, field="last")
-    records = RunLedger(args.dir).records()
-    if not records:
-        print("run ledger %s is empty" % args.dir)
-        return 0
-    pins = tuple(p for p in args.pins.split(",") if p) if args.pins else ()
-    print(format_trend(records[-args.last :], pins=pins))
-    return 0
 
 
 def _run_diff(args, baseline_ref: str, current_ref: str) -> int:
@@ -587,22 +555,6 @@ def _add_thresholds(parser: argparse.ArgumentParser) -> None:
         help="comma list from pins,time,counters (default all); "
         "cross-machine CI checks typically use pins,counters",
     )
-
-
-def _cmd_study(args: argparse.Namespace) -> int:
-    from repro.analysis.study import StudySpec, run_study
-
-    if args.template:
-        StudySpec().save(args.template)
-        print("template written to %s" % args.template)
-        return 0
-    spec = StudySpec.load(args.spec) if args.spec else StudySpec()
-    result = run_study(spec)
-    print(result.report())
-    if args.out:
-        result.save(args.out)
-        print("results written to %s" % args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -750,26 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="run ledger + regression sentinel (list/trend/diff/check/"
-        "selftest); exit 1 on detected regressions",
+        help="run ledger + regression sentinel (diff/check/selftest); "
+        "exit 1 on detected regressions",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-
-    p_list = obs_sub.add_parser("list", help="all recorded runs, oldest first")
-    _add_obs_store(p_list)
-    p_list.set_defaults(func=_cmd_obs_list)
-
-    p_trend = obs_sub.add_parser(
-        "trend", help="last N records as a time series with selected pins"
-    )
-    _add_obs_store(p_trend)
-    p_trend.add_argument("--last", type=int, default=10, help="records to show")
-    p_trend.add_argument(
-        "--pins",
-        default="wirelength,switched_cap_total",
-        help="comma list of pin columns to include ('' for none)",
-    )
-    p_trend.set_defaults(func=_cmd_obs_trend)
 
     p_diff = obs_sub.add_parser(
         "diff",
@@ -807,17 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_thresholds(p_selftest)
     p_selftest.set_defaults(func=_cmd_obs_selftest)
-
-    p_study = sub.add_parser("study", help="run a spec-driven campaign")
-    _add_obs(p_study)
-    p_study.add_argument("--spec", default=None, help="study spec JSON")
-    p_study.add_argument(
-        "--template",
-        default=None,
-        help="write a default spec to this path and exit",
-    )
-    p_study.add_argument("--out", default=None, help="write results as JSON")
-    p_study.set_defaults(func=_cmd_study)
 
     return parser
 

@@ -26,7 +26,7 @@ Keeping and comparing, after a run:
 * :mod:`repro.obs.ledger` -- content-addressed :class:`RunRecord`
   store under ``.repro-runs/``;
 * :mod:`repro.obs.sentinel` -- noise-aware RunRecord diffing behind
-  ``gated-cts obs diff/trend/check``.
+  ``gated-cts obs diff/check``.
 
 A run's one artefact is its :class:`RunRecord` (span rows, metrics
 snapshot, phase profile, pins); the Chrome trace is the one viewer
@@ -70,13 +70,7 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.sentinel import (
-    RunDiff,
-    Thresholds,
-    compare_runs,
-    format_trend,
-    self_test,
-)
+from repro.obs.sentinel import RunDiff, Thresholds, compare_runs, self_test
 from repro.obs.tracer import (
     NULL_SPAN,
     Span,
@@ -116,7 +110,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "environment_fingerprint",
-    "format_trend",
     "get_registry",
     "get_tracer",
     "load_json",

@@ -15,7 +15,7 @@ references accept full ids, unique prefixes, file paths, or the
 ``latest`` / ``latest~N`` shorthand.
 
 The regression sentinel (:mod:`repro.obs.sentinel`) consumes pairs of
-these records; ``gated-cts obs diff/trend/check`` is the front end.
+these records; ``gated-cts obs diff/check`` is the front end.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ up section by section and emits one-line findings in the style of the
   baseline means the algorithm changed, which a wall-clock threshold
   on a different machine would miss.
 
+In every section a quantity the baseline has and the current run
+lacks is ``missing`` and fails: a dropped pin, counter or phase is a
+signal that silently stopped, not noise.  One only the current run has
+is ``new`` and passes.
+
 The noise model is deliberately simple and explicit (threshold +
 floor per section) rather than statistical: records carry single runs,
 not distributions, and the thresholds are CLI-overridable where a
@@ -29,7 +34,7 @@ is clean), 1 at least one regression, 2 invalid input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.check.errors import InputError
 from repro.obs.jsonio import canonical_dumps
@@ -40,7 +45,7 @@ from repro.obs.metrics import get_registry
 ALL_SECTIONS = ("pins", "time", "counters")
 
 #: Statuses that make a diff fail (exit 1).
-FAILING = ("regression", "pin-mismatch")
+FAILING = ("regression", "pin-mismatch", "missing")
 
 
 @dataclass(frozen=True)
@@ -157,20 +162,27 @@ def _compare_ns(name: str, baseline: int, current: int, t: Thresholds) -> Findin
     return Finding("time", name, "ok", baseline, current, ratio)
 
 
+def _unpaired(
+    section: str, name: str, base: Mapping[str, Any], cur: Mapping[str, Any]
+) -> Optional[Finding]:
+    """The ``missing``/``new`` verdict of a name only one run has."""
+    if name not in cur:
+        return Finding(
+            section, name, "missing", base[name], None,
+            message="dropped from current run",
+        )
+    if name not in base:
+        return Finding(
+            section, name, "new", None, cur[name], message="absent from baseline"
+        )
+    return None
+
+
 def _compare_pins(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
-    names = sorted(set(baseline.pins) | set(current.pins))
-    for name in names:
-        if name not in current.pins:
-            yield Finding(
-                "pins", name, "missing", baseline.pins[name], None,
-                message="pin dropped from current run",
-            )
-            continue
-        if name not in baseline.pins:
-            yield Finding(
-                "pins", name, "new", None, current.pins[name],
-                message="pin absent from baseline",
-            )
+    for name in sorted(set(baseline.pins) | set(current.pins)):
+        unpaired = _unpaired("pins", name, baseline.pins, current.pins)
+        if unpaired is not None:
+            yield unpaired
             continue
         base, cur = baseline.pins[name], current.pins[name]
         if canonical_dumps(base) == canonical_dumps(cur):
@@ -188,11 +200,9 @@ def _compare_time(
     yield _compare_ns("(root)", baseline.root_ns, current.root_ns, t)
     base_rows, cur_rows = baseline.phase_rows(), current.phase_rows()
     for name in sorted(set(base_rows) | set(cur_rows)):
-        if name not in cur_rows:
-            yield Finding("time", name, "missing", message="phase vanished")
-            continue
-        if name not in base_rows:
-            yield Finding("time", name, "new", message="phase not in baseline")
+        unpaired = _unpaired("time", name, base_rows, cur_rows)
+        if unpaired is not None:
+            yield unpaired
             continue
         yield _compare_ns(
             name, base_rows[name]["total_ns"], cur_rows[name]["total_ns"], t
@@ -203,7 +213,11 @@ def _compare_counters(
     baseline: RunRecord, current: RunRecord, t: Thresholds
 ) -> Iterable[Finding]:
     base_c, cur_c = baseline.counters(), current.counters()
-    for name in sorted(set(base_c) & set(cur_c)):
+    for name in sorted(set(base_c) | set(cur_c)):
+        unpaired = _unpaired("counters", name, base_c, cur_c)
+        if unpaired is not None:
+            yield unpaired
+            continue
         base, cur = base_c[name], cur_c[name]
         if base <= t.counter_floor and cur <= t.counter_floor:
             yield Finding("counters", name, "ok", base, cur)
@@ -230,6 +244,11 @@ def compare_runs(
 ) -> RunDiff:
     """Compare two run records; see the module docstring for the model."""
     thresholds = thresholds or Thresholds()
+    if not sections:
+        raise InputError(
+            "no diff section selected (choose from %s)" % ", ".join(ALL_SECTIONS),
+            field="sections",
+        )
     for section in sections:
         if section not in ALL_SECTIONS:
             raise InputError(
@@ -253,29 +272,6 @@ def compare_runs(
     registry.counter("sentinel.comparisons").inc()
     registry.counter("sentinel.regressions_found").inc(len(diff.regressions))
     return diff
-
-
-# ----------------------------------------------------------------------
-# trend
-# ----------------------------------------------------------------------
-def format_trend(records: Sequence[RunRecord], pins: Sequence[str] = ()) -> str:
-    """One line per record, oldest first: the ledger as a time series."""
-    from repro.analysis.report import format_table
-
-    headers = ["run", "created", "label", "root s", "plans"]
-    headers += list(pins)
-    rows = []
-    for record in records:
-        row = [
-            record.run_id[:12],
-            record.created_unix,
-            record.label,
-            record.root_ns / 1e9,
-            record.counters().get("dme.plans_computed", "-"),
-        ]
-        row += [record.pins.get(name, "-") for name in pins]
-        rows.append(row)
-    return format_table(headers, rows, title="Run-ledger trend")
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +340,8 @@ def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
     """Does the sentinel catch planted regressions and pass clean runs?
 
     Plants a synthetic 2x ``topology.gated`` slowdown, a counter
-    blowup and a pin flip against the canonical baseline, and also
-    diffs the baseline against itself.  Returns
+    blowup, a pin flip and a dropped pin against the canonical
+    baseline, and also diffs the baseline against itself.  Returns
     ``(ok, report)`` where ``ok`` requires every planted fault to be
     caught *and* the identical pair to diff clean.
     """
@@ -364,6 +360,7 @@ def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
         "pin flip": synthetic_record(
             pins={"wirelength": 123456.789013, "gate_count": 254}
         ),
+        "dropped pin": synthetic_record(pins={"gate_count": 254}),
     }
     for what, record in planted.items():
         diff = compare_runs(baseline, record, thresholds)

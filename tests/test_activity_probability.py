@@ -139,10 +139,8 @@ class TestActivationSignatures:
         masks = list(range(1 << isa.num_modules))
         sigs = np.array([oracle.activation_signature(m) for m in masks])
         batch_p = oracle.batch_probabilities(sigs)
-        batch_ptr = oracle.batch_transition_probabilities(sigs)
         for j, mask in enumerate(masks):
             assert batch_p[j] == oracle.signal_probability(mask)  # exact
-            assert batch_ptr[j] == oracle.transition_probability(mask)
 
     def test_batch_deduplicates_repeats(self):
         # Repeated signatures must come back lane-for-lane, and the
@@ -158,7 +156,6 @@ class TestActivationSignatures:
     def test_empty_batch(self):
         oracle, _, _ = paper_oracle()
         assert oracle.batch_probabilities(np.array([], dtype=np.int64)).shape == (0,)
-        assert oracle.batch_transition_probabilities([]).shape == (0,)
 
 
 def _random_oracle(rng, num_instructions, num_modules):

@@ -7,7 +7,6 @@ from repro.analysis.report import (
     format_characteristics,
     format_comparison,
     format_table,
-    method_comparison_rows,
 )
 from repro.bench.suite import load_benchmark
 from repro.check.auditor import audit_network
@@ -65,13 +64,13 @@ class TestAudit:
 class TestReport:
     def test_comparison_rows(self, results):
         case, routed = results
-        rows = method_comparison_rows("r1", routed)
+        rows = [ComparisonRow.from_result("r1", r) for r in routed]
         assert [r.method for r in rows] == ["buffered", "gated", "gate-red"]
         assert all(r.benchmark == "r1" for r in rows)
 
     def test_format_comparison_contains_values(self, results):
         _, routed = results
-        rows = method_comparison_rows("r1", routed)
+        rows = [ComparisonRow.from_result("r1", r) for r in routed]
         text = format_comparison(rows, title="Fig. 3")
         assert "Fig. 3" in text
         assert "buffered" in text

@@ -19,7 +19,6 @@ from repro.check import (
     validate_gate_model,
     validate_sinks,
     validate_technology,
-    validate_workload,
 )
 from repro.cts import Sink
 from repro.geometry import Point
@@ -163,26 +162,3 @@ class _BadCell:
     drive_resistance = math.inf
     intrinsic_delay = 0.0
     area = 1.0
-
-
-class TestValidateWorkload:
-    def test_round_trip_workload_passes(self):
-        import numpy as np
-
-        from repro.activity.isa import InstructionSet
-        from repro.activity.stream import InstructionStream
-
-        isa = InstructionSet.from_usage_lists([{0}, {1}], num_modules=2)
-        stream = InstructionStream(ids=np.array([0, 1, 0], dtype=np.int64))
-        validate_workload(isa, stream)
-
-    def test_out_of_range_stream_rejected(self):
-        import numpy as np
-
-        from repro.activity.isa import InstructionSet
-        from repro.activity.stream import InstructionStream
-
-        isa = InstructionSet.from_usage_lists([{0}, {1}], num_modules=2)
-        stream = InstructionStream(ids=np.array([0, 5], dtype=np.int64))
-        with pytest.raises(InputError, match="span"):
-            validate_workload(isa, stream)

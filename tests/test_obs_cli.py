@@ -99,32 +99,21 @@ class TestObsCommands:
         )
         assert code == 0
 
-    def test_trend_and_list(self, synthetic_ledger, capsys):
-        ledger_dir, _, _ = synthetic_ledger
-        assert main(["obs", "trend", "--dir", str(ledger_dir)]) == 0
-        assert "Run-ledger trend" in capsys.readouterr().out
-        assert main(["obs", "list", "--dir", str(ledger_dir)]) == 0
-
-    def test_trend_with_pins(self, synthetic_ledger, capsys):
-        ledger_dir, _, _ = synthetic_ledger
-        code = main(
-            ["obs", "trend", "--dir", str(ledger_dir), "--pins", "wirelength"]
-        )
-        assert code == 0
-        assert "wirelength" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("last", ["0", "-1"])
-    def test_trend_rejects_nonpositive_last(self, synthetic_ledger, capsys, last):
-        ledger_dir, _, _ = synthetic_ledger
-        code = main(["obs", "trend", "--dir", str(ledger_dir), "--last", last])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "InputError" in captured.err
-        assert "Run-ledger trend" not in captured.out
-
     def test_selftest_exit_0(self, capsys):
         assert main(["obs", "selftest"]) == 0
         assert "sentinel self-test: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sections", [",", ""])
+    def test_empty_sections_exit_2(self, synthetic_ledger, capsys, sections):
+        ledger_dir, base_path, _ = synthetic_ledger
+        code = main(
+            ["obs", "check", "--baseline", str(base_path), "--dir",
+             str(ledger_dir), "--sections", sections]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "no diff section" in captured.err
 
     def test_bad_reference_exit_2(self, tmp_path, capsys):
         code = main(["obs", "diff", "nope", "nope", "--dir", str(tmp_path)])

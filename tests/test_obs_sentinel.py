@@ -3,7 +3,7 @@
 import pytest
 
 from repro.check.errors import InputError
-from repro.obs import Thresholds, compare_runs, format_trend, self_test
+from repro.obs import Thresholds, compare_runs, self_test
 from repro.obs.sentinel import synthetic_record
 
 
@@ -55,8 +55,28 @@ class TestPlantedRegressions:
     def test_missing_and_new_pins_reported(self):
         base = synthetic_record(pins={"a": 1, "b": 2})
         cur = synthetic_record(pins={"b": 2, "c": 3})
-        statuses = _statuses(compare_runs(base, cur), "pins")
-        assert statuses == {"a": "missing", "b": "ok", "c": "new"}
+        diff = compare_runs(base, cur)
+        assert _statuses(diff, "pins") == {"a": "missing", "b": "ok", "c": "new"}
+        # A dropped pin fails the gate; a new one alone does not.
+        assert diff.exit_code == 1
+        assert [f.name for f in diff.regressions] == ["a"]
+        grown = synthetic_record(pins={"a": 1, "b": 2, "c": 3})
+        assert compare_runs(base, grown).exit_code == 0
+
+    def test_missing_and_new_counters_reported(self):
+        base = synthetic_record()
+        dropped = synthetic_record()
+        del dropped.metrics["dme.plans_computed"]
+        diff = compare_runs(base, dropped, sections=("counters",))
+        assert _statuses(diff, "counters") == {
+            "dme.kernel_batches": "ok",
+            "dme.plans_computed": "missing",
+        }
+        assert diff.exit_code == 1
+        # The reverse direction: a counter the baseline lacks is new.
+        diff = compare_runs(dropped, base, sections=("counters",))
+        assert _statuses(diff, "counters")["dme.plans_computed"] == "new"
+        assert diff.exit_code == 0
 
 
 class TestNoiseModel:
@@ -99,6 +119,10 @@ class TestSections:
                 synthetic_record(), synthetic_record(), sections=("bogus",)
             )
 
+    def test_empty_section_list_rejected(self):
+        with pytest.raises(InputError, match="no diff section"):
+            compare_runs(synthetic_record(), synthetic_record(), sections=())
+
 
 class TestReporting:
     def test_finding_lines_are_one_line_diagnostics(self):
@@ -111,17 +135,11 @@ class TestReporting:
         assert report.splitlines()[-1] == diff.summary()
         assert "REGRESSED" in diff.summary()
 
-    def test_trend_lists_records_with_pins(self):
-        records = [synthetic_record(), synthetic_record(time_factor=0.5)]
-        text = format_trend(records, pins=("wirelength",))
-        assert "Run-ledger trend" in text
-        assert records[0].run_id[:12] in text
-        assert "wirelength" in text
-
 
 class TestSelfTest:
     def test_self_test_passes(self):
         ok, report = self_test()
         assert ok, report
         assert "sentinel self-test: ok" in report
+        assert "planted dropped pin: caught" in report
         assert "MISSED" not in report
