@@ -12,6 +12,7 @@
   ``a^T P (1-a) + (1-a)^T P a`` with ``a`` the activation indicator --
   O(K^2) per query, the paper's O(K * N) with the tag lookups folded
   into bit operations.
+* ``statistics`` -- both of the above in one :class:`EnableStatistics`.
 
 ``scan_stream_probabilities`` is the brute-force reference (rescan the
 whole trace per query); the test suite asserts exact agreement, which
@@ -26,17 +27,21 @@ compose under set union by bitwise OR -- the signature of
 ``mask_a | mask_b`` is ``sig_a | sig_b`` -- which is what makes the
 merger's candidate screens vectorizable: it keeps one ``int64``
 signature per node and forms whole batches of merged-pair signatures
-with a single ``np.bitwise_or``.  :meth:`ActivityOracle.batch_probabilities`
-then answers ``P(EN)`` for the whole batch through the same
-per-signature memo the scalar path uses, so batched and scalar lookups
-are bit-identical by construction.
+with a single ``np.bitwise_or``.
+
+The oracle therefore keeps exactly three memos: mask -> signature,
+signature -> ``P(EN)`` and signature -> ``P_tr(EN)``.  Every query,
+scalar or batched (:meth:`ActivityOracle.batch_probabilities`), reads
+its probabilities from the two signature memos, so each value has one
+derivation and batched and scalar lookups are bit-identical by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -57,12 +62,12 @@ class EnableStatistics:
 class ActivityOracle:
     """Table-driven ``P(EN)`` / ``P_tr(EN)`` computation.
 
-    Results are memoized per module mask (per-instance LRU): the greedy
-    merger probes the same merged subsets over and over -- every
-    candidate scan re-unions the same active masks -- so repeated
-    probes should cost a dictionary hit, not a K^2 matvec.  The cache
-    is exact (keyed on the mask, values immutable) and bounded by
-    ``cache_size`` entries per method.
+    Results are memoized per activation signature (per-instance LRU):
+    the greedy merger probes the same merged subsets over and over --
+    every candidate scan re-unions the same active masks -- so repeated
+    probes should cost a dictionary hit, not a K^2 matvec.  The memos
+    are exact (keyed on the mask or signature, values immutable) and
+    each is bounded by ``cache_size`` entries.
     """
 
     def __init__(self, tables: ActivityTables, cache_size: int = 1 << 16):
@@ -75,34 +80,11 @@ class ActivityOracle:
         #                                = a^T (row + col) - 2 a^T P a.
         self._row = self._pair.sum(axis=1)
         self._col = self._pair.sum(axis=0)
-        # Bit positions of a signature that fits an int64 (up to 63
-        # instructions); wider signatures unpack bit by bit.
-        self._bits: Optional[np.ndarray] = None
-        if len(self._masks) <= 63:
-            self._bits = np.arange(len(self._masks), dtype=np.int64)
-        # Signature-level memos.  The mask-level methods below route
-        # through these, so a scalar ``signal_probability(mask)`` and a
-        # ``batch_probabilities`` lane with the same signature share
-        # one cached float -- bit-identical by construction.
         self.activation_signature = lru_cache(maxsize=cache_size)(
             self._activation_signature
         )
-        self._signature_signal = lru_cache(maxsize=cache_size)(
-            self._signature_signal_uncached
-        )
-        self._signature_transition = lru_cache(maxsize=cache_size)(
-            self._signature_transition_uncached
-        )
-        self._signature_statistics = lru_cache(maxsize=cache_size)(
-            self._signature_statistics_uncached
-        )
-        self.signal_probability = lru_cache(maxsize=cache_size)(
-            self._signal_probability
-        )
-        self.transition_probability = lru_cache(maxsize=cache_size)(
-            self._transition_probability
-        )
-        self.statistics = lru_cache(maxsize=cache_size)(self._statistics)
+        self._signal = lru_cache(maxsize=cache_size)(self._signal_uncached)
+        self._transition = lru_cache(maxsize=cache_size)(self._transition_uncached)
 
     @property
     def tables(self) -> ActivityTables:
@@ -113,27 +95,12 @@ class ActivityOracle:
         return self._tables.isa
 
     def cache_info(self) -> Dict[str, Tuple]:
-        """Hit/miss counters of the per-mask memos (for benches)."""
+        """Hit/miss counters of the three memos (for benches)."""
         return {
-            "signal_probability": self.signal_probability.cache_info(),
-            "transition_probability": self.transition_probability.cache_info(),
-            "statistics": self.statistics.cache_info(),
             "activation_signature": self.activation_signature.cache_info(),
-            "signature_signal": self._signature_signal.cache_info(),
-            "signature_transition": self._signature_transition.cache_info(),
-            "signature_statistics": self._signature_statistics.cache_info(),
+            "signal": self._signal.cache_info(),
+            "transition": self._transition.cache_info(),
         }
-
-    def publish_metrics(self, registry: Optional[Any] = None) -> None:
-        """Publish the LRU hit/miss numbers as ``oracle.*`` gauges.
-
-        ``registry`` defaults to the process-global
-        :class:`repro.obs.MetricsRegistry`; the gated flow calls this
-        once per routed result.
-        """
-        from repro.obs import publish_oracle_cache
-
-        publish_oracle_cache(self, registry)
 
     def activation_vector(self, module_mask: int) -> np.ndarray:
         """Indicator over instructions: does the instruction wake the set?"""
@@ -168,25 +135,22 @@ class ActivityOracle:
         """The activation indicator vector encoded by a signature.
 
         Produces exactly the 0.0/1.0 floats of
-        :meth:`activation_vector`, so probabilities computed from a
-        signature are bit-identical to the mask-level ones.
+        :meth:`activation_vector`, for every ISA width, so
+        probabilities computed from a signature are bit-identical to
+        the mask-level ones.
         """
-        if self._bits is None:
-            return np.fromiter(
-                ((signature >> i) & 1 for i in range(len(self._masks))),
-                dtype=float,
-                count=len(self._masks),
-            )
-        return ((np.int64(signature) >> self._bits) & 1).astype(float)
+        k = len(self._masks)
+        raw = np.frombuffer(signature.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=k, bitorder="little").astype(float)
 
-    def _signature_signal_uncached(self, signature: int) -> Probability:
+    def _signal_uncached(self, signature: int) -> Probability:
         if signature == 0:
             return 0.0
         a = self._signature_vector(signature)
         # Clamp float summation noise: probabilities live in [0, 1].
         return min(max(float(a @ self._ift), 0.0), 1.0)
 
-    def _signature_transition_uncached(self, signature: int) -> Probability:
+    def _transition_uncached(self, signature: int) -> Probability:
         if signature == 0:
             return 0.0
         a = self._signature_vector(signature)
@@ -194,31 +158,18 @@ class ActivityOracle:
         # Clamp float noise: a probability must lie in [0, 1].
         return min(max(value, 0.0), 1.0)
 
-    def _signature_statistics_uncached(self, signature: int) -> EnableStatistics:
-        if signature == 0:
-            return EnableStatistics(0.0, 0.0)
-        a = self._signature_vector(signature)
-        p = min(max(float(a @ self._ift), 0.0), 1.0)
-        ptr = float(a @ (self._row + self._col) - 2.0 * (a @ self._pair @ a))
-        return EnableStatistics(p, min(max(ptr, 0.0), 1.0))
-
-    def _signal_probability(self, module_mask: int) -> Probability:
+    def signal_probability(self, module_mask: int) -> Probability:
         """``P(EN)`` for the module subset."""
-        if module_mask == 0:
-            return 0.0
-        return self._signature_signal(self.activation_signature(module_mask))
+        return self._signal(self.activation_signature(module_mask))
 
-    def _transition_probability(self, module_mask: int) -> Probability:
+    def transition_probability(self, module_mask: int) -> Probability:
         """``P_tr(EN)`` for the module subset."""
-        if module_mask == 0:
-            return 0.0
-        return self._signature_transition(self.activation_signature(module_mask))
+        return self._transition(self.activation_signature(module_mask))
 
-    def _statistics(self, module_mask: int) -> EnableStatistics:
+    def statistics(self, module_mask: int) -> EnableStatistics:
         """Both probabilities in one call."""
-        if module_mask == 0:
-            return EnableStatistics(0.0, 0.0)
-        return self._signature_statistics(self.activation_signature(module_mask))
+        sig = self.activation_signature(module_mask)
+        return EnableStatistics(self._signal(sig), self._transition(sig))
 
     def batch_probabilities(self, signatures: Any) -> np.ndarray:
         """``P(EN)`` for a whole array of activation signatures.
@@ -232,7 +183,7 @@ class ActivityOracle:
         alike (a repeated signature is one miss, then hits).
         """
         sigs = np.asarray(signatures)
-        memo = self._signature_signal
+        memo = self._signal
         return np.array([memo(sig) for sig in sigs.ravel().tolist()], dtype=np.float64)
 
 

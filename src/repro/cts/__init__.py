@@ -17,12 +17,12 @@ router needs -- and on top of which the paper's gated router
   generic greedy bottom-up merger with a pluggable pair cost and cell
   policy, followed by top-down placement of merging segments; one
   exact screen prices every candidate batch, and the merge step
-  (``plan_merge`` / ``commit_merge``) is shared with the shard stitch;
+  (``plan_merge`` / ``commit_merge``) is shared with the shard stitch.
+  Its default cost, ``nearest_neighbor_cost`` (Edahiro-style: merge the
+  closest pair), on plain wire gives the nearest-neighbour baseline;
 * :mod:`repro.cts.candidate_index` -- the bounding-box block index
   answering the merger's k-nearest-candidate queries a batch at a
   time, with the exact distances its screen reuses;
-* :mod:`repro.cts.nearest_neighbor` -- the nearest-neighbour pair cost
-  (Edahiro-style), used by the baseline;
 * :mod:`repro.cts.buffered` -- the buffered zero-skew clock tree the
   paper compares against.
 """

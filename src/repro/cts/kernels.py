@@ -146,16 +146,16 @@ class BatchSplit:
         self.length_b = np.where(self.in_range, length - x, 0.0)
         # A snaking side keeps a zero edge on the other side and grows
         # its own wire until it is as slow (zero_skew_split's branches).
-        for snaking, edge, fast, slow in (
-            (self.snake_a, self.length_a, (cap_a, ra, unloaded_a), (cap_b, delay_b, rb, ib)),
-            (self.snake_b, self.length_b, (cap_b, rb, unloaded_b), (cap_a, delay_a, ra, ia)),
+        for snaking, edge, fast, target in (
+            (self.snake_a, self.length_a, (cap_a, ra, unloaded_a), unloaded_b),
+            (self.snake_b, self.length_b, (cap_b, rb, unloaded_b), unloaded_a),
         ):
             (lanes,) = snaking.nonzero()
             if lanes.size:
                 edge[lanes], self.modelled[lanes] = _snake_length(
                     _at(length, lanes),
                     [_at(v, lanes) for v in fast],
-                    [_at(v, lanes) for v in slow],
+                    _at(target, lanes),
                     r,
                     c,
                 )
@@ -211,20 +211,18 @@ def _edge_delay(e, cap, delay, drive, intrinsic, r, c):
     return intrinsic + drive * (c * e + cap) + r * e * (c * e / 2.0 + cap) + delay
 
 
-def _snake_length(length, fast, slow, r, c):
+def _snake_length(length, fast, target, r, c):
     """``(lengths, modelled)`` of snaking lanes' fast sides.
 
-    ``fast`` is the fast side's ``(cap, drive, unloaded delay)``,
-    ``slow`` the other side's ``(cap, delay, drive, intrinsic)``.  Each
-    lane solves ``merge._snake_length`` against the slow side's
-    zero-length edge delay, then takes ``max(e, length)``.  Lanes where
-    the scalar call raises ``SkewBalanceError`` are unmodelled and
-    carry 0.0.
+    ``fast`` is the fast side's ``(cap, drive, unloaded delay)`` and
+    ``target`` the slow side's unloaded delay ``t'``.  Each lane solves
+    ``merge._snake_length`` against that target, then takes
+    ``max(e, length)``.  Lanes where the scalar call raises
+    ``SkewBalanceError`` are unmodelled and carry 0.0.
 
     Scalar counterpart: repro.cts.merge._snake_length
     """
     cap, drive, unloaded = fast
-    target = _edge_delay(0.0, *slow, r, c)
     quad = r * c / 2.0
     lin = drive * c + r * cap
     const = unloaded - target

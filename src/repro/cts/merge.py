@@ -170,7 +170,8 @@ def zero_skew_split(length: LengthUm, tap_a: Tap, tap_b: Tap, tech: Technology) 
         + r * (tap_a.cap + tap_b.cap)
         + r * c * length
     )
-    skew_at_zero = tap_b.unloaded_delay() - tap_a.unloaded_delay()
+    unloaded_a, unloaded_b = tap_a.unloaded_delay(), tap_b.unloaded_delay()
+    skew_at_zero = unloaded_b - unloaded_a
     if den <= DEGENERATE_DEN_EPS:
         # The linear balance is degenerate (zero distance and unloaded,
         # undriven subtrees).  Equal subtrees split trivially; otherwise
@@ -195,12 +196,12 @@ def zero_skew_split(length: LengthUm, tap_a: Tap, tap_b: Tap, tech: Technology) 
     if x < 0.0:
         # Side a is already slower even with all wire on b: snake b.
         e_a = 0.0
-        e_b = _snake_length(tap_b, tap_a.edge_delay(0.0, tech), tech)
+        e_b = _snake_length(tap_b, unloaded_a, tech)
         e_b = max(e_b, length)
         snaked = "b"
     elif x > length:
         e_b = 0.0
-        e_a = _snake_length(tap_a, tap_b.edge_delay(0.0, tech), tech)
+        e_a = _snake_length(tap_a, unloaded_b, tech)
         e_a = max(e_a, length)
         snaked = "a"
     else:

@@ -15,9 +15,10 @@ conditions the next.  This module trades a sliver of optimality at the
    ``ProcessPoolExecutor`` worker pool.  Workers receive pickled
    shard sinks plus the :class:`~repro.activity.tables.ActivityTables`
    (the oracle itself carries per-instance LRU caches and is rebuilt
-   worker-side), run with tracing disabled and a private
-   :class:`~repro.obs.MetricsRegistry`, and return the finished shard
-   tree and its metrics for the parent to fold in.
+   worker-side) and run with tracing disabled.  Every shard, inline or
+   pooled, routes under a private :class:`~repro.obs.MetricsRegistry`
+   and returns it with the finished shard tree for the parent to fold
+   in.
 3. **Stitch** (:func:`stitch_shards`): shard trees are grafted into
    one :class:`~repro.cts.topology.ClockTree` (per shard, in node-id
    order, so ids stay a valid bottom-up order) and the shard roots are
@@ -139,12 +140,16 @@ def partition_sinks(sinks: Sequence[Sink], num_shards: int) -> ShardPlan:
 
 @dataclass
 class ShardRoute:
-    """One routed shard, as returned by a worker (all fields pickle)."""
+    """One routed shard, as returned by a worker (all fields pickle).
+
+    ``registry`` holds the metrics the shard's route published; the
+    parent merges it in index order and then drops it.
+    """
 
     index: int
     tree: ClockTree
     seconds: float
-    registry: Optional[MetricsRegistry] = None
+    registry: Optional[MetricsRegistry]
 
 
 def _route_one_shard(
@@ -156,21 +161,31 @@ def _route_one_shard(
     cell_policy: Optional[CellPolicy],
     candidate_limit: Optional[int],
 ) -> ShardRoute:
-    """Route one shard's gated subtree with the existing merger."""
+    """Route one shard's gated subtree with the existing merger.
+
+    The route publishes into a private registry, returned on the
+    :class:`ShardRoute`, so inline and pooled shards hand their
+    metrics to the parent the same way.
+    """
     import time
 
     start = time.perf_counter()
-    # build_gated_tree opens its own "topology.gated" span (a no-op in
-    # workers, whose tracer is disabled by _worker_initializer).
-    tree = build_gated_tree(
-        sinks,
-        tech,
-        oracle,
-        controller_point=controller_point,
-        cell_policy=cell_policy,
-        candidate_limit=candidate_limit,
-    )
-    return ShardRoute(index=index, tree=tree, seconds=time.perf_counter() - start)
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        # build_gated_tree opens its own "topology.gated" span (a no-op
+        # in workers, whose tracer is disabled by _worker_initializer).
+        tree = build_gated_tree(
+            sinks,
+            tech,
+            oracle,
+            controller_point=controller_point,
+            cell_policy=cell_policy,
+            candidate_limit=candidate_limit,
+        )
+    finally:
+        set_registry(previous)
+    return ShardRoute(index, tree, time.perf_counter() - start, registry)
 
 
 def _worker_initializer() -> None:
@@ -196,31 +211,8 @@ def _pool_route_shard(payload: Tuple) -> ShardRoute:
     oracle is a pure function of its tables, so worker-side
     probabilities are bit-identical to parent-side ones).
     """
-    (
-        index,
-        sinks,
-        tech,
-        tables,
-        controller_point,
-        cell_policy,
-        candidate_limit,
-    ) = payload
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        shard = _route_one_shard(
-            index,
-            sinks,
-            tech,
-            ActivityOracle(tables),
-            controller_point,
-            cell_policy,
-            candidate_limit,
-        )
-    finally:
-        set_registry(previous)
-    shard.registry = registry
-    return shard
+    index, sinks, tech, tables, *rest = payload
+    return _route_one_shard(index, sinks, tech, ActivityOracle(tables), *rest)
 
 
 def route_shards(
@@ -240,65 +232,55 @@ def route_shards(
     ``ProcessPoolExecutor``.  Results are identical either way: shard
     routing shares no state across shards, workers rebuild the oracle
     from its tables, and the stitch consumes shards in index order
-    regardless of completion order.  Worker metrics registries are
-    merged into the parent's (counters sum), so ``dme.*`` totals cover
-    all shards in both modes.
+    regardless of completion order.  Each shard's registry is merged
+    into the parent's in index order (counters sum), so ``dme.*``
+    totals cover all shards in both modes.
     """
     from repro.obs import get_tracer
 
-    registry = get_registry()
     if num_workers <= 1 or plan.num_shards == 1:
         shards = []
         for index, members in enumerate(plan.shards):
-            shard_registry = MetricsRegistry()
             with get_tracer().span("shard.one", shard=index, n=len(members)):
-                previous = set_registry(shard_registry)
-                try:
-                    shards.append(
-                        _route_one_shard(
-                            index,
-                            [sinks[i] for i in members],
-                            tech,
-                            oracle,
-                            controller_point,
-                            cell_policy,
-                            candidate_limit,
-                        )
+                shards.append(
+                    _route_one_shard(
+                        index,
+                        [sinks[i] for i in members],
+                        tech,
+                        oracle,
+                        controller_point,
+                        cell_policy,
+                        candidate_limit,
                     )
-                finally:
-                    set_registry(previous)
-            registry.merge(shard_registry)
-        return shards
+                )
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
-
-    tables = oracle.tables
-    payloads = [
-        (
-            index,
-            tuple(sinks[i] for i in members),
-            tech,
-            tables,
-            controller_point,
-            cell_policy,
-            candidate_limit,
-        )
-        for index, members in enumerate(plan.shards)
-    ]
-    workers = min(num_workers, plan.num_shards)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_initializer
-    ) as pool:
-        # Workers reach the tracer/registry through build_gated_tree's
-        # spans, but _worker_initializer installs a disabled tracer and
-        # a fresh registry per worker first, and the shard registries
-        # are merged parent-side after the join.
-        shards = list(pool.map(_pool_route_shard, payloads))
-    shards.sort(key=lambda s: s.index)
+        tables = oracle.tables
+        payloads = [
+            (
+                index,
+                tuple(sinks[i] for i in members),
+                tech,
+                tables,
+                controller_point,
+                cell_policy,
+                candidate_limit,
+            )
+            for index, members in enumerate(plan.shards)
+        ]
+        workers = min(num_workers, plan.num_shards)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_initializer
+        ) as pool:
+            # _worker_initializer installs a disabled tracer and a fresh
+            # registry per worker before any shard routes.
+            # pool.map yields in payload (= index) order.
+            shards = list(pool.map(_pool_route_shard, payloads))
+    registry = get_registry()
     for shard in shards:
-        if shard.registry is not None:
-            registry.merge(shard.registry)
-            shard.registry = None
+        registry.merge(shard.registry)
+        shard.registry = None
     return shards
 
 

@@ -25,14 +25,18 @@ def publish_merger_stats(stats, registry: Optional[MetricsRegistry] = None) -> N
 
 
 def publish_oracle_cache(oracle, registry: Optional[MetricsRegistry] = None) -> None:
-    """Publish the :class:`ActivityOracle` per-mask LRU hit/miss gauges.
+    """Publish the :class:`ActivityOracle` memo hit/miss gauges.
+
+    One ``oracle.<memo>.{hits,misses,currsize}`` triple per memo of
+    :meth:`~repro.activity.probability.ActivityOracle.cache_info`:
+    ``activation_signature``, ``signal`` and ``transition``.
 
     Gauges, not counters: ``lru_cache`` counts are cumulative per
     oracle instance, so last-write-wins is the correct aggregation.
     """
     registry = registry or get_registry()
-    for method, info in oracle.cache_info().items():
-        base = "oracle.%s." % method
+    for memo, info in oracle.cache_info().items():
+        base = "oracle.%s." % memo
         registry.gauge(base + "hits").set(info.hits)
         registry.gauge(base + "misses").set(info.misses)
         registry.gauge(base + "currsize").set(info.currsize)

@@ -4,7 +4,7 @@ The registry is the sink the ad-hoc instrumentation structs publish
 into: :class:`~repro.cts.dme.MergerStats` counters and the
 :class:`~repro.activity.probability.ActivityOracle` LRU hit/miss
 numbers land here under stable dotted names
-(``dme.plans_computed``, ``oracle.statistics.hits``, ...), so
+(``dme.plans_computed``, ``oracle.signal.hits``, ...), so
 exporters and tests read one uniform ``as_dict()`` instead of
 reaching into per-module structs.
 

@@ -13,9 +13,9 @@ Two consumers enforce that:
 
 Names follow ``phase.subphase`` -- lowercase ``[a-z_]`` segments
 joined by dots (two or more segments; deeper nesting such as
-``oracle.statistics.hits`` is allowed).  Dynamically composed families
+``oracle.signal.hits`` is allowed).  Dynamically composed families
 (e.g. ``"dme." + key`` over :meth:`MergerStats.snapshot` keys,
-``"oracle.%s." % method`` over the oracle's cached methods) are
+``"oracle.%s." % memo`` over the oracle's three memos) are
 covered by the prefix tuples instead of exhaustive enumeration.
 """
 
@@ -49,7 +49,6 @@ SPAN_NAMES = frozenset(
         "sim.replay",
         "topology.buffered",
         "topology.gated",
-        "topology.nearest_neighbor",
     }
 )
 

@@ -150,7 +150,7 @@ class TestActivationSignatures:
         out = oracle.batch_probabilities(np.array([sig, sig, sig, 0]))
         assert out[0] == out[1] == out[2] == oracle.signal_probability(0b101)
         assert out[3] == 0.0
-        info = oracle.cache_info()["signature_signal"]
+        info = oracle.cache_info()["signal"]
         assert info.misses <= 2  # one per unique signature
 
     def test_empty_batch(self):
@@ -170,8 +170,8 @@ def _random_oracle(rng, num_instructions, num_modules):
 
 @pytest.mark.parametrize("num_instructions", [1, 5, 32, 63, 64, 70])
 def test_signature_vector_equals_activation_vector(num_instructions):
-    # Up to 63 instructions a signature unpacks through an int64 shift;
-    # wider ones bit by bit.  Both must give activation_vector's floats.
+    # One byte-unpacking decoder serves every ISA width, on both sides
+    # of the int64 column limit; it must give activation_vector's floats.
     rng = np.random.default_rng(num_instructions)
     num_modules = 12
     oracle = _random_oracle(rng, num_instructions, num_modules)
@@ -186,3 +186,32 @@ def test_signature_vector_equals_activation_vector(num_instructions):
             assert oracle.signal_probability(mask) == min(
                 max(float(expected @ oracle.tables.ift), 0.0), 1.0
             )
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["paper-isa", "80-instructions"])
+def test_statistics_is_the_scalar_pair_from_one_memo_each(wide):
+    # statistics reads the same two signature memos as the scalar
+    # queries, so it is their pair bit for bit, and a signature the
+    # batch path already priced costs no second P(EN) derivation.
+    if wide:
+        oracle = _random_oracle(np.random.default_rng(80), 80, 12)
+        masks = range(1, 1 << 12, 37)
+    else:
+        oracle, isa, _ = paper_oracle()
+        masks = range(1 << isa.num_modules)
+    for mask in masks:
+        stats = oracle.statistics(mask)
+        assert (stats.signal_probability, stats.transition_probability) == (
+            oracle.signal_probability(mask),
+            oracle.transition_probability(mask),
+        )
+
+    fresh = ActivityOracle(oracle.tables)
+    mask = max(masks)
+    sig = fresh.activation_signature(mask)
+    assert sig != 0
+    batch_p = fresh.batch_probabilities(np.array([sig], dtype=object if wide else np.int64))
+    stats = fresh.statistics(mask)
+    assert stats.signal_probability == batch_p[0]
+    info = fresh.cache_info()["signal"]
+    assert (info.misses, info.hits) == (1, 1)

@@ -6,7 +6,7 @@ import pytest
 from repro.bench.suite import load_benchmark
 from repro.check.auditor import audit_network
 from repro.cts.bisection import build_bisection_tree
-from repro.cts.dme import BufferEveryEdgePolicy, GateEveryEdgePolicy
+from repro.cts.dme import BottomUpMerger, BufferEveryEdgePolicy, GateEveryEdgePolicy
 from repro.cts.topology import Sink
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.geometry import Point
@@ -106,10 +106,8 @@ class TestWithCellsAndActivity:
     def test_wirelength_competitive_with_greedy(self):
         # Bisection is balanced, not wire-optimal; it should land
         # within a moderate factor of the NN greedy.
-        from repro.cts.nearest_neighbor import build_nearest_neighbor_tree
-
         sinks = rng_sinks(40, seed=5)
         tech = unit_technology()
         bisect = build_bisection_tree(sinks, tech)
-        greedy = build_nearest_neighbor_tree(sinks, tech)
+        greedy = BottomUpMerger(sinks, tech).run()
         assert bisect.total_wirelength() <= 2.5 * greedy.total_wirelength()

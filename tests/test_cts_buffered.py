@@ -1,11 +1,10 @@
-"""Unit tests for the buffered baseline and NN wrapper."""
+"""Unit tests for the buffered baseline and the nearest-neighbour default."""
 
 import numpy as np
 import pytest
 
-from repro.cts import Sink, build_buffered_tree
+from repro.cts import BottomUpMerger, Sink, build_buffered_tree
 from repro.cts.dme import GateEveryEdgePolicy
-from repro.cts.nearest_neighbor import build_nearest_neighbor_tree
 from repro.geometry import Point
 from repro.tech import unit_technology
 
@@ -45,20 +44,20 @@ class TestBufferedTree:
 
 class TestNearestNeighborTree:
     def test_default_is_plain_wire(self):
-        tree = build_nearest_neighbor_tree(rng_sinks(10), unit_technology())
+        tree = BottomUpMerger(rng_sinks(10), unit_technology()).run()
         assert tree.cell_count() == 0
 
     def test_policy_override(self):
-        tree = build_nearest_neighbor_tree(
+        tree = BottomUpMerger(
             rng_sinks(10), unit_technology(), cell_policy=GateEveryEdgePolicy()
-        )
+        ).run()
         assert tree.gate_count() == 18
 
     def test_wirelength_close_to_buffered(self):
         # Same topology heuristic, so wirelength differs only through
         # cell-induced balancing.
         sinks = rng_sinks(20, seed=5)
-        nn = build_nearest_neighbor_tree(sinks, unit_technology())
+        nn = BottomUpMerger(sinks, unit_technology()).run()
         buf = build_buffered_tree(sinks, unit_technology())
         assert buf.total_wirelength() == pytest.approx(
             nn.total_wirelength(), rel=0.35

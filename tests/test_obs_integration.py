@@ -174,11 +174,15 @@ class TestPublishedMetrics:
         oracle.statistics(3)
         publish_oracle_cache(oracle)
         exported = registry.as_dict()
-        assert exported["oracle.statistics.hits"]["value"] >= 1
-        assert exported["oracle.statistics.misses"]["value"] >= 1
-        # The method-level convenience delegates to the same helper.
-        oracle.publish_metrics(registry)
-        assert registry.gauge("oracle.statistics.hits").value >= 1
+        assert exported["oracle.signal.hits"]["value"] >= 1
+        assert exported["oracle.signal.misses"]["value"] >= 1
+        assert exported["oracle.transition.hits"]["value"] >= 1
+        # One hits/misses/currsize triple per memo.
+        assert sorted(n for n in exported if n.startswith("oracle.")) == sorted(
+            "oracle.%s.%s" % (memo, field)
+            for memo in ("activation_signature", "signal", "transition")
+            for field in ("hits", "misses", "currsize")
+        )
 
     def test_publish_merger_stats_uses_snapshot_keys(self, registry):
         stats = MergerStats(plans_computed=4, plan_cache_hits=2)
@@ -291,14 +295,6 @@ class TestSpanOwnership:
         route_buffered(sinks, tech)
         names = [s.name for s in tracer.spans]
         assert names.count("topology.buffered") == 1
-
-    def test_nearest_neighbor_builder_owns_its_span(self, case, tech, tracer):
-        from repro.cts.nearest_neighbor import build_nearest_neighbor_tree
-
-        sinks, _, _ = case
-        build_nearest_neighbor_tree(sinks, tech)
-        names = [s.name for s in tracer.spans]
-        assert names.count("topology.nearest_neighbor") == 1
 
 
 class TestInitBestMetric:
