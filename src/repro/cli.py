@@ -134,25 +134,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--activity", type=float, default=0.4, help="target average module activity"
     )
+    parser.add_argument("--seed", type=int, default=None, help="benchmark seed")
+
+
+def _add_limit(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--candidate-limit",
         type=int,
         default=16,
         help="k-nearest greedy candidate restriction (0 = exact greedy)",
     )
-    parser.add_argument(
-        "--gate-sizing",
-        action="store_true",
-        help="resize gates instead of snaking wire on unbalanced merges",
-    )
-    parser.add_argument(
-        "--audit",
-        action="store_true",
-        help="re-verify every network invariant after routing "
-        "(skew, caps, enables, embedding, controller star); a typed "
-        "error is raised on the first violation",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="benchmark seed")
 
 
 def _limit(args: argparse.Namespace) -> Optional[int]:
@@ -203,6 +194,11 @@ def _cmd_route(args: argparse.Namespace) -> int:
         )
     elif args.moves is not None:
         raise InputError("--moves applies to --refine only", field="moves")
+    if args.gate_sizing and (args.method == "buffered" or args.shards is not None):
+        raise InputError(
+            "--gate-sizing applies to unsharded gated/reduced routes only",
+            field="gate_sizing",
+        )
     if args.workers is not None and args.shards is None:
         raise InputError("--workers applies to --shards only", field="workers")
     tech = date98_technology()
@@ -566,7 +562,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="route one benchmark")
     _add_common(p_route)
+    _add_limit(p_route)
     _add_obs(p_route)
+    p_route.add_argument(
+        "--gate-sizing",
+        action="store_true",
+        help="resize gates instead of snaking wire on unbalanced merges "
+        "(gated/reduced methods, unsharded)",
+    )
+    p_route.add_argument(
+        "--audit",
+        action="store_true",
+        help="re-verify every network invariant after routing "
+        "(skew, caps, enables, embedding, controller star); a typed "
+        "error is raised on the first violation",
+    )
     p_route.add_argument(
         "--sinks", default=None, help="external sink file (see repro.io.sinkfile)"
     )
@@ -663,12 +673,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="buffered vs gated vs reduced")
     _add_common(p_cmp)
+    _add_limit(p_cmp)
     _add_obs(p_cmp)
     p_cmp.add_argument("--knob", type=float, default=0.5, help="reduction knob")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="gate-reduction sweep")
     _add_common(p_sweep)
+    _add_limit(p_sweep)
     _add_obs(p_sweep)
     p_sweep.add_argument("--points", type=int, default=5, help="sweep points")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -679,6 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "freshly routed benchmark)",
     )
     _add_common(p_audit)
+    _add_limit(p_audit)
     _add_obs(p_audit)
     p_audit.add_argument(
         "--tree",

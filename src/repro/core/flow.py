@@ -26,6 +26,7 @@ from repro.core.gate_reduction import (
 from repro.core.switched_cap import SwitchedCapBreakdown, clock_tree_switched_cap
 from repro.cts.buffered import build_buffered_tree
 from repro.cts.refine import RefineConfig, refine_tree
+from repro.cts.sharded import partition_sinks, route_shards, stitch_shards
 from repro.cts.topology import ClockTree, Sink
 from repro.obs import get_registry, get_tracer, publish_oracle_cache
 from repro.tech.parameters import Technology
@@ -348,7 +349,7 @@ def route_sharded(
     ``num_shards`` above the sink count is clamped (with a warning)
     rather than rejected: the flow caller asked for "as parallel as
     possible", and one-sink shards are that.  Direct users of
-    :func:`repro.cts.sharded.partition_sinks` still get the strict
+    :func:`repro.cts.bisection.partition_sinks` still get the strict
     ``InputError``.
 
     ``reduction`` and ``reduction_mode`` follow :func:`route_gated`:
@@ -357,8 +358,6 @@ def route_sharded(
     ``refine`` anneals the stitched (post-reduction) tree, exactly as
     in :func:`route_gated`.
     """
-    from repro.cts.sharded import partition_sinks, route_shards, stitch_shards
-
     policy, demote = _reduction_rule(reduction, reduction_mode)
     _validate_inputs(sinks, tech, num_modules=oracle.isa.num_modules)
     if num_workers < 1:

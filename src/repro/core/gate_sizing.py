@@ -17,38 +17,51 @@ trees (where gated/ungated sibling imbalance is the snaking source).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from repro.check.errors import ContractError
-from repro.cts.dme import CellDecision
+import numpy as np
+
+from repro.cts import kernels
+from repro.cts.dme import CellDecision, EdgeCells
 from repro.cts.merge import SkewBalanceError, SplitResult, Tap, zero_skew_split
 from repro.obs import get_registry
 from repro.tech.parameters import Technology
 
 #: Discrete drive strengths, relative to the technology's unit cell.
-DEFAULT_SIZES = (0.5, 1.0, 2.0, 4.0)
+SIZES = (0.5, 1.0, 2.0, 4.0)
+_UNIT = SIZES.index(1.0)
+
+
+def _sized(decision: CellDecision, size: float) -> CellDecision:
+    """``decision`` with its cell at drive ``size`` (plain wire stays)."""
+    if decision.cell is None or size == 1.0:
+        return decision
+    return CellDecision(cell=decision.cell.scaled(size), maskable=decision.maskable)
 
 
 @dataclass(frozen=True)
 class GateSizingPolicy:
     """Chooses cell sizes for the two edges of one merge."""
 
-    sizes: Tuple[float, ...] = DEFAULT_SIZES
-
-    def __post_init__(self):
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ContractError("sizes must be positive")
-        if 1.0 not in self.sizes:
-            raise ContractError("the unit size must be available")
-
-    def _options(self, decision: CellDecision):
+    @staticmethod
+    def _options(decision: CellDecision):
         if decision.cell is None:
             yield None, decision
             return
-        base = decision.cell
-        for size in self.sizes:
-            cell = base if size == 1.0 else base.scaled(size)
-            yield size, CellDecision(cell=cell, maskable=decision.maskable)
+        for size in SIZES:
+            yield size, _sized(decision, size)
+
+    @staticmethod
+    def sized(decisions: Sequence[CellDecision]) -> Tuple[CellDecision, ...]:
+        """Every decision at every drive size, the merger's cell table
+        under a sizer: entry ``d * len(SIZES) + s`` is ``decisions[d]``
+        at ``SIZES[s]``."""
+        return tuple(_sized(d, size) for d in decisions for size in SIZES)
+
+    @staticmethod
+    def unit_codes(codes: np.ndarray) -> np.ndarray:
+        """The :meth:`sized` codes of the decisions ``codes`` at unit size."""
+        return codes * len(SIZES) + _UNIT
 
     def resolve(
         self,
@@ -101,3 +114,42 @@ class GateSizingPolicy:
         """Rank candidate sizings: least wire, then least cell area."""
         area = (a.cell.area if a.cell else 0.0) + (b.cell.area if b.cell else 0.0)
         return (split.total_length, area)
+
+    @staticmethod
+    def resolve_lanes(
+        table: EdgeCells, codes_a: np.ndarray, codes_b: np.ndarray, lanes, tech: Technology
+    ):
+        """Batched twin of :meth:`resolve` over snaked lanes: the chosen
+        ``(codes_a, codes_b, length_a, length_b)``.
+
+        ``table`` holds the :meth:`sized` decisions, ``codes_*`` are the
+        lanes' unit-size codes into it and ``lanes`` their ``(distance,
+        cap_a, delay_a, cap_b, delay_b)`` arrays.  One batch splits
+        every option of every lane; a lane keeps its first option in
+        :meth:`resolve`'s order with the least ``(wire, cell area)`` key
+        among those that balance.
+        """
+        count = len(SIZES)
+        lane = np.repeat(np.arange(codes_a.size), count * count)
+        order = np.tile(np.arange(count * count), codes_a.size)
+        # Size offsets from the unit size, in resolve's loop order.
+        size_a, size_b = order // count - _UNIT, order % count - _UNIT
+        code_a, code_b = codes_a[lane] + size_a, codes_b[lane] + size_b
+        # A plain-wire side has one option; the unit sizing goes first.
+        keep = (table.celled[code_a] | (size_a == 0)) & (table.celled[code_b] | (size_b == 0))
+        order[(size_a == 0) & (size_b == 0)] = -1
+        lane, order, code_a, code_b = (v[keep] for v in (lane, order, code_a, code_b))
+        split = kernels.batch_zero_skew_split(
+            *(v[lane] for v in lanes),
+            tech.unit_wire_resistance,
+            tech.unit_wire_capacitance,
+            cell_a=table.take(code_a),
+            cell_b=table.take(code_b),
+        )
+        wire = split.length_a + split.length_b
+        area = table.area[code_a] + table.area[code_b]
+        # Unbalanced options sort after every balanced one of their lane;
+        # the unit sizing always balances (an unbalanced merge raised).
+        ranked = np.lexsort((order, area, wire, ~split.modelled, lane))
+        pick = ranked[np.unique(lane[ranked], return_index=True)[1]]
+        return code_a[pick], code_b[pick], split.length_a[pick], split.length_b[pick]

@@ -14,35 +14,80 @@ topology rather than from gating an arbitrary reasonable tree.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.activity.probability import ActivityOracle
-from repro.check.errors import ContractError
+from repro.check.errors import ContractError, InputError
 from repro.cts.dme import CellPolicy, NoCellPolicy, annotate_enable, decide_edge
 from repro.cts.reembed import reembed
 from repro.cts.topology import ClockTree, Sink
 
 
-def _build_recursive(
-    tree: ClockTree,
-    leaf_ids: List[int],
-    vertical_cut: bool,
-) -> int:
-    """Merge ``leaf_ids`` into one subtree; returns its root node id."""
-    if len(leaf_ids) == 1:
-        return leaf_ids[0]
-    # Split at the median of the current cut direction.
-    def key(node_id: int) -> float:
-        location = tree.node(node_id).sink.location
-        return location.x if vertical_cut else location.y
+@dataclass(frozen=True)
+class ShardPlan:
+    """The partition and the stitch order it implies.
 
-    ordered = sorted(leaf_ids, key=lambda nid: (key(nid), nid))
-    half = len(ordered) // 2
-    left = _build_recursive(tree, ordered[:half], not vertical_cut)
-    right = _build_recursive(tree, ordered[half:], not vertical_cut)
-    # Placeholder merging segment; the re-embed pass recomputes it.
-    merged = tree.add_internal(left, right, tree.node(left).merging_segment)
-    return merged.id
+    ``shards`` holds, per shard, the indices into the original sink
+    sequence (each sorted ascending).  ``merge_order`` is the cut tree
+    read bottom-up: slots ``0 .. K-1`` are the shards themselves,
+    every ``(left_slot, right_slot, new_slot)`` triple merges two
+    subtree roots into a new slot, and the last triple's ``new_slot``
+    is the clock root.  With one shard the order is empty.
+    """
+
+    shards: Tuple[Tuple[int, ...], ...]
+    merge_order: Tuple[Tuple[int, int, int], ...]
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
+
+
+def partition_sinks(sinks: Sequence[Sink], num_shards: int) -> ShardPlan:
+    """Cut ``sinks`` into ``num_shards`` balanced spatial shards.
+
+    Recursive median bisection with alternating cut axes, the first
+    cut vertical: each cut sorts the remaining indices by the cut
+    coordinate -- ties broken by sink index, so duplicate coordinates
+    partition deterministically -- and splits them proportionally to
+    the shard counts assigned to each side.  Shard sizes differ by at
+    most one sink; with one shard per sink the cut tree is the
+    bisection topology.
+    """
+    if num_shards < 1:
+        raise InputError("num_shards must be positive", field="num_shards")
+    if num_shards > len(sinks):
+        raise InputError(
+            "num_shards (%d) exceeds the sink count (%d)"
+            % (num_shards, len(sinks)),
+            field="num_shards",
+        )
+    shards: List[Tuple[int, ...]] = []
+    merge_order: List[Tuple[int, int, int]] = []
+
+    def split(indices: List[int], shard_count: int, vertical: bool) -> int:
+        if shard_count == 1:
+            shards.append(tuple(sorted(indices)))
+            return len(shards) - 1
+        left_count = shard_count // 2
+        right_count = shard_count - left_count
+        def key(i: int) -> Tuple[float, int]:
+            location = sinks[i].location
+            return ((location.x if vertical else location.y), i)
+
+        ordered = sorted(indices, key=key)
+        # Proportional split, clamped so both sides can still feed at
+        # least one sink to every shard assigned to them.
+        take = round(len(ordered) * left_count / shard_count)
+        take = max(left_count, min(take, len(ordered) - right_count))
+        left = split(ordered[:take], left_count, not vertical)
+        right = split(ordered[take:], right_count, not vertical)
+        merge_order.append((left, right, num_shards + len(merge_order)))
+        return merge_order[-1][2]
+
+    split(list(range(len(sinks))), num_shards, vertical=True)
+    return ShardPlan(shards=tuple(shards), merge_order=tuple(merge_order))
 
 
 def build_bisection_tree(
@@ -63,8 +108,14 @@ def build_bisection_tree(
     tree = ClockTree(tech)
     for sink in sinks:
         annotate_enable(tree.add_leaf(sink), oracle)
-    root_id = _build_recursive(tree, [n.id for n in tree.sinks()], vertical_cut=True)
-    tree.set_root(root_id)
+    # One shard per sink; internal nodes are created in slot order.
+    plan = partition_sinks(sinks, len(sinks))
+    slots = [leaf for (leaf,) in plan.shards]
+    for left, right, _ in plan.merge_order:
+        # Placeholder merging segment; the re-embed pass recomputes it.
+        segment = tree.node(slots[left]).merging_segment
+        slots.append(tree.add_internal(slots[left], slots[right], segment).id)
+    tree.set_root(slots[-1])
 
     # Bottom-up annotation of module masks and enable statistics.
     for node in tree.postorder():

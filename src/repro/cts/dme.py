@@ -42,13 +42,11 @@ with every orphan of the step, once.  The kernels
 mirror the scalar float arithmetic op for op and are elementwise, so
 every lane equals the scalar plan and cost of its pair bit for bit,
 whichever lanes share its batch.  Snaked splits are modelled in the
-kernel too.  Only two kinds of lane take their split from the scalar
-:meth:`BottomUpMerger.plan` and are priced in the same batch: snaked
-lanes when a cell sizer is set (it may resize their cells), and lanes
-whose split cannot balance (the plan raises ``SkewBalanceError``).
-Those plans are memoized per *ordered* pair until either side retires,
-and the winning merge is planned through the same memo at commit;
-without a sizer, the commits are the only plans.
+kernel too, and with a cell sizer every sizing option of every snaked
+lane is split in one more batch (its ``resolve_lanes``, the twin of
+the scalar ``resolve``).  The scalar :meth:`BottomUpMerger.plan` runs
+once per committed merge, and on a lane whose split cannot balance,
+which raises ``SkewBalanceError``.
 
 Exact-greedy runs (no ``candidate_limit``) repair orphaned best-pair
 pointers *lazily*: pair costs are immutable and an orphan's candidate
@@ -61,8 +59,8 @@ snapshots are time-sensitive.  Which orphans adopt the merged node is
 known only once its lanes are priced, so the step queries and screens
 every orphan and applies a ranked lane only to those still stale.
 
-:class:`MergerStats` counts plans, cache hits, heap traffic, index
-queries, kernel batches and lane fallbacks.
+:class:`MergerStats` counts plans, heap traffic, index queries, kernel
+batches and repairs.
 """
 
 from __future__ import annotations
@@ -175,7 +173,7 @@ class EdgeCells:
 
     Plain-wire lanes carry ``celled=False`` and zero drive resistance,
     intrinsic delay and input capacitance -- exactly the terms the
-    split kernel's cell-free float chain uses.
+    split kernel's cell-free float chain uses -- and zero cell area.
     """
 
     __slots__ = (
@@ -184,9 +182,10 @@ class EdgeCells:
         "drive_resistance",
         "intrinsic_delay",
         "input_cap",
+        "area",
     )
 
-    _DTYPES = (bool, bool, float, float, float)
+    _DTYPES = (bool, bool, float, float, float, float)
 
     def __init__(self, decisions: Sequence[CellDecision]):
         columns = zip(*(self._row(d) for d in decisions))
@@ -197,13 +196,14 @@ class EdgeCells:
     def _row(decision: CellDecision) -> tuple:
         cell = decision.cell
         if cell is None:
-            return decision.maskable, False, 0.0, 0.0, 0.0
+            return decision.maskable, False, 0.0, 0.0, 0.0, 0.0
         return (
             decision.maskable,
             True,
             cell.drive_resistance,
             cell.intrinsic_delay,
             cell.input_cap,
+            cell.area,
         )
 
     def take(self, codes) -> "EdgeCells":
@@ -212,11 +212,6 @@ class EdgeCells:
         for name in self.__slots__:
             setattr(out, name, getattr(self, name)[codes])
         return out
-
-    def put(self, lane: int, decision: CellDecision) -> None:
-        """Overwrite one lane's decision."""
-        for name, value in zip(self.__slots__, self._row(decision)):
-            getattr(self, name)[lane] = value
 
 
 @dataclass
@@ -379,8 +374,9 @@ class MergerStats:
     """Counters of the greedy engine's work, for benches and reports.
 
     ``plans_computed`` is the number of full :meth:`BottomUpMerger.plan`
-    evaluations (scalar split + cell decisions); ``plan_cache_hits``
-    the plan requests the memo answered instead.
+    evaluations (scalar split + cell decisions): one per committed
+    merge, plus one on a candidate whose split cannot balance (it
+    raises ``SkewBalanceError``).
 
     ``index_queries`` counts the batched k-nearest index queries that
     found candidates, one per screen of a ``candidate_limit`` run: at
@@ -391,14 +387,9 @@ class MergerStats:
     ``kernel_batches`` batched distance evaluations of candidate
     segments (one per exact-greedy screen, however many owners it
     spans, and one or two per group of queries of an index query,
-    whose distances the screen reuses), ``kernel_candidates`` the lanes
-    they covered (an index query measures a query x slot grid of whole
-    blocks), and ``kernel_scalar_fallbacks`` lanes whose split came
-    from a scalar plan: snaked lanes when a cell sizer is set (zero
-    without one, since the kernel models snaked splits) and lanes whose
-    split cannot balance.  ``distance_reuses`` counts ``plan()`` calls
-    that received an already-measured segment distance instead of
-    re-deriving it: without a sizer, one per committed merge.
+    whose distances the screen reuses) and ``kernel_candidates`` the
+    lanes they covered (an index query measures a query x slot grid of
+    whole blocks).
 
     The repair counters split best-pair recomputations by trigger:
     ``orphan_recomputes`` eager repairs in a merge step of nodes whose
@@ -409,43 +400,22 @@ class MergerStats:
     """
 
     plans_computed: int = 0
-    plan_cache_hits: int = 0
     heap_pops: int = 0
     stale_entries: int = 0
     index_queries: int = 0
-    distance_reuses: int = 0
     kernel_batches: int = 0
     kernel_candidates: int = 0
-    kernel_scalar_fallbacks: int = 0
     orphan_recomputes: int = 0
     repair_recomputes: int = 0
 
-    @property
-    def cost_probes(self) -> int:
-        """Plan requests answered (computed or cached)."""
-        return self.plans_computed + self.plan_cache_hits
-
     def snapshot(self) -> Dict[str, int]:
-        """Stable-key dict of every counter (plus derived totals).
+        """Stable-key dict of every counter.
 
         The keys are a public contract: the metrics registry
         (:func:`repro.obs.publish_merger_stats`, hence the RunRecord)
         and the benches read this instead of the attributes.
         """
-        return {
-            "plans_computed": self.plans_computed,
-            "plan_cache_hits": self.plan_cache_hits,
-            "heap_pops": self.heap_pops,
-            "stale_entries": self.stale_entries,
-            "index_queries": self.index_queries,
-            "distance_reuses": self.distance_reuses,
-            "kernel_batches": self.kernel_batches,
-            "kernel_candidates": self.kernel_candidates,
-            "kernel_scalar_fallbacks": self.kernel_scalar_fallbacks,
-            "orphan_recomputes": self.orphan_recomputes,
-            "repair_recomputes": self.repair_recomputes,
-            "cost_probes": self.cost_probes,
-        }
+        return dict(vars(self))
 
 
 logger = logging.getLogger(__name__)
@@ -478,7 +448,11 @@ class BottomUpMerger:
         Optional sizing hook (e.g.
         :class:`repro.core.gate_sizing.GateSizingPolicy`): given a
         merge whose unit-size split snakes, it may resize the new
-        edges' cells to balance the delays with less wire.
+        edges' cells to balance the delays with less wire.  Its
+        ``sized`` table holds every policy decision at every size
+        (``unit_codes`` maps the policy's codes into it); screens size
+        their snaked lanes with its batched ``resolve_lanes``, plans
+        with its scalar ``resolve``.
     """
 
     def __init__(
@@ -505,10 +479,10 @@ class BottomUpMerger:
         self.candidate_limit = candidate_limit
         self.cell_sizer = cell_sizer
         self._cells = self.cell_policy.cells(tech)
-        self._cell_table = EdgeCells(self._cells)
+        self._cell_table = EdgeCells(
+            self._cells if cell_sizer is None else cell_sizer.sized(self._cells)
+        )
         self.stats = MergerStats()
-        self._plan_cache: Dict[Tuple[int, int], MergePlan] = {}
-        self._plan_partners: Dict[int, Set[int]] = {}
         self.tree = ClockTree(tech)
         for sink in sinks:
             annotate_enable(self.tree.add_leaf(sink), oracle)
@@ -572,8 +546,6 @@ class BottomUpMerger:
         measurement taken in either pair orientation is exact.
         """
         self.stats.plans_computed += 1
-        if distance is not None:
-            self.stats.distance_reuses += 1
         na, nb = self.tree.node(a_id), self.tree.node(b_id)
         plan = plan_merge(
             na,
@@ -597,41 +569,6 @@ class BottomUpMerger:
                 plan.split,
             )
         return plan
-
-    def _plan_pair(
-        self, a_id: int, b_id: int, distance: Optional[float] = None
-    ) -> MergePlan:
-        """:meth:`plan` through the memo.
-
-        Keys are *ordered* pairs: ``plan(a, b)`` and ``plan(b, a)``
-        agree to rounding but not bit-for-bit (the split solves for the
-        other side's edge first), and a cache must never change any
-        float an uncached call would have produced.
-        """
-        key = (a_id, b_id)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            self.stats.plan_cache_hits += 1
-            return cached
-        plan = self.plan(a_id, b_id, distance)
-        self._plan_cache[key] = plan
-        self._plan_partners.setdefault(a_id, set()).add(b_id)
-        self._plan_partners.setdefault(b_id, set()).add(a_id)
-        return plan
-
-    def _invalidate_plans(self, nid: int) -> None:
-        """Drop every cached plan involving a retired node."""
-        partners = self._plan_partners.pop(nid, None)
-        if not partners:
-            return
-        for other in partners:
-            self._plan_cache.pop((nid, other), None)
-            self._plan_cache.pop((other, nid), None)
-            remaining = self._plan_partners.get(other)
-            if remaining is not None:
-                remaining.discard(nid)
-                if not remaining:
-                    del self._plan_partners[other]
 
     def execute(self, plan: MergePlan) -> ClockNode:
         """Commit a planned merge: create the internal node."""
@@ -693,33 +630,39 @@ class BottomUpMerger:
                 ),
                 dtype=np.intp,
             )
-        cells_a, cells_b = self._cell_table.take(codes[:n]), self._cell_table.take(codes[n:])
+        sizer = self.cell_sizer
+        if sizer is not None:
+            codes = sizer.unit_codes(codes)
+        codes_a, codes_b = codes[:n], codes[n:]
+        table = self._cell_table
+        cells_a, cells_b = table.take(codes_a), table.take(codes_b)
+        # The split's per-lane arguments, which the sizer re-splits.
+        columns = (distance, arrays.cap[a], arrays.delay[a], arrays.cap[b], arrays.delay[b])
         split = kernels.batch_zero_skew_split(
-            distance,
-            arrays.cap[a],
-            arrays.delay[a],
-            arrays.cap[b],
-            arrays.delay[b],
+            *columns,
             self.tech.unit_wire_resistance,
             self.tech.unit_wire_capacitance,
             cell_a=cells_a,
             cell_b=cells_b,
         )
         length_a, length_b = split.length_a, split.length_b
-        if self.cell_sizer is None:
-            scalar_lanes = kernels.out_of_range_lanes(split)
-        else:
+        for j in kernels.out_of_range_lanes(split):
+            # The scalar plan raises SkewBalanceError on these lanes.
+            self.plan(int(a[j]), int(b[j]), distance=float(distance[j]))
+        if sizer is not None:
             # The sizer may resize the cells of any snaked merge.
-            scalar_lanes = np.flatnonzero(~split.in_range).tolist()
-        for j in scalar_lanes:
-            plan = self._plan_pair(int(a[j]), int(b[j]), distance=float(distance[j]))
-            length_a[j], length_b[j] = plan.split.length_a, plan.split.length_b
-            if self.cell_sizer is not None:
-                # Only the sizer re-decides cells; the policy's one-lane
-                # decisions equal the batched ones.
-                cells_a.put(j, plan.decision_a)
-                cells_b.put(j, plan.decision_b)
-            self.stats.kernel_scalar_fallbacks += 1
+            (snaked,) = np.nonzero(~split.in_range)
+            if snaked.size:
+                resized = sizer.resolve_lanes(
+                    table,
+                    codes_a[snaked],
+                    codes_b[snaked],
+                    [column[snaked] for column in columns],
+                    self.tech,
+                )
+                for column, values in zip((codes_a, codes_b, length_a, length_b), resized):
+                    column[snaked] = values
+                cells_a, cells_b = table.take(codes_a), table.take(codes_b)
         return (cells_a, length_a), (cells_b, length_b)
 
     def _measure(self, *extents) -> np.ndarray:
@@ -871,7 +814,6 @@ class BottomUpMerger:
         self._active.discard(nid)
         self._active_ids.discard(nid)
         self._best.pop(nid, None)
-        self._invalidate_plans(nid)
         if self._index is not None and nid in self._index:
             self._index.remove(nid)
         return self._reverse.pop(nid, set())
@@ -947,7 +889,7 @@ class BottomUpMerger:
             with tracer.span("dme.merge_loop"):
                 while len(self._active) > 1:
                     a_id, b_id, distance = self._pop_valid_pair()
-                    plan = self._plan_pair(a_id, b_id, distance)
+                    plan = self.plan(a_id, b_id, distance)
                     merged = self.execute(plan)
                     orphans = (self._retire(a_id) | self._retire(b_id)) & self._active
                     self._merge_step(

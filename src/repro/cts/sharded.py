@@ -4,11 +4,10 @@ The paper's greedy merge is inherently sequential: every merge decision
 conditions the next.  This module trades a sliver of optimality at the
 *top* of the tree for parallelism everywhere below it:
 
-1. **Partition** (:func:`partition_sinks`): recursive median bisection
-   -- the same alternating-axis median cut
-   :mod:`repro.cts.bisection` builds whole topologies with -- splits
-   the sink set into ``K`` spatially coherent, balanced shards and
-   records the cut tree as the stitch's merge order.
+1. **Partition** (:func:`~repro.cts.bisection.partition_sinks`):
+   the alternating-axis median cut :mod:`repro.cts.bisection` builds
+   whole topologies with, stopped at ``K`` spatially coherent,
+   balanced shards; the cut tree is the stitch's merge order.
 2. **Route** (:func:`route_shards`): each shard's gated subtree is
    built independently by the existing
    :class:`~repro.cts.dme.BottomUpMerger`, either inline or in a
@@ -52,8 +51,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.activity.probability import ActivityOracle
-from repro.check.errors import ContractError, InputError
+from repro.check.errors import ContractError
 from repro.core.gated_routing import build_gated_tree
+from repro.cts.bisection import ShardPlan, partition_sinks
 from repro.cts.dme import CellPolicy, GateEveryEdgePolicy, commit_merge, plan_merge
 from repro.cts.topology import ClockTree, Sink
 from repro.geometry.point import Point
@@ -67,75 +67,6 @@ __all__ = [
     "route_shards",
     "stitch_shards",
 ]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The partition and the stitch order it implies.
-
-    ``shards`` holds, per shard, the indices into the original sink
-    sequence (each sorted ascending).  ``merge_order`` is the cut tree
-    read bottom-up: slots ``0 .. K-1`` are the shards themselves,
-    every ``(left_slot, right_slot, new_slot)`` triple merges two
-    subtree roots into a new slot, and the last triple's ``new_slot``
-    is the clock root.  With one shard the order is empty.
-    """
-
-    shards: Tuple[Tuple[int, ...], ...]
-    merge_order: Tuple[Tuple[int, int, int], ...]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-
-def partition_sinks(sinks: Sequence[Sink], num_shards: int) -> ShardPlan:
-    """Cut ``sinks`` into ``num_shards`` balanced spatial shards.
-
-    Recursive median bisection with alternating cut axes (the
-    :mod:`repro.cts.bisection` construction, stopped at shard
-    granularity): each cut sorts the remaining indices by the cut
-    coordinate -- ties broken by sink index, so duplicate coordinates
-    partition deterministically -- and splits them proportionally to
-    the shard counts assigned to each side.  Shard sizes differ by at
-    most one sink.
-    """
-    if num_shards < 1:
-        raise InputError("num_shards must be positive", field="num_shards")
-    if num_shards > len(sinks):
-        raise InputError(
-            "num_shards (%d) exceeds the sink count (%d)"
-            % (num_shards, len(sinks)),
-            field="num_shards",
-        )
-    shards: List[Tuple[int, ...]] = []
-    merge_order: List[Tuple[int, int, int]] = []
-    slots = [num_shards]  # next free slot id above the shard slots
-
-    def split(indices: List[int], shard_count: int, vertical: bool) -> int:
-        if shard_count == 1:
-            shards.append(tuple(sorted(indices)))
-            return len(shards) - 1
-        left_count = shard_count // 2
-        right_count = shard_count - left_count
-        def key(i: int) -> Tuple[float, int]:
-            location = sinks[i].location
-            return ((location.x if vertical else location.y), i)
-
-        ordered = sorted(indices, key=key)
-        # Proportional split, clamped so both sides can still feed at
-        # least one sink to every shard assigned to them.
-        take = round(len(ordered) * left_count / shard_count)
-        take = max(left_count, min(take, len(ordered) - right_count))
-        left = split(ordered[:take], left_count, not vertical)
-        right = split(ordered[take:], right_count, not vertical)
-        slot = slots[0]
-        slots[0] += 1
-        merge_order.append((left, right, slot))
-        return slot
-
-    split(list(range(len(sinks))), num_shards, vertical=True)
-    return ShardPlan(shards=tuple(shards), merge_order=tuple(merge_order))
 
 
 @dataclass

@@ -20,6 +20,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["route", "--benchmark", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["characteristics", "--candidate-limit", "4"],
+            ["characteristics", "--gate-sizing"],
+            ["characteristics", "--audit"],
+            ["compare", "--gate-sizing"],
+            ["compare", "--audit"],
+            ["sweep", "--gate-sizing"],
+            ["sweep", "--audit"],
+            ["audit", "--gate-sizing"],
+            ["audit", "--audit"],
+        ),
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_rejects_flags_the_command_ignores(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_route_buffered(self, capsys):
@@ -166,6 +186,19 @@ class TestCommands:
         assert main(
             ["route", "--scale", "0.05", "--method", "reduced", "--gate-sizing"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        (["--method", "buffered"], ["--method", "gated", "--shards", "2"]),
+        ids=["buffered", "shards"],
+    )
+    def test_gate_sizing_rejected_where_it_would_be_ignored(self, capsys, extra):
+        code = main(["route", "--scale", "0.05", "--gate-sizing"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "gate-sizing" in captured.err
+        assert "pF" not in captured.out
 
     def test_external_inputs(self, tmp_path, capsys):
         # Route from user-provided sink/ISA/trace files.

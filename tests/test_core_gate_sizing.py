@@ -1,28 +1,18 @@
 """Unit tests for skew balancing by gate sizing."""
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.suite import load_benchmark
 from repro.core.flow import route_gated
 from repro.core.gate_reduction import GateReductionPolicy
 from repro.core.gate_sizing import GateSizingPolicy
-from repro.cts.dme import CellDecision
-from repro.cts.merge import Tap, zero_skew_split
+from repro.cts.dme import CellDecision, EdgeCells
+from repro.cts.merge import SkewBalanceError, Tap, zero_skew_split
 from repro.tech import date98_technology, unit_technology
-
-
-class TestPolicyValidation:
-    def test_rejects_empty_sizes(self):
-        with pytest.raises(ValueError):
-            GateSizingPolicy(sizes=())
-
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
-            GateSizingPolicy(sizes=(1.0, -2.0))
-
-    def test_requires_unit_size(self):
-        with pytest.raises(ValueError):
-            GateSizingPolicy(sizes=(0.5, 2.0))
+from repro.tech.parameters import GateModel, Technology
 
 
 class TestResolve:
@@ -92,6 +82,99 @@ class TestResolve:
         )
         assert a.maskable
         assert b.cell is None
+
+
+lanes_strategy = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=2000.0),  # distance
+        st.floats(min_value=0.0, max_value=400.0),  # cap_a
+        st.floats(min_value=0.0, max_value=5000.0),  # delay_a
+        st.integers(min_value=0, max_value=2),  # decision_a
+        st.floats(min_value=0.0, max_value=400.0),  # cap_b
+        st.floats(min_value=0.0, max_value=5000.0),  # delay_b
+        st.integers(min_value=0, max_value=2),  # decision_b
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lanes=lanes_strategy)
+def test_resolve_lanes_matches_scalar_resolve(lanes):
+    # One batch over many snaked lanes picks, lane by lane, the sizing
+    # and edge lengths the scalar resolve picks.
+    tech = date98_technology()
+    policy = GateSizingPolicy()
+    decisions = (
+        CellDecision(cell=None),
+        CellDecision(cell=tech.buffer),
+        CellDecision(cell=tech.masking_gate, maskable=True),
+    )
+    expected, snaked = [], []
+    for distance, cap_a, delay_a, da, cap_b, delay_b, db in lanes:
+        try:
+            base = zero_skew_split(
+                distance,
+                Tap(cap=cap_a, delay=delay_a, cell=decisions[da].cell),
+                Tap(cap=cap_b, delay=delay_b, cell=decisions[db].cell),
+                tech,
+            )
+        except SkewBalanceError:
+            continue  # the merger raises on these before sizing
+        if base.snaked is None:
+            continue
+        a, b, split = policy.resolve(
+            distance, cap_a, delay_a, decisions[da], cap_b, delay_b, decisions[db],
+            tech, base,
+        )
+        expected.append((a, b, split.length_a, split.length_b))
+        snaked.append((distance, cap_a, delay_a, da, cap_b, delay_b, db))
+    event("%d snaked lanes" % min(len(snaked), 2))
+    if not snaked:
+        return
+    distance, cap_a, delay_a, da, cap_b, delay_b, db = (np.array(v) for v in zip(*snaked))
+    sized = policy.sized(decisions)
+    codes_a, codes_b, length_a, length_b = policy.resolve_lanes(
+        EdgeCells(sized),
+        policy.unit_codes(da),
+        policy.unit_codes(db),
+        (distance, cap_a, delay_a, cap_b, delay_b),
+        tech,
+    )
+    assert [
+        (sized[ca], sized[cb], la, lb)
+        for ca, cb, la, lb in zip(codes_a, codes_b, length_a.tolist(), length_b.tolist())
+    ] == expected
+
+
+def test_resolve_lanes_skips_unbalanced_options():
+    # With almost no wire capacitance, the unit split snakes on the
+    # gate's drive alone, and sizing both gates up leaves too little
+    # drive to balance: resolve skips those options, and so must the
+    # batch, whose unbalanced lanes carry zero lengths.
+    gate = GateModel(input_cap=1.0, drive_resistance=150.0, intrinsic_delay=1.0, area=10.0)
+    tech = Technology(
+        unit_wire_resistance=1.0,
+        unit_wire_capacitance=1e-14,
+        masking_gate=gate,
+        buffer=gate.scaled(0.5),
+    )
+    policy = GateSizingPolicy()
+    decision = CellDecision(cell=gate, maskable=True)
+    base = zero_skew_split(0.0, Tap(0.0, 0.0, gate), Tap(0.0, 1.0, gate), tech)
+    with pytest.raises(SkewBalanceError):
+        zero_skew_split(0.0, Tap(0.0, 0.0, gate.scaled(4.0)), Tap(0.0, 1.0, gate), tech)
+    a, b, split = policy.resolve(0.0, 0.0, 0.0, decision, 0.0, 1.0, decision, tech, base)
+    sized = policy.sized((decision,))
+    codes = policy.unit_codes(np.array([0]))
+    lane = tuple(np.array([v]) for v in (0.0, 0.0, 0.0, 0.0, 1.0))
+    code_a, code_b, length_a, length_b = policy.resolve_lanes(
+        EdgeCells(sized), codes, codes, lane, tech
+    )
+    assert (sized[code_a[0]], sized[code_b[0]]) == (a, b)
+    assert (length_a[0], length_b[0]) == (split.length_a, split.length_b)
+    assert split.length_a < base.length_a
 
 
 class TestEndToEnd:

@@ -536,7 +536,7 @@ class TestVectorizeTraceParity:
         _, trace_s, wl_s = run_config(
             sinks, False, cost=nearest_neighbor_cost, candidate_limit=limit
         )
-        assert vec.stats.kernel_scalar_fallbacks == 0  # no split needed
+        assert vec.stats.plans_computed == len(trace_v)  # commits only
         assert trace_v == trace_s
         assert wl_v == wl_s
 
@@ -614,7 +614,7 @@ class TestVectorizeTraceParity:
             sinks, False, cost=total_split_length_cost, candidate_limit=limit
         )
         assert sum(snaked_lanes) > 0
-        assert vec.stats.kernel_scalar_fallbacks == 0
+        assert vec.stats.plans_computed == len(trace_v)
         assert trace_v == trace_s
         assert wl_v == wl_s
 
@@ -630,20 +630,15 @@ class TestVectorizeTraceParity:
 
 class TestKernelAccounting:
     def test_kernel_counters_advance(self):
-        merger, _, _ = run_config(
+        merger, trace, _ = run_config(
             make_sinks(32, seed=40), True, cost=nearest_neighbor_cost
         )
         s = merger.stats
         assert s.kernel_batches > 0
         assert s.kernel_candidates >= s.kernel_batches
-        assert s.distance_reuses > 0
+        assert s.plans_computed == len(trace)
         snap = s.snapshot()
-        for key in (
-            "kernel_batches",
-            "kernel_candidates",
-            "kernel_scalar_fallbacks",
-            "distance_reuses",
-        ):
+        for key in ("kernel_batches", "kernel_candidates", "plans_computed"):
             assert snap[key] == getattr(s, key)
 
     def test_kernel_counters_published(self):
@@ -655,7 +650,7 @@ class TestKernelAccounting:
             set_registry(previous)
         assert registry.counter("dme.kernel_batches").value > 0
         assert registry.counter("dme.kernel_candidates").value > 0
-        assert registry.counter("dme.distance_reuses").value > 0
+        assert registry.counter("dme.plans_computed").value > 0
 
     def test_index_kernels_published(self, oracle):
         registry = MetricsRegistry()

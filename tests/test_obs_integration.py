@@ -185,12 +185,14 @@ class TestPublishedMetrics:
         )
 
     def test_publish_merger_stats_uses_snapshot_keys(self, registry):
-        stats = MergerStats(plans_computed=4, plan_cache_hits=2)
+        stats = MergerStats(plans_computed=4, heap_pops=6)
         publish_merger_stats(stats)
         exported = registry.as_dict()
         assert exported["dme.plans_computed"]["value"] == 4
-        assert exported["dme.plan_cache_hits"]["value"] == 2
-        assert exported["dme.cost_probes"]["value"] == 6
+        assert exported["dme.heap_pops"]["value"] == 6
+        assert sorted(n for n in exported if n.startswith("dme.")) == sorted(
+            "dme." + key for key in stats.snapshot()
+        )
 
     def test_merger_stats_survive_direct_runs(self, case, tech, registry):
         sinks, oracle, die = case
