@@ -81,17 +81,6 @@ class InstructionSet:
     def names(self) -> List[str]:
         return [i.name for i in self.instructions]
 
-    def index_of(self, name: str) -> int:
-        """Index of the instruction with the given name."""
-        for k, instr in enumerate(self.instructions):
-            if instr.name == name:
-                return k
-        raise KeyError(name)
-
-    def modules_used(self, k: int) -> List[int]:
-        """Sorted module indices used by instruction ``k``."""
-        return sorted(self.instructions[k].modules)
-
     def average_usage_fraction(self, weights: Sequence[float] = None) -> float:
         """Average fraction of modules active per instruction.
 

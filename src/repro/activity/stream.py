@@ -35,11 +35,6 @@ class InstructionStream:
     def __len__(self) -> int:
         return int(self.ids.size)
 
-    @property
-    def num_pairs(self) -> int:
-        """Number of consecutive-cycle pairs (stream length - 1)."""
-        return len(self) - 1
-
     def counts(self, num_instructions: int) -> np.ndarray:
         """Occurrences of each instruction id."""
         if self.ids.max() >= num_instructions:

@@ -22,7 +22,7 @@ cycles long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,10 +96,6 @@ class CpuModelConfig:
         if self.num_clusters:
             return self.num_clusters
         return min(self.num_modules, max(8, self.num_modules // 24))
-
-    def with_activity(self, target_activity: float) -> "CpuModelConfig":
-        """A copy with a different usage density (the Fig. 4 sweep)."""
-        return replace(self, target_activity=target_activity)
 
 
 class CpuModel:

@@ -28,10 +28,7 @@ from repro.check.errors import (
     SkewBalanceError,
     TechnologyError,
 )
-from repro.check.tolerance import (
-    effectively_zero,
-    relatively_close,
-)
+from repro.check.tolerance import relatively_close
 from repro.check.validate import (
     validate_gate_model,
     validate_sinks,
@@ -57,7 +54,6 @@ __all__ = [
     "ContractError",
     "ContractTypeError",
     "InternalInvariantError",
-    "effectively_zero",
     "relatively_close",
     "AuditError",
     "SkewAuditError",

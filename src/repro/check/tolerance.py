@@ -1,37 +1,24 @@
-"""Shared float-comparison helpers: one tolerance policy, used twice.
+"""The shared float-agreement check: one explicit tolerance policy.
 
-The auditor and the analysis layer both need "is this quantity zero?"
-and "do these two quantities agree?" checks on accumulated float
-sums.  Exact ``==`` on such values is forbidden (lint rule REP001):
-whether ``a - b`` is exactly ``0.0`` depends on association order,
-which the vectorized kernels deliberately vary batch by batch.  These
-helpers give both layers the same explicit policy instead of
-scattered ad-hoc epsilons.
+The auditor needs "do these two quantities agree?" checks on
+accumulated float sums.  Exact ``==`` on such values is forbidden
+(lint rule REP001): whether ``a - b`` is exactly ``0.0`` depends on
+association order, which the vectorized kernels deliberately vary
+batch by batch.  :func:`relatively_close` gives every caller the same
+explicit policy instead of scattered ad-hoc epsilons.
 
-All comparisons treat NaN as a failure (NaN is never "zero" and never
-"close"), so silent NaN propagation surfaces as a finding rather than
-vacuous truth.
+NaN is never "close", so silent NaN propagation surfaces as a finding
+rather than vacuous truth.
 """
 
 from __future__ import annotations
 
 import math
 
-#: Absolute tolerance under which an accumulated length/cap/delay sum
-#: counts as zero.  Physical quantities in this flow are O(1)..O(1e6)
-#: (micron wirelengths, femtofarad caps), so 1e-12 is far below any
-#: representable signal yet far above double rounding residue.
-ZERO_TOL = 1e-12
-
 #: Default relative tolerance for agreement checks between a recomputed
 #: quantity and its bookkept counterpart (matches the auditor's
 #: geometry tolerance scale).
 REL_TOL = 1e-9
-
-
-def effectively_zero(value: float, tol: float = ZERO_TOL) -> bool:
-    """Is ``value`` zero up to the absolute tolerance?  NaN -> False."""
-    return abs(value) <= tol if math.isfinite(value) else False
 
 
 def relatively_close(

@@ -6,6 +6,9 @@ Subcommands
     Route one benchmark (or an external sink file) with one method and
     print the result summary; optionally dump the tree (JSON) and a
     layout picture (SVG).
+``gen``
+    Write a seeded synthetic workload (sinks, ISA, instruction trace)
+    that ``route --sinks`` reads back.
 ``characteristics``
     Print the Table 4 row(s) for the synthetic benchmarks.
 ``compare``
@@ -18,17 +21,16 @@ Subcommands
     controller star) of a routed tree -- either a JSON dump from
     ``route --out`` or a freshly routed benchmark.  Exit code 1 when
     findings are reported.
-``lint``
-    Run the project-invariant static analyzer (:mod:`repro.lint`,
-    rules REP001..REP007) over ``src/repro``.  Exit code 1 when
-    findings are reported; ``--format json`` for machine-readable
-    output, ``--check-noqa`` to fail on stale suppressions.
 ``obs``
     The run ledger and regression sentinel: ``obs diff A B`` compares
-    two records with noise-aware thresholds, ``obs check --baseline
-    REF`` gates the latest (or given) run against a committed
-    baseline, and ``obs selftest`` proves the sentinel catches planted
-    regressions.  Exit code 1 when a regression is detected.
+    two records with the sentinel's fixed noise thresholds, ``obs
+    check --baseline REF`` gates the latest (or given) run against a
+    committed baseline, and ``obs selftest`` proves the sentinel
+    catches planted regressions.  Exit code 1 when a regression is
+    detected.
+
+The project-invariant linter has its own entry point,
+``python -m repro.lint`` (:mod:`repro.lint.cli`).
 
 Examples::
 
@@ -39,12 +41,11 @@ Examples::
     gated-cts sweep --benchmark r1 --scale 0.4 --points 6
     gated-cts audit --tree out.json
     gated-cts audit --benchmark r1 --scale 0.2
-    gated-cts lint --format json
     gated-cts obs diff latest~1 latest
     gated-cts obs check --baseline baselines/obs_r1_route.json \\
         --sections pins,counters
 
-Exit codes: 0 success, 1 findings (``audit``/``lint``) or detected
+Exit codes: 0 success, 1 findings (``audit``) or detected
 regressions (``obs diff``/``obs check``), 2 invalid input (typed
 ``ReproError`` or ``OSError`` -- printed as one-line diagnostics, with
 the full traceback available under ``--log-level debug``).
@@ -159,7 +160,7 @@ def _load_external(args: argparse.Namespace):
     from repro.check.validate import validate_sinks
 
     if not (args.isa and args.instr_trace):
-        raise SystemExit("--sinks requires --isa and --instr-trace")
+        raise InputError("--sinks requires --isa and --instr-trace", field="sinks")
     sinks = tuple(read_sinks(args.sinks))
     oracle = load_workload(args.isa, args.instr_trace)
     # Cross-file check: every sink's module id must exist in the ISA's
@@ -201,6 +202,10 @@ def _cmd_route(args: argparse.Namespace) -> int:
         )
     if args.workers is not None and args.shards is None:
         raise InputError("--workers applies to --shards only", field="workers")
+    if (args.isa or args.instr_trace) and not args.sinks:
+        raise InputError(
+            "--isa and --instr-trace apply to --sinks only", field="sinks"
+        )
     tech = date98_technology()
     if args.sinks:
         case = _load_external(args)
@@ -453,28 +458,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Static-analysis gate: 0 clean, 1 findings, 2 error.
-
-    See :mod:`repro.lint` for the rule catalog (REP001..REP007),
-    suppression comments and the baseline workflow.
-    """
-    from repro.lint.cli import run_lint_cli
-
-    return run_lint_cli(args)
-
-
-def _thresholds_from(args: argparse.Namespace):
-    """CLI threshold knobs -> the sentinel's explicit noise model."""
-    from repro.obs import Thresholds
-
-    return Thresholds(
-        time_rel=args.time_rel,
-        time_floor_ns=int(args.time_floor_ms * 1e6),
-        counter_rel=args.counter_rel,
-    )
-
-
 def _sections_from(args: argparse.Namespace):
     from repro.obs.sentinel import ALL_SECTIONS
 
@@ -490,12 +473,7 @@ def _run_diff(args, baseline_ref: str, current_ref: str) -> int:
     ledger = RunLedger(args.dir)
     baseline = ledger.load(baseline_ref)
     current = ledger.load(current_ref)
-    diff = compare_runs(
-        baseline,
-        current,
-        thresholds=_thresholds_from(args),
-        sections=_sections_from(args),
-    )
+    diff = compare_runs(baseline, current, sections=_sections_from(args))
     print(diff.report())
     return diff.exit_code
 
@@ -512,7 +490,7 @@ def _cmd_obs_selftest(args: argparse.Namespace) -> int:
     """Prove the sentinel catches planted regressions: 0 ok, 1 broken."""
     from repro.obs import self_test
 
-    ok, report = self_test(_thresholds_from(args))
+    ok, report = self_test()
     print(report)
     return 0 if ok else 1
 
@@ -523,29 +501,7 @@ def _add_obs_store(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_LEDGER_DIR,
         help="run-ledger directory (default %s)" % DEFAULT_LEDGER_DIR,
     )
-
-
-def _add_thresholds(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("noise thresholds")
-    group.add_argument(
-        "--time-rel",
-        type=float,
-        default=1.5,
-        help="phase-time ratio above which slower is a regression",
-    )
-    group.add_argument(
-        "--time-floor-ms",
-        type=float,
-        default=50.0,
-        help="phases faster than this in both runs are never flagged",
-    )
-    group.add_argument(
-        "--counter-rel",
-        type=float,
-        default=0.25,
-        help="allowed two-sided relative drift of work counters",
-    )
-    group.add_argument(
+    parser.add_argument(
         "--sections",
         default=None,
         help="comma list from pins,time,counters (default all); "
@@ -702,17 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the project-invariant static analyzer (repro.lint) "
-        "over src/repro; exit 1 on findings",
-    )
-    _add_obs(p_lint)
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=_cmd_lint)
-
     p_obs = sub.add_parser(
         "obs",
         help="run ledger + regression sentinel (diff/check/selftest); "
@@ -725,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two run records (refs: path, id prefix, latest~N)",
     )
     _add_obs_store(p_diff)
-    _add_thresholds(p_diff)
     p_diff.add_argument("baseline_ref", help="baseline run reference")
     p_diff.add_argument("current_ref", help="current run reference")
     p_diff.set_defaults(func=_cmd_obs_diff)
@@ -735,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="gate a run against a baseline record (CI entry point)",
     )
     _add_obs_store(p_check)
-    _add_thresholds(p_check)
     p_check.add_argument(
         "--baseline",
         required=True,
@@ -754,7 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="plant synthetic time/counter/pin regressions and "
         "verify the sentinel catches all of them",
     )
-    _add_thresholds(p_selftest)
     p_selftest.set_defaults(func=_cmd_obs_selftest)
 
     return parser
@@ -806,7 +748,7 @@ def _record_run(args: argparse.Namespace, tracer, registry) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    Exit codes: 0 success, 1 findings (``audit``/``lint``) or detected
+    Exit codes: 0 success, 1 findings (``audit``) or detected
     regressions (``obs diff``/``obs check``), 2 invalid input -- every
     typed :class:`ReproError` (and ``OSError`` on file arguments) is
     rendered as a one-line diagnostic on stderr.  ``--log-level

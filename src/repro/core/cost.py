@@ -34,7 +34,8 @@ feature is active:
 
 Each lane's float chain follows the scalar evaluation order term for
 term (a-side terms, then b-side terms), so a batch prices every pair
-exactly as a one-lane call on its plan does.
+bit for bit as the scalar references of ``tests/scalar_reference.py``
+price its plan.
 """
 
 from __future__ import annotations

@@ -314,12 +314,12 @@ class PairLanes:
     lengths of both new edges (:attr:`edges`).
     """
 
-    def __init__(self, merger: "BottomUpMerger", a, b, distance, edges=None):
+    def __init__(self, merger: "BottomUpMerger", a, b, distance):
         self.merger = merger
         self.a = a
         self.b = b
         self.distance = distance
-        self._edges = edges
+        self._edges = None
         self._merged_probability: object = _UNSET
 
     @property
@@ -345,18 +345,13 @@ class PairCost:
     """A greedy merge objective.
 
     :meth:`batch` is the only implementation: the merger calls it on
-    whole candidate batches, and one planned merge is a one-lane batch
-    (:meth:`__call__`).  Lanes are independent, read node state from
-    ``merger.node_arrays`` by id, and must price the pair in its lane
-    orientation exactly as its scalar plan would.
+    whole candidate batches.  Lanes are independent, read node state
+    from ``merger.node_arrays`` by id, and must price the pair in its
+    lane orientation exactly as its scalar plan would.
     """
 
     def batch(self, merger: "BottomUpMerger", lanes: PairLanes) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, plan: MergePlan, merger: "BottomUpMerger") -> float:
-        """The cost of one planned merge."""
-        return float(self.batch(merger, merger.plan_lanes(plan))[0])
 
 
 class NearestNeighborCost(PairCost):
@@ -580,23 +575,6 @@ class BottomUpMerger:
     # ------------------------------------------------------------------
     # the candidate screen
     # ------------------------------------------------------------------
-    def plan_lanes(self, plan: MergePlan) -> PairLanes:
-        """One planned merge as a one-lane batch."""
-        edges = tuple(
-            (EdgeCells((decision,)), np.array([length]))
-            for decision, length in (
-                (plan.decision_a, plan.split.length_a),
-                (plan.decision_b, plan.split.length_b),
-            )
-        )
-        return PairLanes(
-            self,
-            np.array([plan.a_id]),
-            np.array([plan.b_id]),
-            np.array([plan.distance]),
-            edges=edges,
-        )
-
     def _merged_probabilities(self, a, b):
         """Batched ``P(EN)`` of each lane's union module set.
 

@@ -305,7 +305,9 @@ class NodeArrays:
     Signatures of merged pairs are one bitwise OR away, which is what
     lets the costs batch the oracle lookups.  Rows are written once, as
     nodes are created, and never change afterwards, so candidate
-    gathers are plain fancy indexing.
+    gathers are plain fancy indexing.  The arrays never grow:
+    ``capacity`` must exceed every id written (the merger passes its
+    ``2N - 1`` node ids).
     """
 
     _FIELDS = (
@@ -328,20 +330,10 @@ class NodeArrays:
             setattr(self, name, np.zeros(capacity, dtype=np.float64))
         self.sig = np.zeros(capacity, dtype=object if wide_signatures else np.int64)
 
-    def _grow(self, needed: int) -> None:
-        size = max(needed + 1, 2 * self.ulo.size)
-        for name in self.__slots__:
-            old = getattr(self, name)
-            grown = np.zeros(size, dtype=old.dtype)
-            grown[: old.size] = old
-            setattr(self, name, grown)
-
     def set_row(
         self, nid: int, node: "ClockNode", sig: int = 0, star: float = 0.0
     ) -> None:
         """Mirror one node's merge state under its id."""
-        if nid >= self.ulo.size:
-            self._grow(nid)
         seg = node.merging_segment
         self.ulo[nid], self.uhi[nid], self.vlo[nid], self.vhi[nid] = seg.bounds_uv
         self.cap[nid] = node.subtree_cap
@@ -358,12 +350,13 @@ class ActiveIds:
     Removal swaps the last id into the vacated slot, so the live prefix
     stays contiguous and a candidate batch is one slice (order is
     arbitrary -- the kernels rank by ``(cost, id)``, which is
-    order-independent).
+    order-independent).  ``capacity`` bounds the ids live at once; it
+    never grows.
     """
 
     __slots__ = ("_ids", "_pos", "_count")
 
-    def __init__(self, ids: Iterable[int], capacity: int = 0):
+    def __init__(self, ids: Iterable[int], capacity: int):
         self._ids = np.empty(max(1, int(capacity)), dtype=np.int64)
         self._pos = {}
         self._count = 0
@@ -376,10 +369,6 @@ class ActiveIds:
     def add(self, nid: int) -> None:
         if nid in self._pos:
             return
-        if self._count == self._ids.size:
-            grown = np.empty(2 * self._ids.size, dtype=np.int64)
-            grown[: self._count] = self._ids[: self._count]
-            self._ids = grown
         self._ids[self._count] = nid
         self._pos[nid] = self._count
         self._count += 1

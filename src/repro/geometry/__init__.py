@@ -19,13 +19,10 @@ Public names:
     Immutable 2-D point with Manhattan-distance helpers.
 ``Trr``
     Tilted rectangle region, also used (degenerate) for Manhattan arcs
-    and single points.
-``ManhattanArc``
-    Convenience wrapper describing a merging segment by its endpoints.
+    -- the merging segments -- and single points.
 """
 
-from repro.geometry.point import Point, manhattan_distance
+from repro.geometry.point import Point
 from repro.geometry.trr import Trr
-from repro.geometry.arc import ManhattanArc
 
-__all__ = ["Point", "manhattan_distance", "Trr", "ManhattanArc"]
+__all__ = ["Point", "Trr"]

@@ -8,7 +8,6 @@ L-infinity metric, which is what makes tilted-rectangle arithmetic (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,17 +40,9 @@ class Point:
         """Manhattan (L1) distance to ``other``."""
         return abs(self.x - other.x) + abs(self.y - other.y)
 
-    def euclidean_to(self, other: "Point") -> LengthUm:
-        """Euclidean (L2) distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def midpoint(self, other: "Point") -> "Point":
         """The point halfway between ``self`` and ``other``."""
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translated(self, dx: LengthUm, dy: LengthUm) -> "Point":
-        """A copy shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
     def is_close(self, other: "Point", tol: LengthUm = 1e-9) -> bool:
         """True when both coordinates match within ``tol``."""
@@ -60,8 +51,3 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-
-def manhattan_distance(a: Point, b: Point) -> LengthUm:
-    """Manhattan (L1) distance between two points."""
-    return a.manhattan_to(b)

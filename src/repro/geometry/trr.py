@@ -23,7 +23,7 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.check.errors import GeometryError
 from repro.geometry.point import Point
@@ -128,16 +128,6 @@ class Trr:
         """The center of the region in layout coordinates."""
         return Point.from_uv((self.ulo + self.uhi) / 2.0, (self.vlo + self.vhi) / 2.0)
 
-    def corners_xy(self) -> List[Point]:
-        """The (up to four) corners, in layout coordinates."""
-        seen = []
-        for u in (self.ulo, self.uhi):
-            for v in (self.vlo, self.vhi):
-                p = Point.from_uv(u, v)
-                if not any(p.is_close(q) for q in seen):
-                    seen.append(p)
-        return seen
-
     def endpoints_xy(self) -> Tuple[Point, Point]:
         """Endpoints when the region is a Manhattan arc.
 
@@ -220,18 +210,3 @@ class Trr:
         if ulo - uhi > tol or vlo - vhi > tol:
             return None
         return Trr(min(ulo, uhi), max(ulo, uhi), min(vlo, vhi), max(vlo, vhi))
-
-    def sample_points(self, n: int = 5) -> Iterable[Point]:
-        """Evenly spread sample points (useful for tests and plotting)."""
-        if n < 1:
-            raise GeometryError("n must be positive")
-        if n == 1:
-            yield self.center()
-            return
-        for i in range(n):
-            fu = i / (n - 1)
-            for j in range(n):
-                fv = j / (n - 1)
-                yield Point.from_uv(
-                    self.ulo + fu * self.u_extent, self.vlo + fv * self.v_extent
-                )

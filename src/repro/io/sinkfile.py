@@ -12,7 +12,6 @@ Format (whitespace-separated, ``#`` comments)::
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO, Union
@@ -113,10 +112,3 @@ def write_sinks(sinks: Sequence[Sink], target: Union[PathLike, TextIO]) -> None:
             "%s %.6f %.6f %.9f %d\n"
             % (sink.name, sink.location.x, sink.location.y, sink.load_cap, sink.module)
         )
-
-
-def sinks_to_text(sinks: Sequence[Sink]) -> str:
-    """The sink file contents as a string."""
-    buffer = io.StringIO()
-    write_sinks(sinks, buffer)
-    return buffer.getvalue()

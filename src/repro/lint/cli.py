@@ -1,19 +1,19 @@
-"""The ``gated-cts lint`` subcommand (also ``python -m repro.lint``).
+"""The linter's command line: ``python -m repro.lint``.
 
 Exit codes follow the auditor's convention: 0 clean, 1 findings,
 2 error (unreadable path, syntax error, unknown rule code -- every
-error is a typed :class:`~repro.check.errors.ReproError`, so the
-top-level CLI renders it as a one-line diagnostic).
+error is a typed :class:`~repro.check.errors.InputError`, rendered as
+a one-line ``repro-lint:`` diagnostic on stderr).
 
 Usage::
 
-    gated-cts lint                       # lint src/repro
-    gated-cts lint --format json         # machine-readable report
-    gated-cts lint src/repro/cts         # restrict the scan
-    gated-cts lint --select REP003 src/repro/bench benchmarks
-                                         # only some rules, other roots
-    gated-cts lint --explain REP005      # what a rule means and why
-    gated-cts lint --check-noqa          # fail on stale suppressions
+    python -m repro.lint                   # lint src/repro
+    python -m repro.lint --format json     # machine-readable report
+    python -m repro.lint src/repro/cts     # restrict the scan
+    python -m repro.lint --select REP003 src/repro/bench benchmarks
+                                           # only some rules, other roots
+    python -m repro.lint --explain REP005  # what a rule means and why
+    python -m repro.lint --check-noqa      # fail on stale suppressions
 """
 
 from __future__ import annotations
@@ -31,47 +31,6 @@ from repro.lint.rules import default_rules, rule_catalog
 
 #: Default scan target, relative to the project root.
 DEFAULT_TARGET = os.path.join("src", "repro")
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags to an (sub)parser."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help="project root for relative paths and the parity-test "
-        "lookup (default: current directory)",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all rules)",
-    )
-    parser.add_argument(
-        "--explain",
-        default=None,
-        metavar="CODE",
-        help="print what a rule checks and why, then exit",
-    )
-    parser.add_argument(
-        "--check-noqa",
-        action="store_true",
-        help="also fail (exit 1) on '# repro: noqa' comments that "
-        "suppress nothing; incompatible with --select, since a "
-        "partial rule set cannot tell live suppressions from stale",
-    )
 
 
 def explain_rule(code: str) -> int:
@@ -143,12 +102,48 @@ def run_lint_cli(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.lint``)."""
+    """The entry point of ``python -m repro.lint``."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="project-invariant static analysis for the repro tree",
     )
-    add_lint_arguments(parser)
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories to lint (default: src/repro)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="report format (default: text)",
+    )
+    parser.add_argument(
+        "--root",
+        default=None,
+        metavar="DIR",
+        help="project root for relative paths and the parity-test "
+        "lookup (default: current directory)",
+    )
+    parser.add_argument(
+        "--select",
+        default=None,
+        metavar="CODES",
+        help="comma-separated rule codes to run (default: all rules)",
+    )
+    parser.add_argument(
+        "--explain",
+        default=None,
+        metavar="CODE",
+        help="print what a rule checks and why, then exit",
+    )
+    parser.add_argument(
+        "--check-noqa",
+        action="store_true",
+        help="also fail (exit 1) on '# repro: noqa' comments that "
+        "suppress nothing; incompatible with --select, since a "
+        "partial rule set cannot tell live suppressions from stale",
+    )
     args = parser.parse_args(argv)
     try:
         return run_lint_cli(args)

@@ -70,7 +70,7 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.sentinel import RunDiff, Thresholds, compare_runs, self_test
+from repro.obs.sentinel import RunDiff, compare_runs, self_test
 from repro.obs.tracer import (
     NULL_SPAN,
     Span,
@@ -100,7 +100,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Span",
     "SpanRecord",
-    "Thresholds",
     "Tracer",
     "canonical_dumps",
     "chrome_trace",

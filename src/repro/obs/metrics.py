@@ -19,7 +19,7 @@ boundaries, not in inner loops, so the registry is always on.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 from repro.check.errors import ContractError, ContractTypeError
 
 
@@ -76,10 +76,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
 
     @property
     def mean(self) -> float:
@@ -169,9 +165,6 @@ class MetricsRegistry:
 
     def names(self):
         return sorted(self._metrics)
-
-    def reset(self) -> None:
-        self._metrics.clear()
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         """All metrics, keyed by name (sorted), values via ``as_dict``."""

@@ -22,10 +22,8 @@ signal that silently stopped, not noise.  One only the current run has
 is ``new`` and passes.
 
 The noise model is deliberately simple and explicit (threshold +
-floor per section) rather than statistical: records carry single runs,
-not distributions, and the thresholds are CLI-overridable where a
-calibrated environment (CI re-running its own baseline) can afford
-tighter bands.
+floor per section, the module constants below) rather than
+statistical: records carry single runs, not distributions.
 
 Exit-code contract (``gated-cts obs diff/check``): 0 clean (improved
 is clean), 1 at least one regression, 2 invalid input.
@@ -48,26 +46,14 @@ ALL_SECTIONS = ("pins", "time", "counters")
 FAILING = ("regression", "pin-mismatch", "missing")
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The explicit noise model of one comparison."""
-
-    time_rel: float = 1.5
-    """Phase (and root) time ratio above which slower -> regression."""
-    time_floor_ns: int = 50_000_000
-    """Phases faster than this in *both* runs are never flagged."""
-    counter_rel: float = 0.25
-    """Counters may drift this fraction in either direction."""
-    counter_floor: int = 32
-    """Counters at or below this in both runs are never flagged."""
-
-    def __post_init__(self):
-        if self.time_rel <= 1.0:
-            raise InputError("time_rel must be > 1.0", field="thresholds")
-        if self.counter_rel < 0.0:
-            raise InputError(
-                "counter_rel must be >= 0", field="thresholds"
-            )
+#: Phase (and root) time ratio above which slower -> regression.
+TIME_REL = 1.5
+#: Phases faster than this in *both* runs are never flagged.
+TIME_FLOOR_NS = 50_000_000
+#: Counters may drift this fraction in either direction.
+COUNTER_REL = 0.25
+#: Counters at or below this in both runs are never flagged.
+COUNTER_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,6 @@ class RunDiff:
     baseline_id: str
     current_id: str
     sections: Tuple[str, ...]
-    thresholds: Thresholds
     findings: List[Finding] = field(default_factory=list)
 
     @property
@@ -147,17 +132,17 @@ def _ratio(baseline: float, current: float) -> Optional[float]:
     return (current / baseline) if baseline > 0 else None
 
 
-def _compare_ns(name: str, baseline: int, current: int, t: Thresholds) -> Finding:
+def _compare_ns(name: str, baseline: int, current: int) -> Finding:
     """Ratio-vs-threshold verdict for one timed quantity."""
-    if baseline <= t.time_floor_ns and current <= t.time_floor_ns:
+    if baseline <= TIME_FLOOR_NS and current <= TIME_FLOOR_NS:
         return Finding("time", name, "ok", baseline, current)
     ratio = _ratio(baseline, current)
     message = "%.4gs -> %.4gs" % (baseline / 1e9, current / 1e9)
     if ratio is not None:
-        message += " (%.2fx, threshold %.2fx)" % (ratio, t.time_rel)
-    if ratio is None or ratio > t.time_rel:
+        message += " (%.2fx, threshold %.2fx)" % (ratio, TIME_REL)
+    if ratio is None or ratio > TIME_REL:
         return Finding("time", name, "regression", baseline, current, ratio, message)
-    if ratio < 1.0 / t.time_rel:
+    if ratio < 1.0 / TIME_REL:
         return Finding("time", name, "improved", baseline, current, ratio, message)
     return Finding("time", name, "ok", baseline, current, ratio)
 
@@ -194,24 +179,18 @@ def _compare_pins(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
             )
 
 
-def _compare_time(
-    baseline: RunRecord, current: RunRecord, t: Thresholds
-) -> Iterable[Finding]:
-    yield _compare_ns("(root)", baseline.root_ns, current.root_ns, t)
+def _compare_time(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
+    yield _compare_ns("(root)", baseline.root_ns, current.root_ns)
     base_rows, cur_rows = baseline.phase_rows(), current.phase_rows()
     for name in sorted(set(base_rows) | set(cur_rows)):
         unpaired = _unpaired("time", name, base_rows, cur_rows)
         if unpaired is not None:
             yield unpaired
             continue
-        yield _compare_ns(
-            name, base_rows[name]["total_ns"], cur_rows[name]["total_ns"], t
-        )
+        yield _compare_ns(name, base_rows[name]["total_ns"], cur_rows[name]["total_ns"])
 
 
-def _compare_counters(
-    baseline: RunRecord, current: RunRecord, t: Thresholds
-) -> Iterable[Finding]:
+def _compare_counters(baseline: RunRecord, current: RunRecord) -> Iterable[Finding]:
     base_c, cur_c = baseline.counters(), current.counters()
     for name in sorted(set(base_c) | set(cur_c)):
         unpaired = _unpaired("counters", name, base_c, cur_c)
@@ -219,11 +198,11 @@ def _compare_counters(
             yield unpaired
             continue
         base, cur = base_c[name], cur_c[name]
-        if base <= t.counter_floor and cur <= t.counter_floor:
+        if base <= COUNTER_FLOOR and cur <= COUNTER_FLOOR:
             yield Finding("counters", name, "ok", base, cur)
             continue
-        low = base * (1.0 - t.counter_rel)
-        high = base * (1.0 + t.counter_rel)
+        low = base * (1.0 - COUNTER_REL)
+        high = base * (1.0 + COUNTER_REL)
         if low <= cur <= high:
             yield Finding(
                 "counters", name, "ok", base, cur, _ratio(base, cur)
@@ -239,11 +218,9 @@ def _compare_counters(
 def compare_runs(
     baseline: RunRecord,
     current: RunRecord,
-    thresholds: Optional[Thresholds] = None,
     sections: Sequence[str] = ALL_SECTIONS,
 ) -> RunDiff:
     """Compare two run records; see the module docstring for the model."""
-    thresholds = thresholds or Thresholds()
     if not sections:
         raise InputError(
             "no diff section selected (choose from %s)" % ", ".join(ALL_SECTIONS),
@@ -260,14 +237,13 @@ def compare_runs(
         baseline_id=baseline.run_id,
         current_id=current.run_id,
         sections=tuple(sections),
-        thresholds=thresholds,
     )
     if "pins" in sections:
         diff.findings.extend(_compare_pins(baseline, current))
     if "time" in sections:
-        diff.findings.extend(_compare_time(baseline, current, thresholds))
+        diff.findings.extend(_compare_time(baseline, current))
     if "counters" in sections:
-        diff.findings.extend(_compare_counters(baseline, current, thresholds))
+        diff.findings.extend(_compare_counters(baseline, current))
     registry = get_registry()
     registry.counter("sentinel.comparisons").inc()
     registry.counter("sentinel.regressions_found").inc(len(diff.regressions))
@@ -336,7 +312,7 @@ def synthetic_record(
     )
 
 
-def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
+def self_test() -> Tuple[bool, str]:
     """Does the sentinel catch planted regressions and pass clean runs?
 
     Plants a synthetic 2x ``topology.gated`` slowdown, a counter
@@ -345,12 +321,11 @@ def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
     ``(ok, report)`` where ``ok`` requires every planted fault to be
     caught *and* the identical pair to diff clean.
     """
-    thresholds = thresholds or Thresholds()
     baseline = synthetic_record()
     lines = []
     ok = True
 
-    clean = compare_runs(baseline, synthetic_record(), thresholds)
+    clean = compare_runs(baseline, synthetic_record())
     lines.append("identical runs: %s" % clean.summary())
     ok &= clean.ok
 
@@ -363,7 +338,7 @@ def self_test(thresholds: Optional[Thresholds] = None) -> Tuple[bool, str]:
         "dropped pin": synthetic_record(pins={"gate_count": 254}),
     }
     for what, record in planted.items():
-        diff = compare_runs(baseline, record, thresholds)
+        diff = compare_runs(baseline, record)
         caught = not diff.ok
         lines.append(
             "planted %s: %s" % (what, "caught" if caught else "MISSED")

@@ -47,10 +47,6 @@ class SpanRecord:
     duration_ns: int
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.duration_ns
-
     def as_dict(self) -> Dict[str, Any]:
         """Stable-key dict for the RunRecord span rows."""
         return {
@@ -167,10 +163,6 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         return Span(self, name, attrs)
-
-    def reset(self) -> None:
-        """Drop all finished spans (open spans keep recording)."""
-        self.spans.clear()
 
 
 #: The process-global tracer: disabled until someone opts in.

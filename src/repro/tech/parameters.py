@@ -16,7 +16,7 @@ ranges for the r1-r5 style benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.check.errors import TechnologyError
 from repro.quantity import (
@@ -120,11 +120,3 @@ class Technology:
     def wire_cap(self, length: LengthUm) -> CapacitanceFF:
         """Total capacitance of a wire of the given length, pF."""
         return self.unit_wire_capacitance * length
-
-    def wire_res(self, length: LengthUm) -> ResistanceOhm:
-        """Total resistance of a wire of the given length, ohm."""
-        return self.unit_wire_resistance * length
-
-    def with_masking_gate(self, gate: GateModel) -> "Technology":
-        """A copy with a different masking-gate model."""
-        return replace(self, masking_gate=gate)

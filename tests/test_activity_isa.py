@@ -40,16 +40,6 @@ class TestInstructionSet:
         with pytest.raises(ValueError):
             InstructionSet(instructions=(), num_modules=1)
 
-    def test_index_of(self):
-        isa = paper_example_isa()
-        assert isa.index_of("I3") == 2
-        with pytest.raises(KeyError):
-            isa.index_of("nope")
-
-    def test_modules_used(self):
-        isa = paper_example_isa()
-        assert isa.modules_used(1) == [0, 3]  # I2 uses M1, M4
-
     def test_average_usage_uniform(self):
         # Paper ISA: usage counts 4, 2, 3, 2 over 6 modules.
         isa = paper_example_isa()

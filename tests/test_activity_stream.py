@@ -31,9 +31,6 @@ class TestInstructionStream:
         with pytest.raises(ValueError):
             InstructionStream(ids=np.array([0, -1]))
 
-    def test_num_pairs(self):
-        assert InstructionStream(ids=np.arange(5)).num_pairs == 4
-
 
 class TestMarkovModel:
     def test_rejects_non_stochastic(self):

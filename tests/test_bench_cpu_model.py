@@ -31,11 +31,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CpuModelConfig(num_modules=4, cluster_coherence=0.0)
 
-    def test_with_activity(self):
-        cfg = CpuModelConfig(num_modules=4, target_activity=0.4)
-        assert cfg.with_activity(0.2).target_activity == 0.2
-        assert cfg.with_activity(0.2).num_modules == 4
-
     def test_resolved_clusters_default(self):
         assert CpuModelConfig(num_modules=48).resolved_num_clusters == 8
         assert CpuModelConfig(num_modules=480).resolved_num_clusters == 20

@@ -32,6 +32,11 @@ class TestParser:
             ["sweep", "--audit"],
             ["audit", "--gate-sizing"],
             ["audit", "--audit"],
+            ["lint"],
+            ["obs", "diff", "a", "b", "--time-rel", "2"],
+            ["obs", "check", "--baseline", "a", "--counter-rel", "0.5"],
+            ["obs", "selftest", "--time-floor-ms", "10"],
+            ["obs", "selftest", "--sections", "bogus"],
         ),
         ids=lambda argv: "-".join(argv).replace("--", ""),
     )
@@ -229,10 +234,30 @@ class TestCommands:
         assert code == 0
         assert "gated" in capsys.readouterr().out
 
-    def test_external_inputs_require_workload(self, tmp_path):
+    def test_external_inputs_require_workload(self, tmp_path, capsys):
         from repro.bench.sinks import SinkGenerator
         from repro.io.sinkfile import write_sinks
 
         write_sinks(SinkGenerator(num_sinks=4, seed=0).generate(), tmp_path / "s.txt")
-        with pytest.raises(SystemExit):
-            main(["route", "--sinks", str(tmp_path / "s.txt")])
+        code = main(["route", "--sinks", str(tmp_path / "s.txt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "--isa and --instr-trace" in captured.err
+
+    @pytest.mark.parametrize(
+        "workload",
+        (
+            ["--isa", "/nonexistent.json"],
+            ["--instr-trace", "/nonexistent.trace"],
+            ["--isa", "/nonexistent.json", "--instr-trace", "/nonexistent.trace"],
+        ),
+        ids=["isa", "instr-trace", "both"],
+    )
+    def test_workload_files_require_sinks(self, capsys, workload):
+        code = main(["route", "--benchmark", "r1", "--scale", "0.05"] + workload)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert "--sinks" in captured.err
+        assert "pF" not in captured.out

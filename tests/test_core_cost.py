@@ -1,4 +1,9 @@
-"""Unit tests for the switched-capacitance merge costs."""
+"""Unit tests for the switched-capacitance merge costs.
+
+Hand-computed values price one plan through the scalar reference
+evaluators; ``test_pair_cost_lanes`` holds the batched costs to those
+references lane by lane.
+"""
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy
 from repro.geometry import Point
 from repro.tech import unit_technology
+from tests.scalar_reference import REFERENCE_COSTS
 
 
 def oracle_from_bits(bits0, bits1):
@@ -32,6 +38,11 @@ def sinks_at(coords):
     ]
 
 
+def plan_cost(merger):
+    """The reference cost of merging sinks 0 and 1 in ``merger``."""
+    return REFERENCE_COSTS[merger.cost](merger.plan(0, 1), merger)
+
+
 def merger_for(sinks, oracle, cost):
     return BottomUpMerger(
         sinks,
@@ -49,20 +60,17 @@ class TestEq3Cost:
         oracle = oracle_from_bits([1, 1, 1, 1], [0, 0, 0, 0])
         sinks = sinks_at([(0, 0), (10, 0)])
         merger = merger_for(sinks, oracle, switched_capacitance_cost)
-        plan = merger.plan(0, 1)
         # Equal subtrees split 5/5.  P(m0)=1, P(m1)=0; Ptr=0 for both.
         # a_clk = 2; edge cost = 2*[(5*1+1)*1 + (5*1+1)*0] = 12; gates'
         # star terms vanish (Ptr=0).
-        cost = switched_capacitance_cost(plan, merger)
-        assert cost == pytest.approx(12.0)
+        assert plan_cost(merger) == pytest.approx(12.0)
 
     def test_controller_term_counts_transitions(self):
         # m0 toggles every cycle: P = 0.5, Ptr = 1.
         oracle = oracle_from_bits([1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0])
         sinks = sinks_at([(0, 0), (10, 0)])
         merger = merger_for(sinks, oracle, switched_capacitance_cost)
-        plan = merger.plan(0, 1)
-        cost = switched_capacitance_cost(plan, merger)
+        cost = plan_cost(merger)
         # Clock terms: 2*[(6*0.5) + 0] = 6 (split is uneven: the idle
         # side is lighter-loaded... both loads equal so split 5/5):
         # 2*[(5+1)*0.5 + (5+1)*0] = 6.
@@ -82,9 +90,7 @@ class TestEq3Cost:
             sinks_at([(0, 0), (10, 0)]), oracle_from_bits([0] * 4, [0] * 4),
             switched_capacitance_cost,
         )
-        assert switched_capacitance_cost(
-            idle.plan(0, 1), idle
-        ) < switched_capacitance_cost(busy.plan(0, 1), busy)
+        assert plan_cost(idle) < plan_cost(busy)
 
 
 class TestIncrementalCost:
@@ -92,11 +98,9 @@ class TestIncrementalCost:
         oracle = oracle_from_bits([1, 1, 1, 1], [0, 0, 0, 0])
         sinks = sinks_at([(0, 0), (10, 0)])
         merger = merger_for(sinks, oracle, incremental_switched_capacitance_cost)
-        plan = merger.plan(0, 1)
         # Wire terms: 2*[5*1 + 5*0] = 10; gate pins: 2*(1+1)*P_k(=1) = 4;
         # stars: 0 (no transitions).  Eq. 3 would add the sink loads.
-        cost = incremental_switched_capacitance_cost(plan, merger)
-        assert cost == pytest.approx(14.0)
+        assert plan_cost(merger) == pytest.approx(14.0)
 
     def test_grows_with_distance(self):
         oracle = oracle_from_bits([1, 0, 1, 0], [0, 1, 0, 1])
@@ -106,9 +110,7 @@ class TestIncrementalCost:
         far = merger_for(
             sinks_at([(0, 0), (40, 0)]), oracle, incremental_switched_capacitance_cost
         )
-        assert incremental_switched_capacitance_cost(
-            near.plan(0, 1), near
-        ) < incremental_switched_capacitance_cost(far.plan(0, 1), far)
+        assert plan_cost(near) < plan_cost(far)
 
     def test_correlated_union_cheaper_than_uncorrelated(self):
         # Same marginals (P = 0.5 each) but co-active vs anti-active:
@@ -119,9 +121,7 @@ class TestIncrementalCost:
         coords = [(0, 0), (10, 0)]
         m_corr = merger_for(sinks_at(coords), correlated, incremental_switched_capacitance_cost)
         m_anti = merger_for(sinks_at(coords), anti, incremental_switched_capacitance_cost)
-        assert incremental_switched_capacitance_cost(
-            m_corr.plan(0, 1), m_corr
-        ) < incremental_switched_capacitance_cost(m_anti.plan(0, 1), m_anti)
+        assert plan_cost(m_corr) < plan_cost(m_anti)
 
 
 class TestCostDrivenTopology:

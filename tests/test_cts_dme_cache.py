@@ -13,6 +13,7 @@ import pytest
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
 from repro.activity.isa import paper_example_isa, paper_example_stream
+from repro.bench.suite import load_benchmark
 from repro.core.cost import (
     incremental_switched_capacitance_cost,
     switched_capacitance_cost,
@@ -20,7 +21,7 @@ from repro.core.cost import (
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy, nearest_neighbor_cost
 from repro.geometry import Point
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 from tests.scalar_reference import ScalarReferenceMerger
 
 NUM_MODULES = 6  # paper_example_isa()
@@ -52,6 +53,11 @@ def build(sinks, oracle=None, cost=None, candidate_limit=None, merger_class=Bott
         kwargs["cell_policy"] = GateEveryEdgePolicy()
         kwargs["controller_point"] = Point(0.0, 0.0)
     return merger_class(sinks, unit_technology(), **kwargs)
+
+
+def unoriented(trace):
+    """A merge trace with each pair's orientation dropped."""
+    return [(min(a, b), max(a, b), merged) for a, b, merged in trace]
 
 
 def run_config(sinks, **kwargs):
@@ -186,8 +192,12 @@ class TestOracleMemo:
 
 
 class TestRepairStrategies:
-    """Lazy (pop-time) and eager (per-merge) re-pairing are decision-
-    identical; only the accounting of where recomputes happen moves."""
+    """Lazy (pop-time) and eager (per-merge) re-pairing merge the same
+    pairs in the same order; only the accounting of where recomputes
+    happen moves.  They may orient a merge differently -- which node of
+    the pair pops first -- so traces are compared without orientation:
+    on r1 at scale 0.5 (134 sinks, gate on every edge, exact greedy),
+    merges 70 and 72 come out flipped."""
 
     def test_lazy_is_default_without_candidate_limit(self, oracle):
         merger = build(
@@ -204,6 +214,19 @@ class TestRepairStrategies:
         )
         assert merger._eager_repair
 
+    @staticmethod
+    def _lazy_and_eager(make):
+        lazy, eager = make(), make()
+        eager._eager_repair = True  # force the per-merge orphan loop
+        lazy_tree, eager_tree = lazy.run(), eager.run()
+        assert unoriented(eager.merge_trace) == unoriented(lazy.merge_trace)
+        assert eager_tree.total_wirelength() == lazy_tree.total_wirelength()
+        # The work moved, it did not change the decisions.
+        assert lazy.stats.orphan_recomputes == 0
+        assert lazy.stats.repair_recomputes > 0
+        assert eager.stats.orphan_recomputes > 0
+        assert eager.stats.repair_recomputes == 0
+
     @pytest.mark.parametrize(
         "cost", [incremental_switched_capacitance_cost, nearest_neighbor_cost],
         ids=["incremental", "nn"],
@@ -211,18 +234,21 @@ class TestRepairStrategies:
     def test_lazy_and_eager_traces_identical(self, oracle, cost):
         sinks = make_sinks(40, seed=25)
         use_oracle = oracle if cost is incremental_switched_capacitance_cost else None
-        lazy = build(sinks, oracle=use_oracle, cost=cost)
-        lazy_tree = lazy.run()
-        eager = build(sinks, oracle=use_oracle, cost=cost)
-        eager._eager_repair = True  # force the per-merge orphan loop
-        eager_tree = eager.run()
-        assert eager.merge_trace == lazy.merge_trace
-        assert eager_tree.total_wirelength() == lazy_tree.total_wirelength()
-        # The work moved, it did not change the decisions.
-        assert lazy.stats.orphan_recomputes == 0
-        assert lazy.stats.repair_recomputes > 0
-        assert eager.stats.orphan_recomputes > 0
-        assert eager.stats.repair_recomputes == 0
+        self._lazy_and_eager(lambda: build(sinks, oracle=use_oracle, cost=cost))
+
+    def test_lazy_and_eager_traces_identical_on_r1(self):
+        tech = date98_technology()
+        case = load_benchmark("r1", scale=0.5)
+        self._lazy_and_eager(
+            lambda: BottomUpMerger(
+                case.sinks,
+                tech,
+                cost=incremental_switched_capacitance_cost,
+                cell_policy=GateEveryEdgePolicy(),
+                oracle=case.oracle,
+                controller_point=case.die.center,
+            )
+        )
 
     def test_repair_counters_in_snapshot(self, oracle):
         merger, _, _ = run_config(

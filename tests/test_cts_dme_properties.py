@@ -9,6 +9,7 @@ from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import GateEveryEdgePolicy, nearest_neighbor_cost
 from repro.geometry import Point
 from repro.tech import unit_technology
+from tests.scalar_reference import REFERENCE_COSTS
 
 
 @st.composite
@@ -90,6 +91,7 @@ class TestLazyGreedyEquivalence:
 
     def _naive_trace(self, sinks, tech, cost, policy):
         merger = BottomUpMerger(sinks, tech, cost=cost, cell_policy=policy)
+        reference_cost = REFERENCE_COSTS[cost]
         active = set(range(len(sinks)))
         trace = []
         while len(active) > 1:
@@ -99,7 +101,7 @@ class TestLazyGreedyEquivalence:
             best = {}
             for nid in active:
                 candidates = [
-                    (merger.cost(merger.plan(nid, other), merger), other)
+                    (reference_cost(merger.plan(nid, other), merger), other)
                     for other in active
                     if other != nid
                 ]

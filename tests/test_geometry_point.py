@@ -1,10 +1,8 @@
 """Unit tests for Manhattan-plane points."""
 
-import math
-
 import pytest
 
-from repro.geometry import Point, manhattan_distance
+from repro.geometry import Point
 
 
 class TestPointBasics:
@@ -46,16 +44,6 @@ class TestDistances:
             max(abs(a.u - b.u), abs(a.v - b.v))
         )
 
-    def test_euclidean_distance(self):
-        assert Point(0, 0).euclidean_to(Point(3, 4)) == 5.0
-
-    def test_euclidean_never_exceeds_manhattan(self):
-        a, b = Point(-1, 7), Point(4, 2)
-        assert a.euclidean_to(b) <= a.manhattan_to(b)
-
-    def test_module_level_helper(self):
-        assert manhattan_distance(Point(0, 0), Point(1, 1)) == 2.0
-
 
 class TestConstructions:
     def test_midpoint(self):
@@ -66,13 +54,9 @@ class TestConstructions:
         m = a.midpoint(b)
         assert a.manhattan_to(m) == pytest.approx(b.manhattan_to(m))
 
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -3) == Point(3, -2)
-
     def test_is_close_tolerance(self):
         assert Point(0, 0).is_close(Point(1e-12, -1e-12))
         assert not Point(0, 0).is_close(Point(1e-3, 0))
 
     def test_diagonal_unit_square(self):
         assert Point(0, 0).manhattan_to(Point(1, 1)) == 2.0
-        assert Point(0, 0).euclidean_to(Point(1, 1)) == pytest.approx(math.sqrt(2))

@@ -160,15 +160,3 @@ class TestArcGeometry:
         t = Trr.from_point(Point(0, 0), radius=1.0)
         with pytest.raises(ValueError):
             t.endpoints_xy()
-
-    def test_corners_of_point_is_single(self):
-        assert len(Trr.from_point(Point(1, 1)).corners_xy()) == 1
-
-    def test_corners_of_ball_is_four(self):
-        assert len(Trr.from_point(Point(0, 0), radius=1.0).corners_xy()) == 4
-
-    def test_sample_points_lie_inside(self):
-        t = Trr.from_point(Point(2, -1), radius=3.0)
-        pts = list(t.sample_points(4))
-        assert pts
-        assert all(t.contains_point(p) for p in pts)

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.bench.sinks import generate_sinks
-from repro.io.sinkfile import read_sinks, sinks_to_text, write_sinks
+from repro.io.sinkfile import read_sinks, write_sinks
 
 
 class TestRoundTrip:
@@ -23,8 +23,9 @@ class TestRoundTrip:
 
     def test_text_handles(self):
         sinks = generate_sinks("r1", scale=0.05).generate()
-        text = sinks_to_text(sinks)
-        loaded = read_sinks(io.StringIO(text))
+        buffer = io.StringIO()
+        write_sinks(sinks, buffer)
+        loaded = read_sinks(io.StringIO(buffer.getvalue()))
         assert len(loaded) == len(sinks)
 
 

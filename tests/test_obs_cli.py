@@ -91,14 +91,6 @@ class TestObsCommands:
              str(ledger_dir), "--sections", "pins,counters"]
         ) == 0
 
-    def test_check_threshold_overrides(self, synthetic_ledger):
-        ledger_dir, base_path, slow_path = synthetic_ledger
-        code = main(
-            ["obs", "diff", str(base_path), str(slow_path), "--dir",
-             str(ledger_dir), "--time-rel", "3.0", "--counter-rel", "0.5"]
-        )
-        assert code == 0
-
     def test_selftest_exit_0(self, capsys):
         assert main(["obs", "selftest"]) == 0
         assert "sentinel self-test: ok" in capsys.readouterr().out

@@ -65,7 +65,6 @@ class TestSpanNesting:
         inner, outer = tracer.spans
         assert inner.start_ns == 110 and inner.duration_ns == 10
         assert outer.start_ns == 100 and outer.duration_ns == 30
-        assert outer.end_ns == 130
 
     def test_real_clock_is_monotonic_ns(self):
         tracer = Tracer()
@@ -194,11 +193,3 @@ class TestGlobalTracer:
             assert get_tracer() is tracer and tracer.enabled
         finally:
             set_tracer(previous)
-
-    def test_reset_clears_spans(self):
-        tracer = Tracer(clock=_fake_clock())
-        with tracer.span("s"):
-            pass
-        tracer.reset()
-        assert tracer.spans == []
-

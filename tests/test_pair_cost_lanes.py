@@ -29,7 +29,6 @@ from repro.geometry import Point
 from repro.tech import date98_technology
 from tests.test_merge_trace_digests import tree_digest
 from tests.scalar_reference import (
-    REFERENCE_COSTS,
     ScalarReferenceMerger,
     keeps_gate,
     should_keep,
@@ -290,25 +289,3 @@ def test_sized_routes_unchanged(oracle, cost, limit, snaked_lanes):
     assert tree_digest(tree) == SIZED_ROUTES[name, limit]
     assert sum(snaked_lanes) > 0
     assert merger.stats.plans_computed == len(merger.merge_trace) == 11
-
-
-@pytest.mark.parametrize("cost", COSTS, ids=["eq3", "incremental"])
-def test_one_lane_call_matches_reference(oracle, cost):
-    rng = np.random.default_rng(9)
-    sinks = [
-        Sink(name="s%d" % i, location=Point(float(x), float(y)), load_cap=1.0, module=i % 6)
-        for i, (x, y) in enumerate(zip(rng.uniform(0, 300, 8), rng.uniform(0, 300, 8)))
-    ]
-    tech = date98_technology()
-    merger = BottomUpMerger(
-        sinks,
-        tech,
-        cost=cost,
-        cell_policy=GateReductionPolicy.from_knob(0.5, tech),
-        oracle=oracle,
-    )
-    for a in range(len(sinks)):
-        for b in range(len(sinks)):
-            if a != b:
-                plan = merger.plan(a, b)
-                assert cost(plan, merger) == REFERENCE_COSTS[cost](plan, merger)

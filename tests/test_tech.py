@@ -29,21 +29,11 @@ class TestTechnology:
     def test_wire_helpers(self):
         tech = unit_technology()
         assert tech.wire_cap(3.0) == 3.0
-        assert tech.wire_res(3.0) == 3.0
         assert tech.wire_area(3.0) == 3.0
 
     def test_wire_helpers_scale_with_constants(self):
         tech = date98_technology()
         assert tech.wire_cap(1000.0) == pytest.approx(1000 * tech.unit_wire_capacitance)
-        assert tech.wire_res(1000.0) == pytest.approx(1000 * tech.unit_wire_resistance)
-
-    def test_with_masking_gate_replaces_only_gate(self):
-        tech = unit_technology()
-        new_gate = tech.masking_gate.scaled(4.0)
-        updated = tech.with_masking_gate(new_gate)
-        assert updated.masking_gate == new_gate
-        assert updated.buffer == tech.buffer
-        assert updated.unit_wire_capacitance == tech.unit_wire_capacitance
 
 
 class TestPresets:
