@@ -28,9 +28,9 @@ Hierarchy::
         +-- EmbeddingAuditError (ValueError)  TRR / placement invalid
         +-- ControllerAuditError          enable-star inconsistency
 
-The ``REP002`` lint rule (``repro.lint``) enforces the taxonomy: a
-bare ``raise ValueError/RuntimeError/TypeError`` anywhere in
-``src/repro`` outside this package fails the lint gate.
+The ``REP002`` rule (``tests/test_invariants.py``) enforces the
+taxonomy: a bare ``raise ValueError/RuntimeError/TypeError`` anywhere
+in ``src/repro`` outside this package fails the test suite.
 """
 
 from __future__ import annotations

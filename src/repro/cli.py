@@ -29,9 +29,6 @@ Subcommands
     catches planted regressions.  Exit code 1 when a regression is
     detected.
 
-The project-invariant linter has its own entry point,
-``python -m repro.lint`` (:mod:`repro.lint.cli`).
-
 Examples::
 
     gated-cts route --benchmark r1 --scale 0.4 --method reduced --svg out.svg
@@ -125,15 +122,46 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _BenchmarkOption(argparse.Action):
+    """``store`` that also records the flag in ``benchmark_flags``.
+
+    A default cannot tell an explicit ``--scale 0.4`` from an absent
+    one, and ``route --sinks`` must reject the options it ignores.
+    """
+
+    def __call__(
+        self,
+        parser: argparse.ArgumentParser,
+        namespace: argparse.Namespace,
+        values: object,
+        option_string: Optional[str] = None,
+    ) -> None:
+        setattr(namespace, self.dest, values)
+        flags = getattr(namespace, "benchmark_flags", ())
+        namespace.benchmark_flags = flags + (option_string,)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--benchmark", default="r1", choices=benchmark_names(), help="benchmark id"
+        "--benchmark",
+        action=_BenchmarkOption,
+        default="r1",
+        choices=benchmark_names(),
+        help="benchmark id",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.4, help="sink-count scale in (0, 1]"
+        "--scale",
+        action=_BenchmarkOption,
+        type=float,
+        default=0.4,
+        help="sink-count scale in (0, 1]",
     )
     parser.add_argument(
-        "--activity", type=float, default=0.4, help="target average module activity"
+        "--activity",
+        action=_BenchmarkOption,
+        type=float,
+        default=0.4,
+        help="target average module activity",
     )
     parser.add_argument("--seed", type=int, default=None, help="benchmark seed")
 
@@ -161,6 +189,12 @@ def _load_external(args: argparse.Namespace):
 
     if not (args.isa and args.instr_trace):
         raise InputError("--sinks requires --isa and --instr-trace", field="sinks")
+    ignored = getattr(args, "benchmark_flags", ())
+    if ignored:
+        raise InputError(
+            "benchmark options do not apply to --sinks: %s" % ", ".join(ignored),
+            field="sinks",
+        )
     sinks = tuple(read_sinks(args.sinks))
     oracle = load_workload(args.isa, args.instr_trace)
     # Cross-file check: every sink's module id must exist in the ISA's
@@ -712,6 +746,7 @@ def _ledger_config(args: argparse.Namespace) -> dict:
         "ledger",
         "out",
         "svg",
+        "benchmark_flags",
     }
     return {
         key: value

@@ -3,8 +3,8 @@
 Every span or metric name the library emits must be registered here.
 Two consumers enforce that:
 
-* the ``REP004`` lint rule (``repro.lint``) statically checks that
-  every *literal* name passed to ``span()`` / ``counter()`` /
+* the ``REP004`` rule (``tests/test_invariants.py``) statically checks
+  that every *literal* name passed to ``span()`` / ``counter()`` /
   ``gauge()`` / ``histogram()`` matches the dotted lowercase
   convention and appears below (dynamic names must carry a registered
   literal prefix);

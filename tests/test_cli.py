@@ -205,8 +205,9 @@ class TestCommands:
         assert "gate-sizing" in captured.err
         assert "pF" not in captured.out
 
-    def test_external_inputs(self, tmp_path, capsys):
-        # Route from user-provided sink/ISA/trace files.
+    @staticmethod
+    def external_route(tmp_path):
+        """``route`` argv reading user-provided sink/ISA/trace files."""
         from repro.bench.cpu_model import CpuModel, CpuModelConfig
         from repro.bench.sinks import SinkGenerator
         from repro.io.sinkfile import write_sinks
@@ -218,21 +219,39 @@ class TestCommands:
         save_workload(
             cpu.isa, cpu.stream(300), tmp_path / "isa.json", tmp_path / "trace.txt"
         )
-        code = main(
-            [
-                "route",
-                "--sinks",
-                str(tmp_path / "sinks.txt"),
-                "--isa",
-                str(tmp_path / "isa.json"),
-                "--instr-trace",
-                str(tmp_path / "trace.txt"),
-                "--method",
-                "gated",
-            ]
-        )
+        return [
+            "route",
+            "--sinks",
+            str(tmp_path / "sinks.txt"),
+            "--isa",
+            str(tmp_path / "isa.json"),
+            "--instr-trace",
+            str(tmp_path / "trace.txt"),
+            "--method",
+            "gated",
+        ]
+
+    def test_external_inputs(self, tmp_path, capsys):
+        code = main(self.external_route(tmp_path))
         assert code == 0
         assert "gated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        (("--benchmark", "r1"), ("--scale", "0.4"), ("--activity", "0.3")),
+        ids=["benchmark", "scale", "activity"],
+    )
+    def test_external_inputs_reject_benchmark_options(
+        self, tmp_path, capsys, flag, value
+    ):
+        # An external route never reads these; an explicit value, even
+        # the default one, is an error rather than silently ignored.
+        code = main(self.external_route(tmp_path) + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InputError" in captured.err
+        assert flag in captured.err
+        assert "pF" not in captured.out
 
     def test_external_inputs_require_workload(self, tmp_path, capsys):
         from repro.bench.sinks import SinkGenerator
