@@ -18,12 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.bench.suite import bench_scale
-from repro.obs import RunLedger
 from repro.tech import date98_technology
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-LEDGER_DIR = Path(__file__).parent.parent / ".repro-runs"
 
 #: k-nearest candidate restriction used by the figure benches; the
 #: knn ablation bench measures its effect against the exact greedy.
@@ -54,18 +51,6 @@ def record():
         print("\n" + text)
 
     return _record
-
-
-@pytest.fixture(scope="session")
-def ledger():
-    """The repo-root run ledger bench RunRecords append to.
-
-    The same ``.repro-runs/`` store the CLI's ``--ledger`` flag uses,
-    so ``gated-cts obs diff/check`` sees bench and CLI runs side
-    by side (records are content-addressed; re-runs that measure the
-    same thing collapse onto one file).
-    """
-    return RunLedger(LEDGER_DIR)
 
 
 @pytest.fixture()

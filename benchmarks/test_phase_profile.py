@@ -14,7 +14,7 @@ Three assertions make this a smoke gate rather than a report:
   flow -- untraced time means a phase is missing instrumentation;
 * process peak RSS after routing all five benchmarks stays under
   :data:`RSS_CEILING_BYTES`;
-* ledger recording inflates the r1 root span by at most
+* writing a RunRecord inflates the r1 root span by at most
   :data:`OVERHEAD_CEILING` (``test_ledger_overhead``).
 
 CI re-checks both ceilings from the persisted values, so a blowup
@@ -25,7 +25,8 @@ Outputs:
 * ``benchmarks/results/phase_profile.txt`` -- one phase table per
   benchmark (via :func:`repro.analysis.report.format_phase_times`);
 * ``BENCH_phase_profile.json`` -- machine-readable per-phase rows, the
-  process peak RSS and the ledger-overhead ratio.
+  process peak RSS and the record-overhead ratio (key
+  ``ledger_overhead``).
 """
 
 import statistics
@@ -41,13 +42,10 @@ from repro.bench.suite import load_benchmark
 from repro.core.flow import route_gated
 from repro.obs import (
     DME_DETAIL_SPANS,
-    MetricsRegistry,
-    RunLedger,
     Tracer,
     load_json,
     phase_profile,
     record_from_trace,
-    set_registry,
     set_tracer,
     write_bench_json,
     write_json,
@@ -85,7 +83,7 @@ def peak_rss_bytes() -> Optional[int]:
 
 
 @pytest.mark.benchmark(group="observability")
-def test_phase_profile(run_once, tech, scale, record, ledger):
+def test_phase_profile(run_once, tech, scale, record):
     """Trace gated routes; persist phase totals; require 95% coverage."""
 
     def measure():
@@ -93,13 +91,9 @@ def test_phase_profile(run_once, tech, scale, record, ledger):
         for name in BENCHES:
             case = load_benchmark(name, scale=scale)
             tracer = Tracer(enabled=True)
-            # A private registry per benchmark keeps the RunRecord's
-            # counter snapshot scoped to this route alone.
-            registry = MetricsRegistry()
-            previous_reg = set_registry(registry)
             previous = set_tracer(tracer)
             try:
-                result = route_gated(
+                route_gated(
                     case.sinks,
                     tech,
                     case.oracle,
@@ -108,35 +102,15 @@ def test_phase_profile(run_once, tech, scale, record, ledger):
                 )
             finally:
                 set_tracer(previous)
-                set_registry(previous_reg)
-            out[name] = (len(case.sinks), tracer, registry, result)
+            out[name] = (len(case.sinks), tracer)
         return out
 
     traced = run_once(measure)
     rss_peak = peak_rss_bytes()
 
-    # Every traced route also lands in the run ledger, so the sentinel
-    # can diff bench runs across commits the same way it diffs CLI runs.
-    for name, (num_sinks, tracer, registry, result) in traced.items():
-        ledger.save(
-            record_from_trace(
-                kind="bench",
-                label="phase_profile:%s" % name,
-                config={
-                    "benchmark": name,
-                    "sinks": num_sinks,
-                    "candidate_limit": 16,
-                },
-                tracer=tracer,
-                pins=result.pins(),
-                registry=registry,
-                root_name="flow.route_gated",
-            )
-        )
-
     rows = []
     tables = []
-    for name, (num_sinks, tracer, _, _) in traced.items():
+    for name, (num_sinks, tracer) in traced.items():
         spans = tracer.spans
         profile = phase_profile(
             spans,
@@ -193,25 +167,25 @@ OVERHEAD_ROUNDS = 25
 
 @pytest.mark.benchmark(group="observability")
 def test_ledger_overhead(run_once, tech, scale, tmp_path):
-    """Ledger recording must not tax the flow it records.
+    """Recording a run must not tax the flow it records.
 
     A :class:`~repro.obs.ledger.RunRecord` is assembled *after* the
     ``flow.route_gated`` root span closed, so the root span of a
-    ledgered run must time the same as a plainly traced one.  Each
-    round routes r1 once per arm, back to back (alternating which goes
-    first), and the statistic is the median of the per-round
+    recorded ("ledgered") run must time the same as a plainly traced
+    one.  Each round routes r1 once per arm, back to back (alternating
+    which goes first), and the statistic is the median of the per-round
     ledgered/traced root-span ratios: a paired median follows the two
     arms through the host's speed swings, where the min of each arm is
     set by whichever arm one unusually fast route lands in.  The record
-    assembly and save, which run outside the root span, are timed as a
+    assembly and write, which run outside the root span, are timed as a
     second number.  Both are persisted into the phase-profile artifact
     (the acceptance bar is <= 2%; the asserted ceiling adds noise
     margin).
     """
     case = load_benchmark("r1", scale=scale)
-    ledger = RunLedger(tmp_path / "ledger")
+    record_path = tmp_path / "run.json"
 
-    def _route(with_ledger):
+    def _route(with_record):
         """The root span's duration and the record's (0 untraced)."""
         tracer = Tracer(enabled=True)
         previous = set_tracer(tracer)
@@ -227,28 +201,26 @@ def test_ledger_overhead(run_once, tech, scale, tmp_path):
             set_tracer(previous)
         (root,) = [s for s in tracer.spans if s.name == "flow.route_gated"]
         record_ns = 0
-        if with_ledger:
+        if with_record:
             start = time.perf_counter_ns()
-            ledger.save(
-                record_from_trace(
-                    kind="bench",
-                    label="overhead:r1",
-                    config={"benchmark": "r1", "candidate_limit": 16},
-                    tracer=tracer,
-                    pins=result.pins(),
-                    root_name="flow.route_gated",
-                )
-            )
+            record_from_trace(
+                kind="bench",
+                label="overhead:r1",
+                config={"benchmark": "r1", "candidate_limit": 16},
+                tracer=tracer,
+                pins=result.pins(),
+                root_name="flow.route_gated",
+            ).write(record_path)
             record_ns = time.perf_counter_ns() - start
         return root.duration_ns, record_ns
 
     def measure():
         rounds = []
         for round_index in range(OVERHEAD_ROUNDS):
-            ledger_first = round_index % 2 == 1
+            record_first = round_index % 2 == 1
             pair = {
-                with_ledger: _route(with_ledger)
-                for with_ledger in (ledger_first, not ledger_first)
+                with_record: _route(with_record)
+                for with_record in (record_first, not record_first)
             }
             rounds.append((pair[False][0], pair[True][0], pair[True][1]))
         return rounds
@@ -259,7 +231,7 @@ def test_ledger_overhead(run_once, tech, scale, tmp_path):
     )
     ratio = statistics.median(ledgered / max(traced, 1) for traced, ledgered, _ in rounds)
     assert ratio <= OVERHEAD_CEILING, (
-        "ledger recording inflated the r1 root span %.1f%% (median of %d "
+        "recording inflated the r1 root span %.1f%% (median of %d "
         "paired rounds; ceiling %.0f%%)"
         % (100 * (ratio - 1), OVERHEAD_ROUNDS, 100 * (OVERHEAD_CEILING - 1))
     )

@@ -55,7 +55,7 @@ class Fault:
     extra_argv: Tuple[str, ...] = ()
     """Extra CLI flags for this fault's invocation; the ``{dir}``
     placeholder expands to the fault's working directory (for flags
-    that take an output path, e.g. ``--ledger``)."""
+    that take an output path, e.g. ``--record``)."""
 
 
 @dataclass
@@ -193,13 +193,13 @@ FAULTS: Tuple[Fault, ...] = (
           "two distinct sinks at identical coordinates (merged with a "
           "zero-length edge and an exact split)",
           _colocate),
-    Fault("sharded_ledger", "sinks", "ok",
+    Fault("sharded_record", "sinks", "ok",
           "valid inputs routed with --shards/--workers while the "
-          "parent records a ledger RunRecord: RunRecord assembly must "
-          "stay parent-only under multiprocessing",
+          "parent writes a RunRecord: RunRecord assembly must stay "
+          "parent-only under multiprocessing",
           lambda t: t,
           extra_argv=("--shards", "2", "--workers", "2",
-                      "--ledger", "{dir}/ledger")),
+                      "--record", "{dir}/run.json")),
     # -- ISA file ------------------------------------------------------
     Fault("truncated_isa", "isa", "error", "ISA JSON cut mid-token",
           lambda t: t[: len(t) // 2]),

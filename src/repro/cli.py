@@ -22,28 +22,24 @@ Subcommands
     ``route --out`` or a freshly routed benchmark.  Exit code 1 when
     findings are reported.
 ``obs``
-    The run ledger and regression sentinel: ``obs diff A B`` compares
-    two records with the sentinel's fixed noise thresholds, ``obs
-    check --baseline REF`` gates the latest (or given) run against a
-    committed baseline, and ``obs selftest`` proves the sentinel
-    catches planted regressions.  Exit code 1 when a regression is
-    detected.
+    The regression sentinel: ``obs diff BASELINE.json CURRENT.json``
+    compares two run records with the sentinel's fixed noise
+    thresholds.  Exit code 1 when a regression is detected.
 
 Examples::
 
     gated-cts route --benchmark r1 --scale 0.4 --method reduced --svg out.svg
     gated-cts route --sinks my.sinks --isa my_isa.json --instr-trace my.trace
-    gated-cts route --benchmark r1 --ledger
+    gated-cts route --benchmark r1 --scale 0.2 --record run.json
     gated-cts compare --benchmark r2 --scale 0.4
     gated-cts sweep --benchmark r1 --scale 0.4 --points 6
     gated-cts audit --tree out.json
     gated-cts audit --benchmark r1 --scale 0.2
-    gated-cts obs diff latest~1 latest
-    gated-cts obs check --baseline baselines/obs_r1_route.json \\
+    gated-cts obs diff baselines/obs_r1_route.json run.json \\
         --sections pins,counters
 
 Exit codes: 0 success, 1 findings (``audit``) or detected
-regressions (``obs diff``/``obs check``), 2 invalid input (typed
+regressions (``obs diff``), 2 invalid input (typed
 ``ReproError`` or ``OSError`` -- printed as one-line diagnostics, with
 the full traceback available under ``--log-level debug``).
 
@@ -52,19 +48,18 @@ Observability (all routing subcommands)
 ``--trace OUT.json`` records a hierarchical span trace of the run and
 writes it as Chrome ``trace_event`` JSON (load in ``chrome://tracing``
 or Perfetto); a per-phase wall-clock table is printed as well.
-``--ledger [DIR]`` persists a content-addressed RunRecord (config
-digest, environment fingerprint, phase tree, raw span rows, metrics
-registry snapshot -- merger plan counters, oracle cache hits,
-star-edge histograms, ... -- and result pins) into the run ledger
-(``.repro-runs/`` by default) for ``obs diff/check``; it is the
-run's one artefact.  ``--log-level debug`` surfaces the library's
-guarded debug logging.
+``--record OUT.json`` writes the run's RunRecord (config, environment
+fingerprint, phase tree, raw span rows, metrics registry snapshot --
+merger plan counters, oracle cache hits, star-edge histograms, ... --
+and result pins) for ``obs diff``; it is the run's one artefact.
+``--log-level debug`` surfaces the library's guarded debug logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.report import (
@@ -82,7 +77,6 @@ from repro.core.gate_reduction import GateReductionPolicy
 from repro.io.svg import save_svg
 from repro.io.treejson import save_tree
 from repro.obs import (
-    DEFAULT_LEDGER_DIR,
     DME_DETAIL_SPANS,
     LOG_LEVELS,
     MetricsRegistry,
@@ -112,13 +106,10 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         help="configure the repro logger (handlers installed once)",
     )
     group.add_argument(
-        "--ledger",
-        nargs="?",
-        const=DEFAULT_LEDGER_DIR,
+        "--record",
         default=None,
-        metavar="DIR",
-        help="persist a content-addressed RunRecord of this invocation "
-        "into the run ledger (default directory %s)" % DEFAULT_LEDGER_DIR,
+        metavar="OUT.json",
+        help="write the RunRecord of this invocation (for 'obs diff')",
     )
 
 
@@ -302,7 +293,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
             )
     if args.audit:
         print("audit: clean")
-    # Exposed so a --ledger RunRecord can pin the routed result.
+    # Exposed so a --record RunRecord can pin the routed result.
     args.run_pins = result.pins()
     print(result.summary())
     if args.out:
@@ -397,7 +388,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ),
     ]
     rows = [ComparisonRow.from_result(args.benchmark, r) for r in results]
-    # One pin set per method, namespaced, so a --ledger record of a
+    # One pin set per method, namespaced, so a --record record of a
     # compare run is diffable the same way a route record is.
     args.run_pins = {
         "%s.%s" % (result.method, key): value
@@ -492,55 +483,20 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _sections_from(args: argparse.Namespace):
+def _cmd_obs_diff(args: argparse.Namespace) -> int:
+    """Compare two record files: 0 clean, 1 regressed, 2 bad input."""
+    from repro.obs import RunRecord, compare_runs
     from repro.obs.sentinel import ALL_SECTIONS
 
-    if args.sections is None:
-        return ALL_SECTIONS
-    return tuple(s.strip() for s in args.sections.split(",") if s.strip())
-
-
-def _run_diff(args, baseline_ref: str, current_ref: str) -> int:
-    """Shared engine of ``obs diff`` and ``obs check``: 0/1/2."""
-    from repro.obs import RunLedger, compare_runs
-
-    ledger = RunLedger(args.dir)
-    baseline = ledger.load(baseline_ref)
-    current = ledger.load(current_ref)
-    diff = compare_runs(baseline, current, sections=_sections_from(args))
+    sections = ALL_SECTIONS
+    if args.sections is not None:
+        sections = tuple(s.strip() for s in args.sections.split(",") if s.strip())
+    baseline = RunRecord.load(args.baseline)
+    current = RunRecord.load(args.current)
+    diff = compare_runs(baseline, current, sections=sections)
+    print("obs diff: %s -> %s" % (args.baseline, args.current))
     print(diff.report())
     return diff.exit_code
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    return _run_diff(args, args.baseline_ref, args.current_ref)
-
-
-def _cmd_obs_check(args: argparse.Namespace) -> int:
-    return _run_diff(args, args.baseline, args.current)
-
-
-def _cmd_obs_selftest(args: argparse.Namespace) -> int:
-    """Prove the sentinel catches planted regressions: 0 ok, 1 broken."""
-    from repro.obs import self_test
-
-    ok, report = self_test()
-    print(report)
-    return 0 if ok else 1
-
-
-def _add_obs_store(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dir",
-        default=DEFAULT_LEDGER_DIR,
-        help="run-ledger directory (default %s)" % DEFAULT_LEDGER_DIR,
-    )
-    parser.add_argument(
-        "--sections",
-        default=None,
-        help="comma list from pins,time,counters (default all); "
-        "cross-machine CI checks typically use pins,counters",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,60 +650,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="run ledger + regression sentinel (diff/check/selftest); "
+        help="regression sentinel over run records (diff); "
         "exit 1 on detected regressions",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
-    p_diff = obs_sub.add_parser(
-        "diff",
-        help="compare two run records (refs: path, id prefix, latest~N)",
+    p_diff = obs_sub.add_parser("diff", help="compare two run record files")
+    p_diff.add_argument("baseline", metavar="BASELINE.json", help="baseline record")
+    p_diff.add_argument("current", metavar="CURRENT.json", help="current record")
+    p_diff.add_argument(
+        "--sections",
+        default=None,
+        help="comma list from pins,time,counters (default all); "
+        "cross-machine comparisons use pins,counters",
     )
-    _add_obs_store(p_diff)
-    p_diff.add_argument("baseline_ref", help="baseline run reference")
-    p_diff.add_argument("current_ref", help="current run reference")
     p_diff.set_defaults(func=_cmd_obs_diff)
-
-    p_check = obs_sub.add_parser(
-        "check",
-        help="gate a run against a baseline record (CI entry point)",
-    )
-    _add_obs_store(p_check)
-    p_check.add_argument(
-        "--baseline",
-        required=True,
-        help="baseline reference (typically a committed RunRecord path)",
-    )
-    p_check.add_argument(
-        "current",
-        nargs="?",
-        default="latest",
-        help="current run reference (default: latest ledger record)",
-    )
-    p_check.set_defaults(func=_cmd_obs_check)
-
-    p_selftest = obs_sub.add_parser(
-        "selftest",
-        help="plant synthetic time/counter/pin regressions and "
-        "verify the sentinel catches all of them",
-    )
-    p_selftest.set_defaults(func=_cmd_obs_selftest)
 
     return parser
 
 
-def _ledger_config(args: argparse.Namespace) -> dict:
+def _external(args: argparse.Namespace) -> bool:
+    """Did ``route`` read its workload from ``--sinks`` files?"""
+    return args.command == "route" and args.sinks is not None
+
+
+def _record_config(args: argparse.Namespace) -> dict:
     """The argparse namespace minus plumbing: what shaped the run."""
     skip = {
         "func",
         "run_pins",
         "trace",
         "log_level",
-        "ledger",
+        "record",
         "out",
         "svg",
         "benchmark_flags",
     }
+    if _external(args):
+        # Parser defaults of options an external workload never used.
+        skip |= {"benchmark", "scale", "activity"}
     return {
         key: value
         for key, value in sorted(vars(args).items())
@@ -755,60 +696,76 @@ def _ledger_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _record_run(args: argparse.Namespace, tracer, registry) -> None:
-    """Persist this invocation's RunRecord into the ledger."""
-    from repro.obs import RunLedger, record_from_trace
+def _write_record(args: argparse.Namespace, tracer, registry) -> None:
+    """Write this invocation's RunRecord to ``--record``."""
+    from repro.obs import record_from_trace
 
+    subject = getattr(args, "benchmark", None)
+    if _external(args):
+        subject = Path(args.sinks).stem
     label = ":".join(
         str(part)
-        for part in (
-            args.command,
-            getattr(args, "benchmark", None),
-            getattr(args, "method", None),
-        )
+        for part in (args.command, subject, getattr(args, "method", None))
         if part is not None
     )
     record = record_from_trace(
         kind="cli",
         label=label,
-        config=_ledger_config(args),
+        config=_record_config(args),
         tracer=tracer,
         pins=getattr(args, "run_pins", {}),
         registry=registry,
     )
-    path = RunLedger(args.ledger).save(record)
-    print("run record %s written to %s" % (record.run_id[:12], path))
+    record.write(args.record)
+    print("run record written to %s" % args.record)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand, traced when a span trace or record is asked for."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise InputError("--seed must be non-negative, got %d" % seed, field="seed")
+    trace_path = getattr(args, "trace", None)
+    record_path = getattr(args, "record", None)
+    if trace_path is None and record_path is None:
+        return args.func(args)
+    tracer = enable_tracing()
+    # A fresh registry per traced invocation keeps RunRecords
+    # comparable: counters cover exactly this run, not whatever
+    # accumulated in the process before it (in-process callers, tests).
+    registry = MetricsRegistry()
+    previous_registry = set_registry(registry)
+    try:
+        code = args.func(args)
+    finally:
+        disable_tracing()
+        set_registry(previous_registry)
+    if trace_path is not None:
+        write_chrome_trace(tracer.spans, trace_path)
+        print("span trace written to %s" % trace_path)
+    if record_path is not None:
+        # Assembled after the root span closed and tracing was torn
+        # down, so recording never pollutes the timings it records.
+        _write_record(args, tracer, registry)
+    print(format_phase_times(phase_profile(tracer.spans, detail_names=DME_DETAIL_SPANS)))
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
     Exit codes: 0 success, 1 findings (``audit``) or detected
-    regressions (``obs diff``/``obs check``), 2 invalid input -- every
-    typed :class:`ReproError` (and ``OSError`` on file arguments) is
-    rendered as a one-line diagnostic on stderr.  ``--log-level
-    debug`` re-raises so the full traceback is visible.
+    regressions (``obs diff``), 2 invalid input -- every typed
+    :class:`ReproError` (and ``OSError`` on file arguments, including
+    the ``--trace``/``--record`` outputs) is rendered as a one-line
+    diagnostic on stderr.  ``--log-level debug`` re-raises so the full
+    traceback is visible.
     """
     args = build_parser().parse_args(argv)
     if getattr(args, "log_level", None) is not None:
         configure_logging(args.log_level)
-    ledger_dir = getattr(args, "ledger", None)
-    tracing = getattr(args, "trace", None) is not None or ledger_dir is not None
-    tracer = enable_tracing() if tracing else None
-    registry = None
-    previous_registry = None
-    if tracer is not None:
-        # A fresh registry per traced invocation keeps RunRecords
-        # comparable: counters cover exactly this run, not whatever
-        # accumulated in the process before it (in-process callers,
-        # tests).
-        registry = MetricsRegistry()
-        previous_registry = set_registry(registry)
     try:
-        seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:
-            raise InputError("--seed must be non-negative, got %d" % seed, field="seed")
-        code = args.func(args)
+        return _run(args)
     except (ReproError, OSError) as exc:
         if getattr(args, "log_level", None) == "debug":
             raise
@@ -816,26 +773,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         message = exc.diagnostic() if isinstance(exc, ReproError) else str(exc)
         print("gated-cts: %s: %s" % (kind, message), file=sys.stderr)
         return 2
-    finally:
-        if tracer is not None:
-            disable_tracing()
-            if previous_registry is not None:
-                set_registry(previous_registry)
-    if tracer is not None:
-        if getattr(args, "trace", None):
-            write_chrome_trace(tracer.spans, args.trace)
-            print("span trace written to %s" % args.trace)
-        if ledger_dir is not None:
-            # Assembled after the root span closed and tracing was
-            # torn down, so the ledger's own work never pollutes the
-            # timings it records.
-            _record_run(args, tracer, registry)
-        print(
-            format_phase_times(
-                phase_profile(tracer.spans, detail_names=DME_DETAIL_SPANS)
-            )
-        )
-    return code
 
 
 if __name__ == "__main__":

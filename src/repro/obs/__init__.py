@@ -1,7 +1,7 @@
 """Observability for the routing flow: spans, metrics, run records.
 
 Nine modules in two layers (see ``DESIGN.md``, sections
-"Observability" and "Run ledger & regression sentinel").
+"Observability" and "Run records & regression sentinel").
 
 Recording, live during a run:
 
@@ -22,11 +22,11 @@ Keeping and comparing, after a run:
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON and
   per-phase wall-clock profiles;
 * :mod:`repro.obs.jsonio` -- the one JSON policy bench artifacts and
-  run records share (schema key, float rounding, content digests);
-* :mod:`repro.obs.ledger` -- content-addressed :class:`RunRecord`
-  store under ``.repro-runs/``;
+  run records share (schema key, float rounding, canonical encoding);
+* :mod:`repro.obs.ledger` -- :class:`RunRecord`, one JSON file per
+  run (``route --record OUT.json``);
 * :mod:`repro.obs.sentinel` -- noise-aware RunRecord diffing behind
-  ``gated-cts obs diff/check``.
+  ``gated-cts obs diff``.
 
 A run's one artefact is its :class:`RunRecord` (span rows, metrics
 snapshot, phase profile, pins); the Chrome trace is the one viewer
@@ -49,14 +49,11 @@ from repro.obs.jsonio import (
     SCHEMA_KEY,
     SCHEMA_VERSION,
     canonical_dumps,
-    content_digest,
     load_json,
     write_bench_json,
     write_json,
 )
 from repro.obs.ledger import (
-    DEFAULT_LEDGER_DIR,
-    RunLedger,
     RunRecord,
     environment_fingerprint,
     record_from_trace,
@@ -70,7 +67,7 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.sentinel import RunDiff, compare_runs, self_test
+from repro.obs.sentinel import RunDiff, compare_runs
 from repro.obs.tracer import (
     NULL_SPAN,
     Span,
@@ -84,7 +81,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_LEDGER_DIR",
     "DME_DETAIL_SPANS",
     "Gauge",
     "Histogram",
@@ -94,7 +90,6 @@ __all__ = [
     "PhaseProfile",
     "PhaseRow",
     "RunDiff",
-    "RunLedger",
     "RunRecord",
     "SCHEMA_KEY",
     "SCHEMA_VERSION",
@@ -105,7 +100,6 @@ __all__ = [
     "chrome_trace",
     "compare_runs",
     "configure_logging",
-    "content_digest",
     "disable_tracing",
     "enable_tracing",
     "environment_fingerprint",
@@ -116,7 +110,6 @@ __all__ = [
     "publish_merger_stats",
     "publish_oracle_cache",
     "record_from_trace",
-    "self_test",
     "set_registry",
     "set_tracer",
     "write_bench_json",

@@ -1,9 +1,9 @@
 """The one JSON serialization policy for bench artifacts and RunRecords.
 
 Every machine-readable artifact the repo persists -- the committed
-``BENCH_*.json`` files at the repo root, the ``.repro-runs/``
-RunRecords, the committed sentinel baselines -- goes through this
-module so they agree on shape:
+``BENCH_*.json`` files at the repo root, ``--record`` RunRecords, the
+committed sentinel baselines -- goes through this module so they
+agree on shape:
 
 * one ``schema_version`` key (bumped when a consumer-visible field
   changes meaning, never for additions);
@@ -11,19 +11,16 @@ module so they agree on shape:
   decimals (:func:`round_floats`) so re-running a bench on the same
   machine produces minimal diffs, while **result pins are never
   rounded** -- byte-identical pins are the regression contract;
-* no wall-clock timestamps inside bench payloads (committed artifacts
-  must be reproducible byte-for-byte); RunRecords carry a single
-  ``created_unix`` stamped by the ledger, outside the content digest;
-* content digests over a canonical encoding (sorted keys, no
-  whitespace) so records are addressable by what they say, not by how
-  the writer happened to indent them.
+* no wall-clock timestamps (committed artifacts must be reproducible
+  byte-for-byte);
+* a canonical encoding (sorted keys, no whitespace) for comparing
+  values by what they say, not by how the writer happened to indent
+  them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
 from typing import Any, Dict
 
 #: Bump only on a breaking shape change; consumers tolerate additions.
@@ -57,18 +54,12 @@ def round_floats(obj: Any, decimals: int = BENCH_FLOAT_DECIMALS) -> Any:
 def canonical_dumps(payload: Any) -> str:
     """Canonical encoding: sorted keys, minimal separators, no NaN.
 
-    Two payloads with equal content produce the same string, which is
-    what :func:`content_digest` hashes -- indentation and key order are
-    presentation, not content.
+    Two payloads with equal content produce the same string --
+    indentation and key order are presentation, not content.
     """
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
-
-
-def content_digest(payload: Any) -> str:
-    """SHA-256 hex digest of the canonical encoding."""
-    return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
 def write_json(path, payload: Any, indent: int = 2) -> None:
@@ -94,11 +85,3 @@ def write_bench_json(path, bench: str, payload: Dict[str, Any]) -> None:
     """Persist one ``BENCH_*.json`` artifact through the shared policy."""
     write_json(path, bench_payload(bench, payload))
 
-
-def unix_now() -> int:
-    """Whole-second wall-clock stamp for ledger metadata.
-
-    Only the ledger calls this (RunRecord ``created_unix``); committed
-    bench artifacts must stay timestamp-free.
-    """
-    return int(time.time())

@@ -1,4 +1,4 @@
-"""Content-addressed run ledger: durable, comparable records of runs.
+"""Run records: durable, comparable records of runs.
 
 Every flow/bench/CLI invocation can persist a :class:`RunRecord` --
 one JSON document holding the run's configuration, an environment
@@ -7,15 +7,10 @@ tree and per-phase profile, the metrics-registry snapshot, and the
 *result pins* (wirelength, switched capacitance, gate count, ...) that
 must stay byte-identical across refactors.
 
-Records live in a ledger directory (``.repro-runs/`` by default) under
-``<run_id>.json`` where ``run_id`` is the SHA-256 of the record's
-canonical content (everything except the ``created_unix`` stamp).  Two
-runs that measured exactly the same thing collapse onto one file;
-references accept full ids, unique prefixes, file paths, or the
-``latest`` / ``latest~N`` shorthand.
-
-The regression sentinel (:mod:`repro.obs.sentinel`) consumes pairs of
-these records; ``gated-cts obs diff/check`` is the front end.
+A record is one file that its writer names (``route --record
+OUT.json``).  The regression sentinel (:mod:`repro.obs.sentinel`)
+consumes pairs of them; ``gated-cts obs diff A.json B.json`` is the
+front end.
 """
 
 from __future__ import annotations
@@ -24,25 +19,14 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional
 
 from repro.check.errors import InputError
 from repro.obs.export import DME_DETAIL_SPANS, phase_profile
-from repro.obs.jsonio import (
-    SCHEMA_KEY,
-    SCHEMA_VERSION,
-    content_digest,
-    load_json,
-    unix_now,
-    write_json,
-)
+from repro.obs.jsonio import SCHEMA_KEY, SCHEMA_VERSION, load_json, write_json
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracer import SpanRecord, Tracer
-
-#: Default ledger directory, relative to the invoking process's cwd.
-DEFAULT_LEDGER_DIR = ".repro-runs"
+from repro.obs.tracer import Tracer
 
 #: Environment variables worth fingerprinting (they change results or
 #: scale): kept small and explicit so records stay comparable.
@@ -111,60 +95,37 @@ class RunRecord:
     """Metrics-registry snapshot (``MetricsRegistry.as_dict`` shape)."""
     pins: Dict[str, Any]
     """Exact result pins; byte-identical across runs is the contract."""
-    created_unix: int = field(default_factory=unix_now)
 
     # -- serialization --------------------------------------------------
-    def content(self) -> Dict[str, Any]:
-        """The addressable content (everything but the timestamp)."""
-        return {
-            SCHEMA_KEY: SCHEMA_VERSION,
-            "kind": self.kind,
-            "label": self.label,
-            "config": self.config,
-            "fingerprint": self.fingerprint,
-            "phases": self.phases,
-            "spans": self.spans,
-            "metrics": self.metrics,
-            "pins": self.pins,
-        }
-
-    @property
-    def run_id(self) -> str:
-        """SHA-256 of the canonical content; the ledger file stem."""
-        return content_digest(self.content())
-
-    def payload(self) -> Dict[str, Any]:
-        out = self.content()
-        out["run_id"] = self.run_id
-        out["created_unix"] = self.created_unix
+    def as_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {SCHEMA_KEY: SCHEMA_VERSION}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self))
         return out
 
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "RunRecord":
-        try:
-            return RunRecord(
-                kind=payload["kind"],
-                label=payload["label"],
-                config=payload["config"],
-                fingerprint=payload["fingerprint"],
-                phases=payload["phases"],
-                spans=payload["spans"],
-                metrics=payload["metrics"],
-                pins=payload["pins"],
-                created_unix=payload.get("created_unix", 0),
-            )
-        except KeyError as exc:
-            raise InputError(
-                "run record is missing required key %s" % exc, field="payload"
-            ) from exc
+    def write(self, path) -> None:
+        write_json(path, self.as_dict())
 
     @staticmethod
     def load(path) -> "RunRecord":
-        return RunRecord.from_payload(load_json(path))
-
-    def save(self, directory=DEFAULT_LEDGER_DIR) -> Path:
-        """Write into ``directory`` under the content address."""
-        return RunLedger(directory).save(self)
+        """Read a record file; keys outside the schema (the digest and
+        timestamp older records carry) are ignored."""
+        try:
+            payload = load_json(path)
+        except ValueError as exc:
+            raise InputError(
+                "not a JSON run record: %s" % exc, source=path
+            ) from exc
+        if not isinstance(payload, dict):
+            raise InputError(
+                "run record must be a JSON object, got %s" % type(payload).__name__,
+                source=path,
+            )
+        try:
+            return RunRecord(**{f.name: payload[f.name] for f in fields(RunRecord)})
+        except KeyError as exc:
+            raise InputError(
+                "run record is missing required key %s" % exc, source=path
+            ) from exc
 
     # -- views the sentinel reads --------------------------------------
     def phase_rows(self) -> Dict[str, Dict[str, Any]]:
@@ -195,7 +156,6 @@ def record_from_trace(
     pins: Dict[str, Any],
     registry: Optional[MetricsRegistry] = None,
     root_name: Optional[str] = None,
-    spans: Optional[Sequence[SpanRecord]] = None,
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` from a finished traced run.
 
@@ -203,11 +163,8 @@ def record_from_trace(
     not pollute the timings it records).  ``root_name`` scopes the
     phase profile when the trace holds several flows.
     """
-    span_rows = [s.as_dict() for s in (tracer.spans if spans is None else spans)]
     profile = phase_profile(
-        tracer.spans if spans is None else spans,
-        root_name=root_name,
-        detail_names=DME_DETAIL_SPANS,
+        tracer.spans, root_name=root_name, detail_names=DME_DETAIL_SPANS
     )
     registry = registry or get_registry()
     return RunRecord(
@@ -216,87 +173,8 @@ def record_from_trace(
         config=_jsonable(config),
         fingerprint=environment_fingerprint(),
         phases=profile.as_dict(),
-        spans=span_rows,
+        spans=[s.as_dict() for s in tracer.spans],
         metrics=registry.as_dict(),
         pins=_jsonable(pins),
     )
 
-
-class RunLedger:
-    """A directory of content-addressed :class:`RunRecord` files."""
-
-    def __init__(self, directory=DEFAULT_LEDGER_DIR):
-        self.directory = Path(directory)
-
-    # -- writing --------------------------------------------------------
-    def save(self, record: RunRecord) -> Path:
-        """Persist ``record``; idempotent for identical content."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / ("%s.json" % record.run_id)
-        if not path.exists():
-            write_json(path, record.payload())
-        get_registry().counter("ledger.runs_recorded").inc()
-        return path
-
-    # -- reading --------------------------------------------------------
-    def paths(self) -> List[Path]:
-        """Record files, oldest first (created stamp, then id)."""
-        if not self.directory.is_dir():
-            return []
-        entries = []
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                payload = load_json(path)
-            except (OSError, ValueError):
-                continue
-            if isinstance(payload, dict) and "pins" in payload:
-                entries.append((payload.get("created_unix", 0), path.stem, path))
-        entries.sort()
-        return [path for _, _, path in entries]
-
-    def records(self) -> List[RunRecord]:
-        return [RunRecord.load(path) for path in self.paths()]
-
-    def resolve(self, ref: str) -> Path:
-        """A reference -> record path.
-
-        Accepts a file path, a full run id, a unique id prefix, or
-        ``latest`` / ``latest~N`` (N runs before the newest).
-        """
-        direct = Path(ref)
-        if direct.is_file():
-            return direct
-        paths = self.paths()
-        if ref == "latest" or ref.startswith("latest~"):
-            back = 0
-            if ref.startswith("latest~"):
-                try:
-                    back = int(ref.split("~", 1)[1])
-                except ValueError:
-                    raise InputError(
-                        "bad ledger reference %r; use latest~<int>" % ref,
-                        field="ref",
-                    ) from None
-            if back >= len(paths):
-                raise InputError(
-                    "ledger %s holds %d record(s); %r is out of range"
-                    % (self.directory, len(paths), ref),
-                    field="ref",
-                )
-            return paths[-1 - back]
-        matches = [p for p in paths if p.stem.startswith(ref)]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise InputError(
-                "no run record matches %r in %s" % (ref, self.directory),
-                field="ref",
-            )
-        raise InputError(
-            "ambiguous run reference %r (%d matches) in %s"
-            % (ref, len(matches), self.directory),
-            field="ref",
-        )
-
-    def load(self, ref: str) -> RunRecord:
-        return RunRecord.load(self.resolve(ref))

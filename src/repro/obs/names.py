@@ -61,9 +61,6 @@ METRIC_NAMES = frozenset(
         "controller.star_edge_length",
         "dme.init_best.runs",
         "gating.gates_pruned",
-        "ledger.runs_recorded",
-        "sentinel.comparisons",
-        "sentinel.regressions_found",
         "shard.count",
         "shard.route_seconds",
         "shard.sinks",

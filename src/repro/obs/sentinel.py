@@ -25,8 +25,8 @@ The noise model is deliberately simple and explicit (threshold +
 floor per section, the module constants below) rather than
 statistical: records carry single runs, not distributions.
 
-Exit-code contract (``gated-cts obs diff/check``): 0 clean (improved
-is clean), 1 at least one regression, 2 invalid input.
+Exit-code contract (``gated-cts obs diff``): 0 clean (improved is
+clean), 1 at least one regression, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.check.errors import InputError
 from repro.obs.jsonio import canonical_dumps
 from repro.obs.ledger import RunRecord
-from repro.obs.metrics import get_registry
 
 #: Sections a comparison may cover, in report order.
 ALL_SECTIONS = ("pins", "time", "counters")
@@ -87,8 +86,6 @@ class Finding:
 class RunDiff:
     """The full comparison of two run records."""
 
-    baseline_id: str
-    current_id: str
     sections: Tuple[str, ...]
     findings: List[Finding] = field(default_factory=list)
 
@@ -114,12 +111,10 @@ class RunDiff:
             counts[finding.status] = counts.get(finding.status, 0) + 1
         parts = ["%d %s" % (counts[k], k) for k in sorted(counts)]
         verdict = "clean" if self.ok else "REGRESSED"
-        return "obs.check: %s  (%s; %d compared)  %s -> %s" % (
+        return "obs.check: %s  (%s; %d compared)" % (
             verdict,
             ", ".join(parts) if parts else "nothing compared",
             len(self.findings),
-            self.baseline_id[:12],
-            self.current_id[:12],
         )
 
     def report(self) -> str:
@@ -233,116 +228,12 @@ def compare_runs(
                 % (section, ", ".join(ALL_SECTIONS)),
                 field="sections",
             )
-    diff = RunDiff(
-        baseline_id=baseline.run_id,
-        current_id=current.run_id,
-        sections=tuple(sections),
-    )
+    diff = RunDiff(sections=tuple(sections))
     if "pins" in sections:
         diff.findings.extend(_compare_pins(baseline, current))
     if "time" in sections:
         diff.findings.extend(_compare_time(baseline, current))
     if "counters" in sections:
         diff.findings.extend(_compare_counters(baseline, current))
-    registry = get_registry()
-    registry.counter("sentinel.comparisons").inc()
-    registry.counter("sentinel.regressions_found").inc(len(diff.regressions))
     return diff
 
-
-# ----------------------------------------------------------------------
-# self test
-# ----------------------------------------------------------------------
-def synthetic_record(
-    time_factor: float = 1.0,
-    counter_factor: float = 1.0,
-    pins: Optional[Dict[str, Any]] = None,
-) -> RunRecord:
-    """A small, fully deterministic record for sentinel self-tests.
-
-    Factors scale the planted ``topology.gated`` phase time and the
-    ``dme.plans_computed`` counter relative to the canonical baseline
-    shape, so tests (and ``obs selftest``) can plant a precise
-    synthetic regression.
-    """
-    topo_ns = int(2_000_000_000 * time_factor)
-    measure_ns = 100_000_000
-    root_ns = topo_ns + measure_ns + 50_000_000
-    phases = {
-        "root_ns": root_ns,
-        "root_s": root_ns / 1e9,
-        "covered_ns": topo_ns + measure_ns,
-        "coverage": (topo_ns + measure_ns) / root_ns,
-        "phases": [
-            {
-                "name": "topology.gated",
-                "count": 1,
-                "total_ns": topo_ns,
-                "total_s": topo_ns / 1e9,
-                "fraction": topo_ns / root_ns,
-            },
-            {
-                "name": "flow.measure",
-                "count": 1,
-                "total_ns": measure_ns,
-                "total_s": measure_ns / 1e9,
-                "fraction": measure_ns / root_ns,
-            },
-        ],
-    }
-    metrics = {
-        "dme.plans_computed": {
-            "type": "counter",
-            "value": int(5000 * counter_factor),
-        },
-        "dme.kernel_batches": {"type": "counter", "value": 400},
-    }
-    return RunRecord(
-        kind="selftest",
-        label="sentinel-selftest",
-        config={"benchmark": "synthetic"},
-        fingerprint={"python": "synthetic"},
-        phases=phases,
-        spans=[],
-        metrics=metrics,
-        pins=pins
-        if pins is not None
-        else {"wirelength": 123456.789012, "gate_count": 254},
-        created_unix=0,
-    )
-
-
-def self_test() -> Tuple[bool, str]:
-    """Does the sentinel catch planted regressions and pass clean runs?
-
-    Plants a synthetic 2x ``topology.gated`` slowdown, a counter
-    blowup, a pin flip and a dropped pin against the canonical
-    baseline, and also diffs the baseline against itself.  Returns
-    ``(ok, report)`` where ``ok`` requires every planted fault to be
-    caught *and* the identical pair to diff clean.
-    """
-    baseline = synthetic_record()
-    lines = []
-    ok = True
-
-    clean = compare_runs(baseline, synthetic_record())
-    lines.append("identical runs: %s" % clean.summary())
-    ok &= clean.ok
-
-    planted = {
-        "2x topology.gated slowdown": synthetic_record(time_factor=2.0),
-        "counter blowup": synthetic_record(counter_factor=2.0),
-        "pin flip": synthetic_record(
-            pins={"wirelength": 123456.789013, "gate_count": 254}
-        ),
-        "dropped pin": synthetic_record(pins={"gate_count": 254}),
-    }
-    for what, record in planted.items():
-        diff = compare_runs(baseline, record)
-        caught = not diff.ok
-        lines.append(
-            "planted %s: %s" % (what, "caught" if caught else "MISSED")
-        )
-        ok &= caught
-    lines.append("sentinel self-test: %s" % ("ok" if ok else "FAILED"))
-    return ok, "\n".join(lines)

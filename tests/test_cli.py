@@ -34,9 +34,7 @@ class TestParser:
             ["audit", "--audit"],
             ["lint"],
             ["obs", "diff", "a", "b", "--time-rel", "2"],
-            ["obs", "check", "--baseline", "a", "--counter-rel", "0.5"],
-            ["obs", "selftest", "--time-floor-ms", "10"],
-            ["obs", "selftest", "--sections", "bogus"],
+            ["obs", "diff", "a", "b", "--dir", "runs"],
         ),
         ids=lambda argv: "-".join(argv).replace("--", ""),
     )

@@ -14,7 +14,7 @@ from repro.cts import BottomUpMerger
 from repro.cts.dme import MergerStats
 from repro.obs import (
     MetricsRegistry,
-    RunLedger,
+    RunRecord,
     Tracer,
     get_tracer,
     phase_profile,
@@ -206,7 +206,7 @@ class TestPublishedMetrics:
 class TestCliObservability:
     def test_route_trace_and_ledger_flags(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
-        ledger_dir = tmp_path / "runs"
+        record_path = tmp_path / "run.json"
         code = main(
             [
                 "route",
@@ -216,8 +216,8 @@ class TestCliObservability:
                 "0.05",
                 "--trace",
                 str(trace_path),
-                "--ledger",
-                str(ledger_dir),
+                "--record",
+                str(record_path),
             ]
         )
         assert code == 0
@@ -227,7 +227,7 @@ class TestCliObservability:
         names = {e["name"] for e in trace["traceEvents"]}
         assert "flow.route_gated" in names and "dme.merge" in names
         # The RunRecord holds the span rows and the registry snapshot.
-        (record,) = RunLedger(ledger_dir).records()
+        record = RunRecord.load(record_path)
         assert len(record.spans) == len(trace["traceEvents"])
         assert "dme.plans_computed" in record.metrics
         # The CLI turned the global tracer back off.

@@ -1,11 +1,7 @@
-"""Run ledger: content addressing, round trips, reference resolution."""
+"""Run records: round trips through a file, old-record compatibility."""
 
-import pytest
-
-from repro.check.errors import InputError
 from repro.obs import (
     MetricsRegistry,
-    RunLedger,
     RunRecord,
     Tracer,
     compare_runs,
@@ -59,52 +55,29 @@ def _record(plans=100, pins=None):
 
 class TestRunRecord:
     def test_round_trip_identity(self, tmp_path):
-        """write -> load reproduces the content and the address."""
+        """write -> load reproduces the content."""
         record = _record()
-        path = record.save(tmp_path)
-        loaded = RunRecord.load(path)
-        assert loaded.run_id == record.run_id
-        assert loaded.content() == record.content()
+        record.write(tmp_path / "run.json")
+        loaded = RunRecord.load(tmp_path / "run.json")
+        assert loaded.as_dict() == record.as_dict()
         assert loaded.pins == record.pins
 
     def test_round_trip_diffs_clean(self, tmp_path):
-        """The sentinel sees a saved-and-reloaded record as identical."""
+        """The sentinel sees a written-and-reloaded record as identical."""
         record = _record()
-        loaded = RunRecord.load(record.save(tmp_path))
-        diff = compare_runs(record, loaded)
+        record.write(tmp_path / "run.json")
+        diff = compare_runs(record, RunRecord.load(tmp_path / "run.json"))
         assert diff.ok
         assert diff.exit_code == 0
         assert not diff.notable()
 
-    def test_run_id_excludes_timestamp(self):
-        record = _record()
-        restamped = RunRecord(
-            kind=record.kind,
-            label=record.label,
-            config=record.config,
-            fingerprint=record.fingerprint,
-            phases=record.phases,
-            spans=record.spans,
-            metrics=record.metrics,
-            pins=record.pins,
-            created_unix=record.created_unix + 1000,
-        )
-        assert restamped.run_id == record.run_id
-
-    def test_run_id_tracks_content(self):
-        assert _record(plans=100).run_id != _record(plans=200).run_id
-
     def test_pins_survive_json_exactly(self, tmp_path):
-        """Pins round-trip byte-identically through the ledger file."""
+        """Pins round-trip byte-identically through the record file."""
         pins = {"wirelength": 148897.12345678912, "cap": 42.61478260869565}
-        record = _record(pins=pins)
-        loaded = RunRecord.load(record.save(tmp_path))
+        _record(pins=pins).write(tmp_path / "run.json")
+        loaded = RunRecord.load(tmp_path / "run.json")
         # repr round-trip is the byte-identity check without float ==.
         assert repr(sorted(loaded.pins.items())) == repr(sorted(pins.items()))
-
-    def test_from_payload_rejects_missing_keys(self):
-        with pytest.raises(InputError):
-            RunRecord.from_payload({"kind": "flow", "label": "x"})
 
     def test_phase_views(self):
         record = _record()
@@ -149,7 +122,6 @@ def _with_memory_columns(record):
         spans=spans,
         metrics=record.metrics,
         pins=record.pins,
-        created_unix=record.created_unix,
     )
 
 
@@ -157,80 +129,14 @@ class TestOldRecords:
     def test_memory_profiled_record_loads_and_diffs_clean(self, tmp_path):
         plain = _record()
         old = _with_memory_columns(plain)
-        ledger = RunLedger(tmp_path)
-        ledger.save(old)
-        loaded = ledger.load(old.run_id[:12])
-        assert loaded.run_id == old.run_id != plain.run_id
+        old.write(tmp_path / "old.json")
+        loaded = RunRecord.load(tmp_path / "old.json")
+        assert loaded.as_dict() == old.as_dict() != plain.as_dict()
         assert loaded.phases["root_mem_peak_bytes"] == 65536
         for baseline, current in ((loaded, loaded), (loaded, plain), (plain, loaded)):
             diff = compare_runs(baseline, current)
             assert diff.ok, diff.report()
             assert not diff.notable()
-
-
-class TestRunLedger:
-    def test_save_is_idempotent(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        record = _record()
-        first = ledger.save(record)
-        second = ledger.save(record)
-        assert first == second
-        assert len(ledger.paths()) == 1
-
-    def test_paths_ordered_oldest_first(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        old = _record(plans=1)
-        new = _record(plans=2)
-        object.__setattr__(old, "created_unix", 100)
-        object.__setattr__(new, "created_unix", 200)
-        ledger.save(new)
-        ledger.save(old)
-        stems = [p.stem for p in ledger.paths()]
-        assert stems == [old.run_id, new.run_id]
-
-    def test_resolve_latest_and_back_references(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        old, new = _record(plans=1), _record(plans=2)
-        object.__setattr__(old, "created_unix", 100)
-        object.__setattr__(new, "created_unix", 200)
-        ledger.save(old)
-        ledger.save(new)
-        assert ledger.resolve("latest").stem == new.run_id
-        assert ledger.resolve("latest~1").stem == old.run_id
-        with pytest.raises(InputError):
-            ledger.resolve("latest~2")
-        with pytest.raises(InputError):
-            ledger.resolve("latest~x")
-
-    def test_resolve_unique_prefix_and_path(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        record = _record()
-        path = ledger.save(record)
-        assert ledger.resolve(record.run_id[:10]) == path
-        assert ledger.resolve(str(path)) == path
-        assert ledger.load(record.run_id[:10]).run_id == record.run_id
-
-    def test_resolve_rejects_unknown_and_ambiguous(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.save(_record(plans=1))
-        ledger.save(_record(plans=2))
-        with pytest.raises(InputError):
-            ledger.resolve("deadbeef")
-        with pytest.raises(InputError):
-            ledger.resolve("")  # prefix of every record -> ambiguous
-
-    def test_empty_directory(self, tmp_path):
-        ledger = RunLedger(tmp_path / "nope")
-        assert ledger.paths() == []
-        with pytest.raises(InputError):
-            ledger.resolve("latest")
-
-    def test_ignores_foreign_json(self, tmp_path):
-        (tmp_path / "junk.json").write_text("{\"not\": \"a record\"}")
-        (tmp_path / "broken.json").write_text("{")
-        ledger = RunLedger(tmp_path)
-        ledger.save(_record())
-        assert len(ledger.paths()) == 1
 
 
 class TestFingerprint:

@@ -1,10 +1,10 @@
-"""The regression sentinel: noise model, planted faults, self-test."""
+"""The regression sentinel: noise model and planted faults."""
 
 import pytest
 
 from repro.check.errors import InputError
-from repro.obs import compare_runs, self_test
-from repro.obs.sentinel import synthetic_record
+from repro.obs import compare_runs
+from tests.obs_records import synthetic_record
 
 
 def _statuses(diff, section):
@@ -126,11 +126,3 @@ class TestReporting:
         assert report.splitlines()[-1] == diff.summary()
         assert "REGRESSED" in diff.summary()
 
-
-class TestSelfTest:
-    def test_self_test_passes(self):
-        ok, report = self_test()
-        assert ok, report
-        assert "sentinel self-test: ok" in report
-        assert "planted dropped pin: caught" in report
-        assert "MISSED" not in report
