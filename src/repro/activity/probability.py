@@ -34,14 +34,17 @@ signature -> ``P(EN)`` and signature -> ``P_tr(EN)``.  Every query,
 scalar or batched (:meth:`ActivityOracle.batch_probabilities`), reads
 its probabilities from the two signature memos, so each value has one
 derivation and batched and scalar lookups are bit-identical by
-construction.
+construction.  A batch reads the ``P(EN)`` memo without a Python call
+per lane and derives each distinct signature it misses once, decoding
+all of them with one ``unpackbits``; each miss is then the same 1-D
+``row @ ift`` dot as a scalar miss, so the two paths agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -59,15 +62,27 @@ class EnableStatistics:
     transition_probability: Probability
 
 
+class MemoInfo(NamedTuple):
+    """Hit/miss counts of the ``P(EN)`` memo, shaped like
+    ``functools.lru_cache``'s ``cache_info()``."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
 class ActivityOracle:
     """Table-driven ``P(EN)`` / ``P_tr(EN)`` computation.
 
-    Results are memoized per activation signature (per-instance LRU):
-    the greedy merger probes the same merged subsets over and over --
-    every candidate scan re-unions the same active masks -- so repeated
+    Results are memoized per activation signature (per instance): the
+    greedy merger probes the same merged subsets over and over -- every
+    candidate scan re-unions the same active masks -- so repeated
     probes should cost a dictionary hit, not a K^2 matvec.  The memos
     are exact (keyed on the mask or signature, values immutable) and
-    each is bounded by ``cache_size`` entries.
+    each is bounded by ``cache_size`` entries.  The mask and ``P_tr``
+    memos are LRU caches; the ``P(EN)`` memo is a plain dict, emptied
+    when full, that batches read without a Python call per lane.
     """
 
     def __init__(self, tables: ActivityTables, cache_size: int = 1 << 16):
@@ -83,7 +98,10 @@ class ActivityOracle:
         self.activation_signature = lru_cache(maxsize=cache_size)(
             self._activation_signature
         )
-        self._signal = lru_cache(maxsize=cache_size)(self._signal_uncached)
+        self._cache_size = cache_size
+        self._signal_memo: Dict[int, Probability] = {}
+        self._signal_hits = 0
+        self._signal_misses = 0
         self._transition = lru_cache(maxsize=cache_size)(self._transition_uncached)
 
     @property
@@ -98,7 +116,12 @@ class ActivityOracle:
         """Hit/miss counters of the three memos (for benches)."""
         return {
             "activation_signature": self.activation_signature.cache_info(),
-            "signal": self._signal.cache_info(),
+            "signal": MemoInfo(
+                self._signal_hits,
+                self._signal_misses,
+                self._cache_size,
+                len(self._signal_memo),
+            ),
             "transition": self._transition.cache_info(),
         }
 
@@ -146,9 +169,31 @@ class ActivityOracle:
     def _signal_uncached(self, signature: int) -> Probability:
         if signature == 0:
             return 0.0
-        a = self._signature_vector(signature)
+        return self._signal_of(self._signature_vector(signature))
+
+    def _signal_of(self, a: np.ndarray) -> Probability:
+        """``P(EN)`` of one activation indicator vector."""
         # Clamp float summation noise: probabilities live in [0, 1].
         return min(max(float(a @ self._ift), 0.0), 1.0)
+
+    def _remember(self, signature: int, value: Probability) -> None:
+        """Store a ``P(EN)``, emptying the memo first when it is full."""
+        memo = self._signal_memo
+        if len(memo) >= self._cache_size:
+            memo.clear()
+        if self._cache_size > 0:
+            memo[signature] = value
+
+    def _signal(self, signature: int) -> Probability:
+        """``P(EN)`` of a signature, through the memo."""
+        value = self._signal_memo.get(signature)
+        if value is None:
+            self._signal_misses += 1
+            value = self._signal_uncached(signature)
+            self._remember(signature, value)
+        else:
+            self._signal_hits += 1
+        return value
 
     def _transition_uncached(self, signature: int) -> Probability:
         if signature == 0:
@@ -175,16 +220,35 @@ class ActivityOracle:
         """``P(EN)`` for a whole array of activation signatures.
 
         ``signatures`` is any array-like of signature ints (``int64``
-        for ISAs up to 63 instructions, object dtype beyond).  Each
-        lane is answered by the same LRU-backed signature memo the
-        scalar path uses, so every lane is bit-identical to the
-        corresponding scalar ``signal_probability`` call -- and the
-        memo keeps filling/hitting across batched and scalar probes
-        alike (a repeated signature is one miss, then hits).
+        for ISAs up to 63 instructions, object dtype beyond).  The lanes
+        read the memo the scalar path uses in one C-level pass; each
+        distinct ``int64`` signature it lacks is derived once -- all of
+        them decoded by one ``unpackbits`` over the column's
+        little-endian bytes, each priced by the scalar path's own 1-D
+        dot -- so every lane is bit-identical to the corresponding
+        scalar ``signal_probability`` call.  The counts read as the
+        scalar path's would: a repeated signature is one miss, then
+        hits.  Wide (object) signatures take the scalar memo lane by
+        lane.
         """
-        sigs = np.asarray(signatures)
-        memo = self._signal
-        return np.array([memo(sig) for sig in sigs.ravel().tolist()], dtype=np.float64)
+        sigs = np.asarray(signatures).ravel()
+        keys = sigs.tolist()
+        if sigs.dtype == object:
+            return np.array([self._signal(sig) for sig in keys], dtype=np.float64)
+        values = list(map(self._signal_memo.get, keys))
+        fresh: Dict[int, Any] = {}
+        if None in values:
+            # Each distinct missing signature is derived once.
+            fresh = dict.fromkeys(sig for sig, value in zip(keys, values) if value is None)
+            missing = np.array(list(fresh), dtype="<i8").view(np.uint8).reshape(-1, 8)
+            rows = np.unpackbits(missing, axis=1, count=len(self._masks), bitorder="little")
+            for sig, row in zip(list(fresh), rows.astype(float)):
+                fresh[sig] = value = self._signal_of(row) if sig else 0.0
+                self._remember(sig, value)
+            values = list(map(fresh.get, keys, values))
+        self._signal_hits += len(keys) - len(fresh)
+        self._signal_misses += len(fresh)
+        return np.array(values, dtype=np.float64)
 
 
 def scan_stream_probabilities(

@@ -8,7 +8,7 @@ the examples, and the CLI so every surface prints identical rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.flow import ClockRoutingResult
 from repro.obs import PhaseProfile
@@ -109,32 +109,39 @@ def format_comparison(rows: Sequence[ComparisonRow], title: str) -> str:
 
 
 def format_phase_times(
-    profile: PhaseProfile, title: str = "Phase wall-clock profile"
+    profile: PhaseProfile,
+    title: str = "Phase wall-clock profile",
+    layer_ns: Optional[Mapping[str, float]] = None,
 ) -> str:
     """Per-phase wall-clock table from a span-trace profile.
 
     ``profile`` comes from :func:`repro.obs.phase_profile` over a
     tracer's spans; the CLI prints this table whenever ``--trace`` is
     given, and the phase-profile bench persists the same rows to
-    ``BENCH_phase_profile.json``.
+    ``BENCH_phase_profile.json``.  ``layer_ns`` maps the merge loop's
+    ``dme.layer.*`` gauges to nanoseconds; they are listed under the
+    ``dme.merge_loop`` row.
     """
     headers = ["phase", "spans", "seconds", "share"]
+
+    def share(ns: float) -> str:
+        return "%.1f%%" % (100 * ns / profile.root_ns) if profile.root_ns else "0.0%"
+
     data = [
         [row.name, row.count, row.total_ns / 1e9, "%.1f%%" % (100 * row.fraction)]
         for row in profile.rows
     ]
     # Detail rows are nested inside phases already listed (they sit
     # deeper than depth 1), so they render indented and do not join
-    # the coverage sum.
-    data.extend(
-        [
-            "  " + row.name,
-            row.count,
-            row.total_ns / 1e9,
-            "%.1f%%" % (100 * row.fraction),
-        ]
-        for row in profile.detail_rows
-    )
+    # the coverage sum; the merge-loop layers nest one level further.
+    for row in profile.detail_rows:
+        data.append(
+            ["  " + row.name, row.count, row.total_ns / 1e9, "%.1f%%" % (100 * row.fraction)]
+        )
+        if row.name == "dme.merge_loop" and layer_ns:
+            data.extend(
+                ["    " + name, "", ns / 1e9, share(ns)] for name, ns in layer_ns.items()
+            )
     data.append(
         [
             "(total traced)",

@@ -58,6 +58,8 @@ and result pins) for ``obs diff``; it is the run's one artefact.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -720,6 +722,16 @@ def _write_record(args: argparse.Namespace, tracer, registry) -> None:
     print("run record written to %s" % args.record)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, before a flow
+    spends its time: its directory must exist and be writable."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _run(args: argparse.Namespace) -> int:
     """Run the subcommand, traced when a span trace or record is asked for."""
     seed = getattr(args, "seed", None)
@@ -727,6 +739,10 @@ def _run(args: argparse.Namespace) -> int:
         raise InputError("--seed must be non-negative, got %d" % seed, field="seed")
     trace_path = getattr(args, "trace", None)
     record_path = getattr(args, "record", None)
+    # Every output file must be creatable before the flow runs.
+    for path in (trace_path, record_path, getattr(args, "out", None), getattr(args, "svg", None)):
+        if path is not None:
+            _check_writable(path)
     if trace_path is None and record_path is None:
         return args.func(args)
     tracer = enable_tracing()
@@ -747,7 +763,13 @@ def _run(args: argparse.Namespace) -> int:
         # Assembled after the root span closed and tracing was torn
         # down, so recording never pollutes the timings it records.
         _write_record(args, tracer, registry)
-    print(format_phase_times(phase_profile(tracer.spans, detail_names=DME_DETAIL_SPANS)))
+    layers = {
+        name: metric["value"]
+        for name, metric in registry.as_dict().items()
+        if name.startswith("dme.layer.")
+    }
+    profile = phase_profile(tracer.spans, detail_names=DME_DETAIL_SPANS)
+    print(format_phase_times(profile, layer_ns=layers))
     return code
 
 

@@ -46,23 +46,35 @@ from repro.cts.dme import BottomUpMerger, EdgeCells, PairCost, PairLanes
 from repro.cts.topology import star_term
 
 
-def _edge_weight(lanes: PairLanes, cells: EdgeCells, enable_probability):
-    """Switching probability of each lane's new clock edge on one side:
-    the child's own ``P(EN)`` below a gate, 1 below a buffer, and the
-    merged ``P(EN)`` (1 without an oracle) on ungated wire."""
+def _edge_weight(lanes: PairLanes, cells: EdgeCells):
+    """Switching probability of every new clock edge: the child's own
+    ``P(EN)`` below a gate, 1 below a buffer, and the merged ``P(EN)``
+    (1 without an oracle) on ungated wire."""
     plain = ~(cells.maskable | cells.celled)
-    merged = lanes.merged_probability if plain.any() else None
+    merged = lanes.edge_merged_probability if plain.any() else None
     return np.where(
         cells.maskable,
-        enable_probability,
+        lanes.column("enable_p"),
         np.where(cells.celled, 1.0, 1.0 if merged is None else merged),
     )
 
 
-def _star_term(merger: BottomUpMerger, ids):
-    """Enable-star switched capacitance of each lane's child ``ids``."""
-    arrays = merger.node_arrays
-    return star_term(merger.tech, arrays.star[ids], arrays.enable_ptr[ids])
+def _star_term(merger: BottomUpMerger, lanes: PairLanes):
+    """Enable-star switched capacitance of every edge's child."""
+    return star_term(merger.tech, lanes.column("star"), lanes.column("enable_ptr"))
+
+
+def _fold(n: int, wire, gated):
+    """Each lane's total over its two edges, in the scalar order: the
+    ``a`` edge's ``wire`` term, then each ``(mask, term)`` of ``gated``
+    where its mask holds; then the same for the ``b`` edge.  The terms
+    run over all ``2n`` edges (:attr:`PairLanes.edges`)."""
+    total = 0.0
+    for side in (slice(None, n), slice(n, None)):
+        total = total + wire[side]
+        for mask, term in gated:
+            total = np.where(mask[side], total + term[side], total)
+    return total
 
 
 class SwitchedCapacitanceCost(PairCost):
@@ -70,16 +82,10 @@ class SwitchedCapacitanceCost(PairCost):
 
     def batch(self, merger, lanes):
         tech = merger.tech
-        c = tech.unit_wire_capacitance
-        a_clk = tech.clock_transitions_per_cycle
-        arrays = merger.node_arrays
-        total = 0.0
-        for ids, (cells, length) in zip((lanes.a, lanes.b), lanes.edges):
-            clock_cap = c * length + arrays.cap[ids]
-            weight = _edge_weight(lanes, cells, arrays.enable_p[ids])
-            total = total + a_clk * clock_cap * weight
-            total = np.where(cells.maskable, total + _star_term(merger, ids), total)
-        return total
+        cells, length = lanes.edges
+        clock_cap = tech.unit_wire_capacitance * length + lanes.column("cap")
+        wire = tech.clock_transitions_per_cycle * clock_cap * _edge_weight(lanes, cells)
+        return _fold(lanes.distance.size, wire, [(cells.maskable, _star_term(merger, lanes))])
 
 
 class IncrementalSwitchedCapacitanceCost(PairCost):
@@ -105,21 +111,14 @@ class IncrementalSwitchedCapacitanceCost(PairCost):
 
     def batch(self, merger, lanes):
         tech = merger.tech
-        c = tech.unit_wire_capacitance
         a_clk = tech.clock_transitions_per_cycle
-        arrays = merger.node_arrays
-        merged = lanes.merged_probability
-        pin_probability = 1.0 if merged is None else merged
-        total = 0.0
-        for ids, (cells, length) in zip((lanes.a, lanes.b), lanes.edges):
-            weight = _edge_weight(lanes, cells, arrays.enable_p[ids])
-            total = total + a_clk * c * length * weight
-            pin_weight = np.where(cells.maskable, pin_probability, 1.0)
-            total = np.where(
-                cells.celled, total + a_clk * cells.input_cap * pin_weight, total
-            )
-            total = np.where(cells.maskable, total + _star_term(merger, ids), total)
-        return total
+        cells, length = lanes.edges
+        wire = a_clk * tech.unit_wire_capacitance * length * _edge_weight(lanes, cells)
+        merged = lanes.edge_merged_probability
+        pin_weight = np.where(cells.maskable, 1.0 if merged is None else merged, 1.0)
+        pin = a_clk * cells.input_cap * pin_weight
+        gated = [(cells.celled, pin), (cells.maskable, _star_term(merger, lanes))]
+        return _fold(lanes.distance.size, wire, gated)
 
 
 switched_capacitance_cost = SwitchedCapacitanceCost()

@@ -15,15 +15,15 @@ fixed-width slot row and keeps a high-water ``(u, v)`` bounding box of
 them.  Every segment lies inside its block's box, so the segment
 distance from a query to the box is a lower bound for every member.
 :meth:`~SegmentBlockIndex.nearest_many` answers a batch of queries
-over one query x slot grid per kernel.  Each query bounds its distance
-to every box in one vectorized step and takes blocks in bound order
-(its own block first) until they hold ``k`` ids; the union of those
-blocks is measured in one kernel, then every remaining block whose
-bound is ``<=`` some query's k-th distance (at most one more kernel).
-A one-block population is one kernel.  The stop rule is strict -- a
-block whose bound *equals* the k-th distance is still measured -- so
-distance ties are broken by id exactly as a full ``(distance, id)``
-sort breaks them.
+in at most two kernels, and each query measures only the blocks it
+reaches.  Pass 1 measures every query against its first block -- its
+own, or for a query from outside the one of least bound -- in one
+query x slot grid; pass 2 measures, per query, every other block whose
+bound is ``<=`` that query's k-th distance so far, as one ragged
+gather of (query, block) pairs.  A one-block population is one kernel.
+The stop rule is strict -- a block whose bound *equals* the k-th
+distance is still measured -- so distance ties are broken by id
+exactly as a full ``(distance, id)`` sort breaks them.
 
 Removals leave a dead slot (infinitely far from any query) and never
 shrink a box; the blocks are re-derived from the live population
@@ -51,8 +51,8 @@ _BLOCK = 256
 """Target ids per block after a rebuild."""
 
 _GRID_QUERIES = 64
-"""Queries per query x slot grid of :meth:`SegmentBlockIndex.nearest_many`
-(bounds its temporaries when a batch spans many blocks)."""
+"""Queries per group of :meth:`SegmentBlockIndex.nearest_many` (bounds
+its temporaries)."""
 
 _DEAD = (np.inf, -np.inf, np.inf, -np.inf)
 """Extents of an empty slot or box: infinitely far from every segment."""
@@ -170,11 +170,21 @@ class SegmentBlockIndex:
         gap = np.maximum(box[0::2] - ext[1::2], ext[0::2] - box[1::2])
         return np.maximum(gap[0], gap[1])
 
-    def _grid(self, query: np.ndarray, blocks):
-        """Ids of every slot of ``blocks`` and the ``(q, slots)`` grid
-        of exact distances from each query to each slot."""
-        ext = self._ext[:, blocks].reshape(4, 1, -1)
-        return self._ids[blocks].ravel(), self._measure(*query[:, :, None], *ext)
+    def _gather(self, query: np.ndarray, reach: np.ndarray):
+        """``(ids, distances)`` of each query ``i`` against the slots of
+        the blocks ``reach[i]`` marks, as two ``(q, r * width)`` grids
+        with ``r`` the most blocks a query reaches; a query reaching
+        fewer has its grid padded with unmeasured infinite distances.
+        """
+        row, block = reach.nonzero()
+        counts = reach.sum(axis=1)
+        real = np.arange(counts.max()) < counts[:, None]
+        blocks = np.zeros(real.shape, dtype=np.intp)
+        blocks[real] = block
+        ids = self._ids[blocks]
+        d = np.full(ids.shape, np.inf)
+        d[real] = self._measure(*query[:, row, None], *self._ext[:, block])
+        return ids.reshape(len(reach), -1), d.reshape(len(reach), -1)
 
     def nearest_many(
         self, nids: Sequence[int], k: int
@@ -189,14 +199,12 @@ class SegmentBlockIndex:
         indexed (it is then excluded from its own answer) or not (its
         row must still be written).
 
-        Queries are answered in groups of at most :data:`_GRID_QUERIES`
-        (sorted by their own block when there are more, so a group
-        reaches few blocks), each group over a query x slot grid.
-        Pass 1 measures, in one kernel, the union of the blocks each
-        query of the group needs to hold ``k`` ids, and pass 2, in at
-        most one more, every other block whose bound is ``<=`` some
-        query's k-th distance; a one-block population is measured
-        whole.  A slot left unmeasured for a query is therefore strictly
+        Queries are answered in groups of at most :data:`_GRID_QUERIES`.
+        Pass 1 measures, in one kernel, each query's first block (its
+        own, else the one of least bound), and pass 2, in at most one
+        more, each further block whose bound is ``<=`` that query's k-th
+        distance after pass 1; a query measures no block it does not
+        reach.  A slot left unmeasured for a query is therefore strictly
         farther than its k-th distance, and ties at it are broken by id.
         """
         if k < 1:
@@ -209,23 +217,21 @@ class SegmentBlockIndex:
         sizes = np.zeros(len(slots), dtype=np.int64)
         if not rows:
             return np.empty(0, dtype=np.int64), np.empty(0), sizes
-        # Grouped by own block, so each group reaches few blocks.
-        rows.sort(key=lambda i: -1 if slots[i] is None else slots[i][0])
-        answers = {}
+        ids, d = [], []
         for start in range(0, len(rows), _GRID_QUERIES):
             group = rows[start : start + _GRID_QUERIES]
-            ids, d, counts = self._answer([nids[i] for i in group], [slots[i] for i in group], k)
-            sizes[group] = counts
-            ends = np.cumsum(counts)[:-1]
-            answers.update(zip(group, zip(np.split(ids, ends), np.split(d, ends))))
-        ids, d = zip(*(answers[i] for i in sorted(answers)))
+            group_ids, group_d, sizes[group] = self._answer(
+                [nids[i] for i in group], [slots[i] for i in group], k
+            )
+            ids.append(group_ids)
+            d.append(group_d)
         return np.concatenate(ids), np.concatenate(d), sizes
 
     def _answer(self, nids, slots, k):
         """:meth:`nearest_many` of one group of queries, each with at
         least one live id to find."""
         live = len(self._slot)
-        want = [min(k, live - (own is not None)) for own in slots]
+        want = np.array([min(k, live - (own is not None)) for own in slots])
         indexed = [i for i, own in enumerate(slots) if own is not None]
         if len(indexed) == len(slots):
             block, slot = np.array(slots).T
@@ -233,49 +239,49 @@ class SegmentBlockIndex:
         else:
             query = self._extents(np.array(nids, dtype=np.int64)).reshape(4, -1)
             block, slot = np.array([slots[i] for i in indexed], dtype=np.int64).reshape(-1, 2).T
-        n, width = self._ids.shape
+        n = len(self._ids)
+        # Pass 1 measures each query's first block: its own, else the
+        # one of least bound.  The own slot is then at column ``slot``.
         if n == 1:
-            ids, d = self._grid(query, slice(None))
-            d[indexed, block * width + slot] = np.inf
-            kth = self._kth(d, want)
+            first = np.zeros(len(slots), dtype=np.intp)
         else:
             bound = self._bounds(query)
-            bound[indexed, block] = -np.inf  # the own block comes first
-            order = np.argsort(bound, axis=1)
-            # Reach: the blocks in bound order until they hold k + 1 ids
-            # (k others besides the query itself); pass 1 takes every
-            # block bounded no farther than a query's last reached one.
-            held = np.cumsum(self._count[order], axis=1)
-            last = np.minimum((held <= np.array(want)[:, None]).sum(axis=1), n - 1)
-            q = np.arange(len(slots))
-            reach = bound <= bound[q, order[q, last]][:, None]
-            blocks = np.flatnonzero(reach.any(axis=0))
-            ids, d = self._grid(query, blocks)
-            d[indexed, np.searchsorted(blocks, block) * width + slot] = np.inf
-            kth = self._kth(d, want)
-            near = (bound <= kth[:, None]).any(axis=0)
-            near[blocks] = False
-            more = np.flatnonzero(near)
-            if more.size:
-                extra_ids, extra_d = self._grid(query, more)
-                ids = np.concatenate((ids, extra_ids))
-                d = np.concatenate((d, extra_d), axis=1)
+            bound[indexed, block] = -np.inf
+            first = bound.argmin(axis=1)
+        d = self._measure(*query[:, :, None], *self._ext[:, first])
+        ids = self._ids[first]
+        d[indexed, slot] = np.inf
+        kth = self._kth(d, want)
+        if n > 1:
+            # Pass 2, per query: every other block whose bound is <= its
+            # k-th distance so far.
+            reach = bound <= kth[:, None]
+            reach[np.arange(len(slots)), first] = False
+            if reach.any():
+                more_ids, more_d = self._gather(query, reach)
+                ids = np.concatenate((ids, more_ids), axis=1)
+                d = np.concatenate((d, more_d), axis=1)
                 kth = self._kth(d, want)
         pick = d <= kth[:, None]
-        counts = pick.sum(axis=1)
-        for i in np.flatnonzero(counts > want).tolist():
-            # Ties at the k-th distance go to the smaller ids.
-            tied = np.flatnonzero(pick[i])
-            pick[i] = False
-            pick[i, tied[np.lexsort((ids[tied], d[i, tied]))[: want[i]]]] = True
-            counts[i] = want[i]
-        return ids[pick.nonzero()[1]], d[pick], counts
+        rows, cols = pick.nonzero()
+        if rows.size > want.sum():
+            counts = pick.sum(axis=1)
+            for i in np.flatnonzero(counts > want).tolist():
+                # Ties at the k-th distance go to the smaller ids.
+                tied = np.flatnonzero(pick[i])
+                pick[i] = False
+                pick[i, tied[np.lexsort((ids[i, tied], d[i, tied]))[: want[i]]]] = True
+            rows, cols = pick.nonzero()
+        return ids[rows, cols], d[rows, cols], want
 
     @staticmethod
-    def _kth(d: np.ndarray, want: List[int]) -> np.ndarray:
-        """Each row's ``want[i]``-th smallest distance."""
-        ranks = sorted(set(want))
+    def _kth(d: np.ndarray, want: np.ndarray) -> np.ndarray:
+        """Each row's ``want[i]``-th smallest distance (infinite when the
+        row is narrower than that)."""
+        ranks = sorted(set(want.tolist()))
+        if ranks[-1] > d.shape[1]:
+            d = np.concatenate((d, np.full((len(d), ranks[-1] - d.shape[1]), np.inf)), axis=1)
         if len(ranks) == 1:
             return np.partition(d, ranks[0] - 1, axis=1)[:, ranks[0] - 1]
         part = np.partition(d, [r - 1 for r in ranks], axis=1)
-        return part[np.arange(len(want)), np.array(want) - 1]
+        return part[np.arange(len(want)), want - 1]

@@ -60,14 +60,21 @@ known only once its lanes are priced, so the step queries and screens
 every orphan and applies a ranked lane only to those still stale.
 
 :class:`MergerStats` counts plans, heap traffic, index queries, kernel
-batches and repairs.
+batches and repairs.  The merge loop's wall time is split, exclusively,
+over five layers (:data:`MERGE_LAYERS`): heap pop, candidate query,
+oracle probabilities, split, and cost and commit (the cost arithmetic,
+plan, execute, best-pair bookkeeping and retirement).  The totals are
+published as ``dme.layer.<layer>_ns`` gauges, not counters, so work
+diffs never see timing noise.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -76,7 +83,7 @@ from repro.activity.probability import ActivityOracle
 from repro.check.errors import InputError, InternalInvariantError
 from repro.cts import kernels
 from repro.cts.candidate_index import SegmentBlockIndex
-from repro.obs import get_registry, get_tracer, publish_merger_stats
+from repro.obs import get_registry, get_tracer, publish_merge_layers, publish_merger_stats
 from repro.cts.merge import SplitResult, Tap, merge_regions, zero_skew_split
 from repro.cts.topology import ClockNode, ClockTree, Sink
 from repro.geometry.point import Point
@@ -296,8 +303,6 @@ def commit_merge(
     return merged
 
 
-_UNSET = object()
-
 _SCREEN_LANES = 1 << 15
 """Lane cap of one multi-owner screen: bounds the screen's temporaries
 (exact-greedy initialization would otherwise batch all N^2 lanes)."""
@@ -312,6 +317,10 @@ class PairLanes:
     read beyond that is derived on first use, so each cost pays only
     for what it reads: :attr:`merged_probability` and the cells and
     lengths of both new edges (:attr:`edges`).
+
+    Per-edge quantities run over the ``2n`` new edges of ``n`` lanes:
+    the ``a`` sides, then the ``b`` sides (:attr:`ids` holds each
+    edge's child), so one array operation serves both sides.
     """
 
     def __init__(self, merger: "BottomUpMerger", a, b, distance):
@@ -319,26 +328,39 @@ class PairLanes:
         self.a = a
         self.b = b
         self.distance = distance
-        self._edges = None
-        self._merged_probability: object = _UNSET
+        self._columns: Dict[str, np.ndarray] = {}
 
-    @property
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The child below each new edge: ``a``, then ``b``."""
+        return np.concatenate((self.a, self.b))
+
+    def column(self, name: str) -> np.ndarray:
+        """The :class:`~repro.cts.kernels.NodeArrays` column ``name`` at
+        every edge's child (:attr:`ids`), gathered once per batch."""
+        values = self._columns.get(name)
+        if values is None:
+            values = getattr(self.merger.node_arrays, name)[self.ids]
+            self._columns[name] = values
+        return values
+
+    @cached_property
     def merged_probability(self):
         """``P(EN)`` of each lane's merged module set (``None`` without
         an oracle)."""
-        if self._merged_probability is _UNSET:
-            self._merged_probability = self.merger._merged_probabilities(
-                self.a, self.b
-            )
-        return self._merged_probability
+        return self.merger._merged_probabilities(self.a, self.b)
 
-    @property
-    def edges(self) -> Tuple[Tuple[EdgeCells, np.ndarray], ...]:
-        """``((cells_a, length_a), (cells_b, length_b))``: the cell
-        decisions and zero-skew lengths of each lane's two new edges."""
-        if self._edges is None:
-            self._edges = self.merger._split_lanes(self)
-        return self._edges
+    @cached_property
+    def edge_merged_probability(self):
+        """:attr:`merged_probability` of the lane of each edge."""
+        merged = self.merged_probability
+        return None if merged is None else np.concatenate((merged, merged))
+
+    @cached_property
+    def edges(self) -> Tuple[EdgeCells, np.ndarray]:
+        """``(cells, length)``: the cell decision and zero-skew length
+        of every new edge, ``a`` sides then ``b`` sides."""
+        return self.merger._split_lanes(self)
 
 
 class PairCost:
@@ -412,6 +434,9 @@ class MergerStats:
         """
         return dict(vars(self))
 
+
+MERGE_LAYERS = ("heap_pop", "candidate_query", "oracle", "split", "cost_commit")
+"""The merge loop's time layers, in loop order (:meth:`BottomUpMerger._enter`)."""
 
 logger = logging.getLogger(__name__)
 
@@ -516,6 +541,24 @@ class BottomUpMerger:
         self._eager_repair = candidate_limit is not None
         self.merge_trace: List[Tuple[int, int, int]] = []
         """(left, right, merged) triples, in merge order -- for tests."""
+        self.layer_ns: Dict[str, int] = dict.fromkeys(MERGE_LAYERS, 0)
+        """Merge-loop nanoseconds per layer of :data:`MERGE_LAYERS`."""
+        self._layer = "cost_commit"
+        self._mark = time.perf_counter_ns()
+
+    def _enter(self, layer: str) -> str:
+        """Charge the time since the last switch to the current layer,
+        make ``layer`` current and return the layer it replaces.
+
+        Each nanosecond goes to exactly one layer, so a nested layer
+        (the oracle inside a split) is not counted twice; a caller
+        returns to the outer layer by entering the one returned.
+        """
+        now = time.perf_counter_ns()
+        self.layer_ns[self._layer] += now - self._mark
+        self._mark = now
+        outer, self._layer = self._layer, layer
+        return outer
 
     def _set_row(self, node: ClockNode) -> None:
         """Mirror a node's merge state, activation signature and
@@ -585,25 +628,26 @@ class BottomUpMerger:
         """
         if self.oracle is None:
             return None
+        outer = self._enter("oracle")
         sig = self.node_arrays.sig
-        return self.oracle.batch_probabilities(sig[a] | sig[b])
+        probabilities = self.oracle.batch_probabilities(sig[a] | sig[b])
+        self._enter(outer)
+        return probabilities
 
     def _split_lanes(self, lanes: PairLanes):
-        """Cells and zero-skew lengths of every lane's two new edges."""
-        arrays = self.node_arrays
-        a, b, distance = lanes.a, lanes.b, lanes.distance
+        """Cells and zero-skew lengths of every lane's two new edges,
+        ``a`` sides then ``b`` sides (:attr:`PairLanes.edges`)."""
+        outer = self._enter("split")
+        distance = lanes.distance
         n = distance.size
         codes = np.zeros(2 * n, dtype=np.intp)
         if len(self._cells) > 1:
-            # Both sides in one call: lanes (a[j], .) then (b[j], .).
-            ids = np.concatenate((a, b))
-            merged = lanes.merged_probability
             codes = np.asarray(
                 self.cell_policy.decide(
-                    arrays.enable_p[ids],
-                    arrays.cap[ids],
+                    lanes.column("enable_p"),
+                    lanes.column("cap"),
                     np.concatenate((distance, distance)),
-                    None if merged is None else np.concatenate((merged, merged)),
+                    lanes.edge_merged_probability,
                     self.tech,
                 ),
                 dtype=np.intp,
@@ -611,37 +655,40 @@ class BottomUpMerger:
         sizer = self.cell_sizer
         if sizer is not None:
             codes = sizer.unit_codes(codes)
-        codes_a, codes_b = codes[:n], codes[n:]
         table = self._cell_table
-        cells_a, cells_b = table.take(codes_a), table.take(codes_b)
-        # The split's per-lane arguments, which the sizer re-splits.
-        columns = (distance, arrays.cap[a], arrays.delay[a], arrays.cap[b], arrays.delay[b])
-        split = kernels.batch_zero_skew_split(
-            *columns,
+        cells = table.take(codes)
+        cap, delay = lanes.column("cap"), lanes.column("delay")
+        split = kernels.BatchSplit(
+            distance,
+            cap,
+            delay,
+            cells,
             self.tech.unit_wire_resistance,
             self.tech.unit_wire_capacitance,
-            cell_a=cells_a,
-            cell_b=cells_b,
         )
-        length_a, length_b = split.length_a, split.length_b
         for j in kernels.out_of_range_lanes(split):
             # The scalar plan raises SkewBalanceError on these lanes.
-            self.plan(int(a[j]), int(b[j]), distance=float(distance[j]))
+            self.plan(int(lanes.a[j]), int(lanes.b[j]), distance=float(distance[j]))
+        length = split.length
         if sizer is not None:
             # The sizer may resize the cells of any snaked merge.
             (snaked,) = np.nonzero(~split.in_range)
             if snaked.size:
+                # Its per-lane split arguments and the lanes' two sides.
+                columns = (distance, cap[:n], delay[:n], cap[n:], delay[n:])
+                sides = (codes[:n], codes[n:], length[:n], length[n:])
                 resized = sizer.resolve_lanes(
                     table,
-                    codes_a[snaked],
-                    codes_b[snaked],
+                    sides[0][snaked],
+                    sides[1][snaked],
                     [column[snaked] for column in columns],
                     self.tech,
                 )
-                for column, values in zip((codes_a, codes_b, length_a, length_b), resized):
+                for column, values in zip(sides, resized):
                     column[snaked] = values
-                cells_a, cells_b = table.take(codes_a), table.take(codes_b)
-        return (cells_a, length_a), (cells_b, length_b)
+                cells = table.take(codes)
+        self._enter(outer)
+        return cells, length
 
     def _measure(self, *extents) -> np.ndarray:
         """:func:`kernels.batch_segment_distance`, counted in
@@ -658,14 +705,18 @@ class BottomUpMerger:
         are the k nearest, from one batched index query; otherwise every
         other active id (distances ``None``: the screen measures them).
         """
+        outer = self._enter("candidate_query")
         index = self._index
         if index is None:
             others = [self._active_ids.others(nid) for nid in nids]
-            return np.array([o.size for o in others]), np.concatenate(others), None
-        ids, distance, sizes = index.nearest_many(nids, self.candidate_limit)
-        if ids.size:
-            self.stats.index_queries += 1
-        return sizes, ids, distance
+            candidates = np.array([o.size for o in others]), np.concatenate(others), None
+        else:
+            ids, distance, sizes = index.nearest_many(nids, self.candidate_limit)
+            if ids.size:
+                self.stats.index_queries += 1
+            candidates = sizes, ids, distance
+        self._enter(outer)
+        return candidates
 
     def _screen(self, owner, other, distance=None, canonical: bool = False):
         """Exact ``(costs, distances)`` of merging each lane's owner
@@ -865,19 +916,26 @@ class BottomUpMerger:
                 self._initialize_best()
             get_registry().counter("dme.init_best.runs").inc()
             with tracer.span("dme.merge_loop"):
+                # Restart the layer clock: only the loop is charged.
+                self._enter("cost_commit")
+                self.layer_ns = dict.fromkeys(MERGE_LAYERS, 0)
                 while len(self._active) > 1:
+                    self._enter("heap_pop")
                     a_id, b_id, distance = self._pop_valid_pair()
+                    self._enter("cost_commit")
                     plan = self.plan(a_id, b_id, distance)
                     merged = self.execute(plan)
                     orphans = (self._retire(a_id) | self._retire(b_id)) & self._active
                     self._merge_step(
                         merged.id, sorted(orphans) if self._eager_repair else ()
                     )
+                self._enter("cost_commit")
             (root,) = self._active
             self.tree.set_root(root)
             with tracer.span("dme.embed"):
                 self.tree.place()
             publish_merger_stats(self.stats)
+            publish_merge_layers(self.layer_ns)
         if logger.isEnabledFor(logging.DEBUG):
             # Guarded: these arguments walk the whole tree.
             logger.debug(

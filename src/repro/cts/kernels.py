@@ -30,7 +30,10 @@ What is batched:
   positive quadratic root, computed over the snaking lanes only).
   Only lanes whose scalar split raises ``SkewBalanceError`` are left
   unmodelled (:func:`out_of_range_lanes`); the merger takes those from
-  the scalar ``plan()``, which raises the same error.
+  the scalar ``plan()``, which raises the same error.  The merger
+  builds :class:`BatchSplit` directly from per-edge arrays (both
+  sides' edges concatenated, as it gathers them); the function takes
+  the two sides apart, each a scalar or per-lane.
 
 :class:`NodeArrays` is the struct-of-arrays mirror of per-node merge
 state the merger writes as nodes are created;
@@ -41,7 +44,7 @@ swap-removal so candidate gathers are single fancy-index operations.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -102,33 +105,40 @@ def batch_segment_distance(
 class BatchSplit:
     """Vectorized ``zero_skew_split`` outcome over a candidate batch.
 
+    Per-edge arrays run over the ``2n`` new edges of ``n`` lanes: the
+    ``a`` edges, then the ``b`` edges.  ``cap`` and ``delay`` are the
+    children's, ``cells`` exposes the per-edge ``drive_resistance``,
+    ``intrinsic_delay``, ``input_cap`` and ``celled`` of the cells on
+    the new edges (a :class:`repro.cts.dme.EdgeCells`; plain wire
+    carries zero terms and ``celled`` False).
+
     The balance point ``x``, the classification masks and the edge
-    lengths are computed up front; ``delay``, ``presented_a`` /
-    ``presented_b`` and ``merged_cap`` on first access (the merger's
-    screens read only the lengths).  Snaking lanes (``snake_a`` /
-    ``snake_b``) carry the snaked length of their fast side, solved
-    over those lanes alone.  Per-lane values are valid where
-    ``modelled`` is True: on every lane except those whose scalar
-    split raises ``SkewBalanceError``, which carry zeros.
+    lengths (``length``; ``length_a`` and ``length_b`` are its halves)
+    are computed up front; ``delay``, ``presented_a`` / ``presented_b``
+    and ``merged_cap`` on first access (the merger's screens read only
+    the lengths).  Snaking lanes (``snake_a`` / ``snake_b``) carry the
+    snaked length of their fast side, solved over those edges alone, in
+    one pass for both sides.  Per-lane values are valid where
+    ``modelled`` is True: on every lane except those whose scalar split
+    raises ``SkewBalanceError``, which carry zeros.
     """
 
-    def __init__(self, length, side_a, side_b, r, c):
-        (cap_a, delay_a, cell_a), (cap_b, delay_b, cell_b) = side_a, side_b
-        self._sides = side_a, side_b
+    def __init__(self, length, cap, delay, cells, r, c):
+        self._edge = cap, delay, cells
         self._rc = r, c
-        ra, ia = _drive_terms(cell_a)
-        rb, ib = _drive_terms(cell_b)
-
-        den = c * (ra + rb) + r * (cap_a + cap_b) + r * c * length
+        n = length.size
+        side_a, side_b = slice(None, n), slice(n, None)
+        drive = cells.drive_resistance
         # Tap.unloaded_delay: t' = D + R * C + t, association preserved.
-        unloaded_a = ia + ra * cap_a + delay_a
-        unloaded_b = ib + rb * cap_b + delay_b
-        skew = unloaded_b - unloaded_a
+        unloaded = cells.intrinsic_delay + drive * cap + delay
+        ra, rb, cap_b = drive[side_a], drive[side_b], cap[side_b]
+        den = c * (ra + rb) + r * (cap[side_a] + cap_b) + r * c * length
+        skew = unloaded[side_b] - unloaded[side_a]
         num = length * (rb * c + r * cap_b) + r * c * length * length / 2.0 + skew
 
         self.degenerate = den <= DEGENERATE_DEN_EPS
-        x = num / np.where(self.degenerate, 1.0, den)
         if self.degenerate.any():
+            x = num / np.where(self.degenerate, 1.0, den)
             # Scalar classification: equal subtrees split trivially, a
             # slower side forces the snaking path via an out-of-range x.
             deg_x = np.where(
@@ -137,73 +147,60 @@ class BatchSplit:
                 np.where(skew > 0, length + 1.0, -1.0),
             )
             x = np.where(self.degenerate, deg_x, x)
+        else:
+            x = num / den
         self.x = x
         self.snake_b = x < 0.0
         self.snake_a = x > length
         self.in_range = ~(self.snake_a | self.snake_b)
         self.modelled = self.in_range.copy()
-        self.length_a = np.where(self.in_range, x, 0.0)
-        self.length_b = np.where(self.in_range, length - x, 0.0)
+        self.length = np.where(
+            np.concatenate((self.in_range, self.in_range)),
+            np.concatenate((x, length - x)),
+            0.0,
+        )
+        self.length_a, self.length_b = self.length[side_a], self.length[side_b]
         # A snaking side keeps a zero edge on the other side and grows
         # its own wire until it is as slow (zero_skew_split's branches).
-        for snaking, edge, fast, target in (
-            (self.snake_a, self.length_a, (cap_a, ra, unloaded_a), unloaded_b),
-            (self.snake_b, self.length_b, (cap_b, rb, unloaded_b), unloaded_a),
-        ):
-            (lanes,) = snaking.nonzero()
-            if lanes.size:
-                edge[lanes], self.modelled[lanes] = _snake_length(
-                    _at(length, lanes),
-                    [_at(v, lanes) for v in fast],
-                    _at(target, lanes),
-                    r,
-                    c,
-                )
-
-    def _edges(self):
-        """``(edge length, cap, delay, cell)`` of both sides."""
-        for e, (cap, delay, cell) in zip((self.length_a, self.length_b), self._sides):
-            yield e, cap, delay, cell
+        (edges,) = np.concatenate((self.snake_a, self.snake_b)).nonzero()
+        if edges.size:
+            lanes = edges % n
+            self.length[edges], self.modelled[lanes] = _snake_length(
+                length[lanes],
+                (cap[edges], drive[edges], unloaded[edges]),
+                unloaded[(edges + n) % (2 * n)],
+                r,
+                c,
+            )
 
     @cached_property
     def delay(self):
         """Common delay from the merge point down to every sink."""
         r, c = self._rc
-        return np.maximum(
-            *(
-                _edge_delay(e, cap, delay, *_drive_terms(cell), r, c)
-                for e, cap, delay, cell in self._edges()
-            )
+        cap, delay, cells = self._edge
+        edge = _edge_delay(
+            self.length, cap, delay, cells.drive_resistance, cells.intrinsic_delay, r, c
         )
+        return np.maximum(edge[: self.x.size], edge[self.x.size :])
 
     @cached_property
     def _presented(self):
-        c = self._rc[1]
-        return [_presented_cap(cell, c * e + cap) for e, cap, _, cell in self._edges()]
+        """``Tap.presented_cap`` of every edge: the cell's input pin,
+        else the wire load."""
+        cap, _, cells = self._edge
+        return np.where(cells.celled, cells.input_cap, self._rc[1] * self.length + cap)
 
     @property
     def presented_a(self):
-        return self._presented[0]
+        return self._presented[: self.x.size]
 
     @property
     def presented_b(self):
-        return self._presented[1]
+        return self._presented[self.x.size :]
 
     @property
     def merged_cap(self):
         return self.presented_a + self.presented_b
-
-
-def _at(value, lanes):
-    """A per-lane array's entries at ``lanes``; a scalar as it is."""
-    return value[lanes] if isinstance(value, np.ndarray) else value
-
-
-def _drive_terms(cell):
-    """``(drive resistance, intrinsic delay)`` of a side's cells."""
-    if cell is None:
-        return 0.0, 0.0
-    return cell.drive_resistance, cell.intrinsic_delay
 
 
 def _edge_delay(e, cap, delay, drive, intrinsic, r, c):
@@ -242,11 +239,21 @@ def _snake_length(length, fast, target, r, c):
     return np.where(modelled, np.where(length > e, length, e), 0.0), modelled
 
 
-def _presented_cap(cell, wire_cap):
-    """``Tap.presented_cap``: the cell's input pin, else the wire load."""
+class _EdgeCellTerms(NamedTuple):
+    """The per-edge cell terms :class:`BatchSplit` reads."""
+
+    drive_resistance: np.ndarray
+    intrinsic_delay: np.ndarray
+    input_cap: np.ndarray
+    celled: np.ndarray
+
+
+def _cell_term(cell, name: str):
+    """One side's ``name`` term: zero (``celled`` False) on plain wire,
+    else the cell's (``celled`` True unless per-lane cells say)."""
     if cell is None:
-        return wire_cap
-    return np.where(getattr(cell, "celled", True), cell.input_cap, wire_cap)
+        return False if name == "celled" else 0.0
+    return getattr(cell, name, True)
 
 
 def batch_zero_skew_split(
@@ -277,7 +284,18 @@ def batch_zero_skew_split(
 
     Scalar counterpart: repro.cts.merge.zero_skew_split
     """
-    return BatchSplit(length, (cap_a, delay_a, cell_a), (cap_b, delay_b, cell_b), r, c)
+    length = np.asarray(length)
+
+    def edges(a, b):
+        return np.concatenate((np.broadcast_to(a, length.shape), np.broadcast_to(b, length.shape)))
+
+    cells = _EdgeCellTerms(
+        *(
+            edges(_cell_term(cell_a, name), _cell_term(cell_b, name))
+            for name in _EdgeCellTerms._fields
+        )
+    )
+    return BatchSplit(length, edges(cap_a, cap_b), edges(delay_a, delay_b), cells, r, c)
 
 
 def out_of_range_lanes(split: BatchSplit) -> list:

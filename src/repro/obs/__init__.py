@@ -42,6 +42,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.instrument import (
+    publish_merge_layers,
     publish_merger_stats,
     publish_oracle_cache,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "get_tracer",
     "load_json",
     "phase_profile",
+    "publish_merge_layers",
     "publish_merger_stats",
     "publish_oracle_cache",
     "record_from_trace",

@@ -8,7 +8,7 @@ run, end of a routed flow), never in inner loops, and tolerate a
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -24,6 +24,24 @@ def publish_merger_stats(stats, registry: Optional[MetricsRegistry] = None) -> N
         registry.counter("dme." + key).inc(value)
 
 
+def publish_merge_layers(
+    layer_ns: Dict[str, int], registry: Optional[MetricsRegistry] = None
+) -> None:
+    """Add a merger's per-layer loop time to the ``dme.layer.*`` gauges.
+
+    One ``dme.layer.<layer>_ns`` gauge per key of
+    :attr:`~repro.cts.dme.BottomUpMerger.layer_ns`.  Gauges, so the
+    sentinel's counter diff never sees timing noise; each adds to the
+    value already in the registry, so a flow of several mergers (shards
+    routed inline, then the stitch) reports their sum, as the summed
+    ``dme.merge_loop`` spans do.
+    """
+    registry = registry or get_registry()
+    for layer, ns in layer_ns.items():
+        gauge = registry.gauge("dme.layer.%s_ns" % layer)
+        gauge.set((gauge.value or 0) + ns)
+
+
 def publish_oracle_cache(oracle, registry: Optional[MetricsRegistry] = None) -> None:
     """Publish the :class:`ActivityOracle` memo hit/miss gauges.
 
@@ -31,8 +49,8 @@ def publish_oracle_cache(oracle, registry: Optional[MetricsRegistry] = None) -> 
     :meth:`~repro.activity.probability.ActivityOracle.cache_info`:
     ``activation_signature``, ``signal`` and ``transition``.
 
-    Gauges, not counters: ``lru_cache`` counts are cumulative per
-    oracle instance, so last-write-wins is the correct aggregation.
+    Gauges, not counters: the memo counts are cumulative per oracle
+    instance, so last-write-wins is the correct aggregation.
     """
     registry = registry or get_registry()
     for memo, info in oracle.cache_info().items():

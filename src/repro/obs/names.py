@@ -60,6 +60,11 @@ METRIC_NAMES = frozenset(
     {
         "controller.star_edge_length",
         "dme.init_best.runs",
+        "dme.layer.candidate_query_ns",
+        "dme.layer.cost_commit_ns",
+        "dme.layer.heap_pop_ns",
+        "dme.layer.oracle_ns",
+        "dme.layer.split_ns",
         "gating.gates_pruned",
         "shard.count",
         "shard.route_seconds",

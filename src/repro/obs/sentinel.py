@@ -16,6 +16,12 @@ up section by section and emits one-line findings in the style of the
   baseline means the algorithm changed, which a wall-clock threshold
   on a different machine would miss.
 
+Only records of like runs compare: two records whose labels
+differ (another benchmark, another command) are refused with an
+``InputError``.  Records of one label whose ``config`` differs (say
+``--candidate-limit`` 16 against 64) do compare; the differing keys
+head the report.
+
 In every section a quantity the baseline has and the current run
 lacks is ``missing`` and fails: a dropped pin, counter or phase is a
 signal that silently stopped, not noise.  One only the current run has
@@ -88,6 +94,8 @@ class RunDiff:
 
     sections: Tuple[str, ...]
     findings: List[Finding] = field(default_factory=list)
+    config_changes: List[str] = field(default_factory=list)
+    """``key: baseline -> current`` of each config key the runs differ in."""
 
     @property
     def regressions(self) -> List[Finding]:
@@ -118,7 +126,10 @@ class RunDiff:
         )
 
     def report(self) -> str:
-        lines = [f.line() for f in self.notable()]
+        lines = []
+        if self.config_changes:
+            lines.append("obs.check: config differs: %s" % "; ".join(self.config_changes))
+        lines.extend(f.line() for f in self.notable())
         lines.append(self.summary())
         return "\n".join(lines)
 
@@ -228,7 +239,21 @@ def compare_runs(
                 % (section, ", ".join(ALL_SECTIONS)),
                 field="sections",
             )
-    diff = RunDiff(sections=tuple(sections))
+    if baseline.label != current.label:
+        raise InputError(
+            "records of unlike runs: baseline %r, current %r"
+            % (baseline.label, current.label),
+            field="label",
+        )
+    base_cfg, cur_cfg = baseline.config, current.config
+    diff = RunDiff(
+        sections=tuple(sections),
+        config_changes=[
+            "%s: %r -> %r" % (key, base_cfg.get(key), cur_cfg.get(key))
+            for key in sorted(set(base_cfg) | set(cur_cfg))
+            if base_cfg.get(key) != cur_cfg.get(key)
+        ],
+    )
     if "pins" in sections:
         diff.findings.extend(_compare_pins(baseline, current))
     if "time" in sections:

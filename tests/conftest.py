@@ -11,12 +11,11 @@ def snaked_lanes(monkeypatch):
     """The number of snaking lanes of each batched split made during
     the test, one entry per split."""
     counts = []
-    split = kernels.batch_zero_skew_split
 
-    def counting(*args, **kwargs):
-        result = split(*args, **kwargs)
-        counts.append(int(np.count_nonzero(result.snake_a | result.snake_b)))
-        return result
+    class CountingSplit(kernels.BatchSplit):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(int(np.count_nonzero(self.snake_a | self.snake_b)))
 
-    monkeypatch.setattr(kernels, "batch_zero_skew_split", counting)
+    monkeypatch.setattr(kernels, "BatchSplit", CountingSplit)
     return counts

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
 from repro.activity.isa import InstructionSet, paper_example_isa, paper_example_stream
@@ -215,3 +217,39 @@ def test_statistics_is_the_scalar_pair_from_one_memo_each(wide):
     assert stats.signal_probability == batch_p[0]
     info = fresh.cache_info()["signal"]
     assert (info.misses, info.hits) == (1, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    num_instructions=st.one_of(st.sampled_from([1, 63, 64, 70]), st.integers(1, 70)),
+    seed=st.integers(0, 2**16),
+    lanes=st.integers(0, 40),
+    cache_size=st.sampled_from([1, 3, 1 << 16]),
+    as_objects=st.booleans(),
+)
+def test_batched_and_scalar_oracles_agree_bit_for_bit(
+    num_instructions, seed, lanes, cache_size, as_objects
+):
+    # Two fresh oracles per case, one answering only batches and one
+    # only scalar queries, so neither can read a value the other
+    # derived: the batched decode must reproduce the scalar bits.
+    rng = np.random.default_rng(seed)
+    tables = _random_oracle(rng, num_instructions, 12).tables
+    batched = ActivityOracle(tables, cache_size=cache_size)
+    scalar = ActivityOracle(tables, cache_size=cache_size)
+    full = (1 << 12) - 1
+    masks = [0, full] + rng.integers(0, full + 1, size=lanes).tolist()
+    masks += masks[: lanes // 2]  # repeated lanes within one batch
+    sigs = [batched.activation_signature(m) for m in masks]
+    wide = batched.signature_bits > 63
+    dtype = object if wide or as_objects else np.int64
+    assert batched.batch_probabilities(np.array([], dtype=dtype)).shape == (0,)
+    for _ in range(2):  # cold, then whatever the bounded memo kept
+        got = batched.batch_probabilities(np.array(sigs, dtype=dtype))
+        assert got.dtype == np.float64 and got.shape == (len(masks),)
+        for value, mask in zip(got.tolist(), masks):
+            expected = scalar.signal_probability(mask)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        info = batched.cache_info()["signal"]
+        assert info.currsize <= cache_size
+        assert scalar.cache_info()["signal"].currsize <= cache_size

@@ -363,3 +363,61 @@ def test_nearest_many_without_candidates():
     ids, distances, sizes = index.nearest_many([0, 1, 0], 4)
     assert sizes.tolist() == [0, 1, 0]
     assert ids.tolist() == [0] and distances.tolist() == [3.0]
+
+
+def test_nearest_many_measures_only_the_blocks_each_query_reaches(monkeypatch):
+    """Queries of one batch that straddle block borders are answered
+    exactly, and each measures only its own block (for a query from
+    outside, the block of least bound) and the blocks whose bound is
+    within the k-th distance found there -- not the union of the
+    blocks its batch reaches."""
+    monkeypatch.setattr(candidate_index, "_BLOCK", 12)
+    # A lattice: many exact distance ties, several blocks.
+    segments = {
+        i: Trr.from_point(Point(float(i % 12), float(i // 12))) for i in range(96)
+    }
+    probe = 96  # written, never indexed: a query from outside
+    arrays = arrays_of(segments, capacity=97)
+    write_row(arrays, probe, Trr.from_point(Point(5.5, 3.5)))
+    rows = []
+
+    def measure(*extents):
+        distances = batch_segment_distance(*extents)
+        for r, query in enumerate(zip(*(np.ravel(e) for e in extents[:4]))):
+            rows.append((query, distances.shape[1] if distances.ndim == 2 else distances.size))
+        return distances
+
+    index = SegmentBlockIndex(arrays, segments, measure=measure)
+    assert len(index._ids) >= 3
+    k = 5
+    # Corner and edge sinks of different blocks, plus the probe.
+    queries = [0, 11, 47, 48, 95, probe]
+    ids, distances, sizes = index.nearest_many(queries, k)
+    extents = {
+        nid: (arrays.ulo[nid], arrays.uhi[nid], arrays.vlo[nid], arrays.vhi[nid])
+        for nid in queries
+    }
+    width = index._ids.shape[1]
+    reached_all = set()
+    for nid, got in zip(queries, _split((ids, distances, sizes))):
+        query = Trr(*extents[nid])
+        assert got == brute_force_nearest(segments, query, k, exclude=nid)
+        bound = index._bounds(np.array(extents[nid]))[0]
+        if nid in index:
+            first = index._slot[nid][0]
+        else:
+            first = int(bound.argmin())
+        own = [
+            query.distance_to(segments[m])
+            for m in index._ids[first].tolist()
+            if m >= 0 and m != nid
+        ]
+        kth = sorted(own)[k - 1] if len(own) >= k else np.inf
+        reached = {first} | set(np.flatnonzero(bound <= kth).tolist())
+        reached_all |= reached
+        lanes = sum(n for q, n in rows if q == extents[nid])
+        assert lanes <= width * len(reached)
+    # The batch reaches more blocks than any one query measures.
+    assert len(reached_all) > max(
+        sum(n for q, n in rows if q == extents[nid]) // width for nid in queries
+    )

@@ -477,8 +477,9 @@ class TotalSplitLengthCost(PairCost):
     """Test-only split-dependent cost: the committed wirelength."""
 
     def batch(self, merger, lanes):
-        (_, length_a), (_, length_b) = lanes.edges
-        return length_a + length_b
+        _, length = lanes.edges
+        n = lanes.distance.size
+        return length[:n] + length[n:]
 
 
 total_split_length_cost = TotalSplitLengthCost()

@@ -73,7 +73,39 @@ class TestLedgerFlag:
     def test_unwritable_record_exit_2(self, tmp_path, capsys):
         code = main(ROUTE + ["--record", str(tmp_path / "missing" / "run.json")])
         assert code == 2
-        assert "gated-cts: FileNotFoundError" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "gated-cts: FileNotFoundError" in captured.err
+        # Refused before the flow ran: no routed summary was printed.
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--trace", "--out", "--svg"])
+    def test_unwritable_output_refused_before_routing(self, tmp_path, capsys, flag):
+        code = main(ROUTE + [flag, str(tmp_path / "missing" / "file")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "gated-cts: FileNotFoundError" in captured.err
+        assert captured.out == ""
+
+    def test_unlike_runs_refused_exit_2(self, tmp_path, capsys):
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(ROUTE + ["--record", str(r1)]) == 0
+        assert main(ROUTE + ["--benchmark", "r2", "--record", str(r2)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "diff", str(r1), str(r2)]) == 2
+        err = capsys.readouterr().err
+        assert "gated-cts: InputError" in err
+        assert "route:r1:reduced" in err and "route:r2:reduced" in err
+
+    def test_changed_config_still_diffs(self, tmp_path, capsys):
+        k8, k16 = tmp_path / "k8.json", tmp_path / "k16.json"
+        assert main(ROUTE + ["--record", str(k8)]) == 0
+        assert main(ROUTE[:-1] + ["16", "--record", str(k16)]) == 0
+        capsys.readouterr()
+        code = main(["obs", "diff", str(k8), str(k16), "--sections", "pins,counters"])
+        out = capsys.readouterr().out
+        assert code in (0, 1), out
+        assert "config differs: candidate_limit: 8 -> 16" in out
+        assert "compared)" in out
 
 
 @pytest.fixture()
