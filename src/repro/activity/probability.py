@@ -32,12 +32,17 @@ with a single ``np.bitwise_or``.
 The oracle therefore keeps exactly three memos: mask -> signature,
 signature -> ``P(EN)`` and signature -> ``P_tr(EN)``.  Every query,
 scalar or batched (:meth:`ActivityOracle.batch_probabilities`), reads
-its probabilities from the two signature memos, so each value has one
+its probabilities from the two signature memos -- the mask entry points
+map the mask to its signature and call the signature ones
+(:meth:`ActivityOracle.signature_probability`,
+:meth:`ActivityOracle.signature_statistics`) -- so each value has one
 derivation and batched and scalar lookups are bit-identical by
-construction.  A batch reads the ``P(EN)`` memo without a Python call
-per lane and derives each distinct signature it misses once, decoding
-all of them with one ``unpackbits``; each miss is then the same 1-D
-``row @ ift`` dot as a scalar miss, so the two paths agree bit for bit.
+construction.  A caller that already holds a signature (the merger ORs
+its children's) prices it without touching the mask memo.  A batch
+reads the ``P(EN)`` memo without a Python call per lane and derives
+each distinct signature it misses once, decoding all of them with one
+``unpackbits``; each miss is then the same 1-D ``row @ ift`` dot as a
+scalar miss, so the two paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -93,8 +98,7 @@ class ActivityOracle:
         # Row/column marginals let the transition probability be
         # computed from one matvec:  P_tr = a^T P (1-a) + (1-a)^T P a
         #                                = a^T (row + col) - 2 a^T P a.
-        self._row = self._pair.sum(axis=1)
-        self._col = self._pair.sum(axis=0)
+        self._row_plus_col = self._pair.sum(axis=1) + self._pair.sum(axis=0)
         self.activation_signature = lru_cache(maxsize=cache_size)(
             self._activation_signature
         )
@@ -184,8 +188,8 @@ class ActivityOracle:
         if self._cache_size > 0:
             memo[signature] = value
 
-    def _signal(self, signature: int) -> Probability:
-        """``P(EN)`` of a signature, through the memo."""
+    def signature_probability(self, signature: int) -> Probability:
+        """``P(EN)`` of an activation signature, through the memo."""
         value = self._signal_memo.get(signature)
         if value is None:
             self._signal_misses += 1
@@ -199,13 +203,20 @@ class ActivityOracle:
         if signature == 0:
             return 0.0
         a = self._signature_vector(signature)
-        value = float(a @ (self._row + self._col) - 2.0 * (a @ self._pair @ a))
+        value = float(a @ self._row_plus_col - 2.0 * (a @ self._pair @ a))
         # Clamp float noise: a probability must lie in [0, 1].
         return min(max(value, 0.0), 1.0)
 
+    def signature_statistics(self, signature: int) -> EnableStatistics:
+        """Both probabilities of an activation signature, through the
+        signature memos."""
+        return EnableStatistics(
+            self.signature_probability(signature), self._transition(signature)
+        )
+
     def signal_probability(self, module_mask: int) -> Probability:
         """``P(EN)`` for the module subset."""
-        return self._signal(self.activation_signature(module_mask))
+        return self.signature_probability(self.activation_signature(module_mask))
 
     def transition_probability(self, module_mask: int) -> Probability:
         """``P_tr(EN)`` for the module subset."""
@@ -213,8 +224,7 @@ class ActivityOracle:
 
     def statistics(self, module_mask: int) -> EnableStatistics:
         """Both probabilities in one call."""
-        sig = self.activation_signature(module_mask)
-        return EnableStatistics(self._signal(sig), self._transition(sig))
+        return self.signature_statistics(self.activation_signature(module_mask))
 
     def batch_probabilities(self, signatures: Any) -> np.ndarray:
         """``P(EN)`` for a whole array of activation signatures.
@@ -234,7 +244,9 @@ class ActivityOracle:
         sigs = np.asarray(signatures).ravel()
         keys = sigs.tolist()
         if sigs.dtype == object:
-            return np.array([self._signal(sig) for sig in keys], dtype=np.float64)
+            return np.array(
+                [self.signature_probability(sig) for sig in keys], dtype=np.float64
+            )
         values = list(map(self._signal_memo.get, keys))
         fresh: Dict[int, Any] = {}
         if None in values:

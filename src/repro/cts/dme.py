@@ -79,7 +79,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.activity.probability import ActivityOracle
+from repro.activity.probability import ActivityOracle, EnableStatistics
 from repro.check.errors import InputError, InternalInvariantError
 from repro.cts import kernels
 from repro.cts.candidate_index import SegmentBlockIndex
@@ -232,17 +232,20 @@ class MergePlan:
     decision_b: CellDecision
     split: SplitResult
     merged_mask: int
+    merged_signature: int
     merged_probability: Optional[Probability]
+
+
+def _set_enable(node: ClockNode, stats: EnableStatistics) -> None:
+    node.enable_probability = stats.signal_probability
+    node.enable_transition_probability = stats.transition_probability
 
 
 def annotate_enable(node: ClockNode, oracle: Optional[ActivityOracle]) -> None:
     """Set ``P(EN)`` / ``P_tr(EN)`` of the node's module set (no-op
     without an oracle: the node stays always-on)."""
-    if oracle is None:
-        return
-    stats = oracle.statistics(node.module_mask)
-    node.enable_probability = stats.signal_probability
-    node.enable_transition_probability = stats.transition_probability
+    if oracle is not None:
+        _set_enable(node, oracle.statistics(node.module_mask))
 
 
 def plan_merge(
@@ -253,16 +256,25 @@ def plan_merge(
     oracle: Optional[ActivityOracle],
     tech: Technology,
     distance: Optional[LengthUm] = None,
+    signature: Optional[int] = None,
 ) -> MergePlan:
     """Plan the merge of two subtree roots: the cells of both new edges
     (``cells`` is the policy's :meth:`~CellPolicy.cells`) and the
-    zero-skew split of their merging distance."""
+    zero-skew split of their merging distance.
+
+    ``signature`` is the merged node's activation signature when the
+    caller already holds it (the merger ORs its children's); without
+    it the oracle derives it from the merged module mask."""
     if distance is None:
         distance = na.merging_segment.distance_to(nb.merging_segment)
     merged_mask = na.module_mask | nb.module_mask
     merged_probability = None
-    if oracle is not None:
-        merged_probability = oracle.signal_probability(merged_mask)
+    if oracle is None:
+        signature = 0
+    else:
+        if signature is None:
+            signature = oracle.activation_signature(merged_mask)
+        merged_probability = oracle.signature_probability(signature)
     decision_a, decision_b = (
         decide_edge(policy, cells, node, merged_probability, distance, tech)
         for node in (na, nb)
@@ -277,6 +289,7 @@ def plan_merge(
         decision_b=decision_b,
         split=zero_skew_split(distance, tap_a, tap_b, tech),
         merged_mask=merged_mask,
+        merged_signature=signature,
         merged_probability=merged_probability,
     )
 
@@ -299,7 +312,8 @@ def commit_merge(
     merged.module_mask = plan.merged_mask
     merged.subtree_cap = plan.split.merged_cap
     merged.sink_delay = plan.split.delay
-    annotate_enable(merged, oracle)
+    if oracle is not None:
+        _set_enable(merged, oracle.signature_statistics(plan.merged_signature))
     return merged
 
 
@@ -527,7 +541,9 @@ class BottomUpMerger:
         """Struct-of-arrays mirror (:class:`repro.cts.kernels.NodeArrays`)
         of every node's merge state; costs read candidate rows by id."""
         for nid in range(len(sinks)):
-            self._set_row(self.tree.node(nid))
+            leaf = self.tree.node(nid)
+            sig = 0 if oracle is None else oracle.activation_signature(leaf.module_mask)
+            self._set_row(leaf, sig)
         self._active_ids = kernels.ActiveIds(range(len(sinks)), capacity)
         self._index: Optional[SegmentBlockIndex] = None
         if candidate_limit is not None and len(sinks) > 1:
@@ -560,12 +576,9 @@ class BottomUpMerger:
         outer, self._layer = self._layer, layer
         return outer
 
-    def _set_row(self, node: ClockNode) -> None:
-        """Mirror a node's merge state, activation signature and
-        enable-star length (controller to merging-segment center)."""
-        sig = 0
-        if self.oracle is not None:
-            sig = self.oracle.activation_signature(node.module_mask)
+    def _set_row(self, node: ClockNode, sig: int) -> None:
+        """Mirror a node's merge state, activation signature ``sig``
+        and enable-star length (controller to merging-segment center)."""
         star = self.controller_point.manhattan_to(node.merging_segment.center())
         self.node_arrays.set_row(node.id, node, sig=sig, star=star)
 
@@ -581,10 +594,13 @@ class BottomUpMerger:
         a candidate screen) so the plan does not re-derive it.
         ``Trr.distance_to`` is symmetric at the bit level -- the
         interval-gap arguments merely swap under ``max`` -- so a
-        measurement taken in either pair orientation is exact.
+        measurement taken in either pair orientation is exact.  The
+        merged activation signature is the OR of the two rows'
+        signatures, the screen's own derivation.
         """
         self.stats.plans_computed += 1
         na, nb = self.tree.node(a_id), self.tree.node(b_id)
+        sig = self.node_arrays.sig
         plan = plan_merge(
             na,
             nb,
@@ -593,6 +609,7 @@ class BottomUpMerger:
             self.oracle,
             self.tech,
             distance,
+            signature=int(sig[a_id] | sig[b_id]),
         )
         if self.cell_sizer is not None and plan.split.snaked is not None:
             plan.decision_a, plan.decision_b, plan.split = self.cell_sizer.resolve(
@@ -611,7 +628,7 @@ class BottomUpMerger:
     def execute(self, plan: MergePlan) -> ClockNode:
         """Commit a planned merge: create the internal node."""
         merged = commit_merge(self.tree, plan, self.oracle)
-        self._set_row(merged)
+        self._set_row(merged, plan.merged_signature)
         self.merge_trace.append((plan.a_id, plan.b_id, merged.id))
         return merged
 

@@ -253,3 +253,33 @@ def test_batched_and_scalar_oracles_agree_bit_for_bit(
         info = batched.cache_info()["signal"]
         assert info.currsize <= cache_size
         assert scalar.cache_info()["signal"].currsize <= cache_size
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_instructions=st.one_of(st.sampled_from([1, 63, 64, 70]), st.integers(1, 70)),
+    seed=st.integers(0, 2**16),
+    pairs=st.integers(1, 30),
+)
+def test_union_signature_statistics_equal_the_mask_statistics(num_instructions, seed, pairs):
+    # The merger prices a merged node from sig_a | sig_b; a fresh oracle
+    # pricing mask_a | mask_b must give the same bits for P(EN) and
+    # P_tr(EN), on both sides of the int64 signature limit.
+    rng = np.random.default_rng(seed)
+    tables = _random_oracle(rng, num_instructions, 12).tables
+    by_signature = ActivityOracle(tables)
+    by_mask = ActivityOracle(tables)
+    full = (1 << 12) - 1
+    for _ in range(pairs):
+        mask_a, mask_b = (int(m) for m in rng.integers(0, full + 1, size=2))
+        union = by_signature.activation_signature(mask_a) | by_signature.activation_signature(
+            mask_b
+        )
+        got = by_signature.signature_statistics(union)
+        expected = by_mask.statistics(mask_a | mask_b)
+        for value, reference in zip(
+            (got.signal_probability, got.transition_probability),
+            (expected.signal_probability, expected.transition_probability),
+        ):
+            assert np.float64(value).tobytes() == np.float64(reference).tobytes()
+        assert by_signature.signature_probability(union) == expected.signal_probability

@@ -5,6 +5,10 @@ import pytest
 
 from repro.activity import ActivityOracle, ActivityTables, InstructionStream
 from repro.activity.isa import paper_example_isa, paper_example_stream
+from repro.bench.cpu_model import CpuModel, CpuModelConfig
+from repro.bench.suite import load_benchmark
+from repro.core.flow import route_gated
+from repro.core.gate_reduction import GateReductionPolicy
 from repro.cts import BottomUpMerger, Sink
 from repro.cts.dme import (
     BufferEveryEdgePolicy,
@@ -13,7 +17,7 @@ from repro.cts.dme import (
     nearest_neighbor_cost,
 )
 from repro.geometry import Point
-from repro.tech import unit_technology
+from repro.tech import date98_technology, unit_technology
 
 
 def make_sinks(coords, cap=1.0):
@@ -156,3 +160,55 @@ class TestActivityAnnotation:
     def test_without_oracle_everything_always_on(self):
         tree = BottomUpMerger(rng_sinks(5), unit_technology()).run()
         assert all(n.enable_probability == 1.0 for n in tree.nodes())
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["r1-isa", "80-instructions"])
+    def test_merged_statistics_equal_a_fresh_mask_lookup(self, wide):
+        # Merged nodes are priced from the OR of their children's
+        # signatures; a fresh oracle asked by mask must agree bit for bit.
+        case = load_benchmark("r1", scale=0.2)
+        tables = case.oracle.tables
+        if wide:
+            cpu = CpuModel(
+                CpuModelConfig(num_modules=len(case.sinks), num_instructions=80, seed=1001)
+            )
+            tables = ActivityTables.from_stream(cpu.isa, cpu.stream(4000))
+        tree = BottomUpMerger(
+            case.sinks,
+            date98_technology(),
+            oracle=ActivityOracle(tables),
+            cell_policy=GateEveryEdgePolicy(),
+            candidate_limit=16,
+        ).run()
+        fresh = ActivityOracle(tables)
+        for node in tree.internal_nodes():
+            stats = fresh.statistics(node.module_mask)
+            assert node.enable_probability.hex() == stats.signal_probability.hex()
+            assert (
+                node.enable_transition_probability.hex()
+                == stats.transition_probability.hex()
+            )
+
+    def test_best_flow_derives_no_merged_signature_from_a_mask(self, monkeypatch):
+        # Only the leaves' signatures come from their module masks: the
+        # merger ORs its children's for every merged node.
+        masks = []
+        derive = ActivityOracle._activation_signature
+
+        def counting(oracle, module_mask):
+            masks.append(module_mask)
+            return derive(oracle, module_mask)
+
+        monkeypatch.setattr(ActivityOracle, "_activation_signature", counting)
+        case = load_benchmark("r3")
+        tech = date98_technology()
+        result = route_gated(
+            case.sinks,
+            tech,
+            ActivityOracle(case.oracle.tables),
+            die=case.die,
+            reduction=GateReductionPolicy.from_knob(0.5, tech),
+            candidate_limit=16,
+        )
+        leaf_masks = {1 << sink.module for sink in case.sinks}
+        assert len(result.tree.internal_nodes()) == len(case.sinks) - 1
+        assert masks and set(masks) <= leaf_masks
